@@ -6,9 +6,10 @@ the witness achieving it:
 * weak: off-diagonal real parts of the decoherence functional vanish
   (probabilities of unions add up);
 * medium: off-diagonal moduli vanish (strictly implies weak);
-* additivity: union probabilities computed from chain operators match sums
-  of fine probabilities, either over history pairs differing in one slot or
-  over single-slot coarsenings;
+* additivity: union probabilities match sums of fine probabilities, over
+  history pairs differing in one slot or over single-slot coarsenings; such
+  a union has chain operator C_a + C_b, so each discrepancy sums off-diagonal
+  Re D entries in the slot's fiber (histories agreeing at every other slot);
 * robustness: a chosen check passes for every state in a (seeded or
   user-supplied) state set.
 
@@ -18,24 +19,21 @@ violations and witnesses (ties broken by enumeration order).
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FamilyTooLargeError
+from .errors import DimensionMismatchError, FamilyTooLargeError
 from .histories import (
     DEFAULT_FAMILY_CAP,
     DecoherenceFunctional,
     HistoryFamily,
+    _dfunc_matrix,
+    _fine_chain_stack,
     coarsen_slot,
-    decoherence_functional,
-    fine_probabilities,
-    history_intersection,
-    history_probability,
-    history_union,
 )
-from .linalg import DensityState, hermiticity_deviation
+from .linalg import DensityState
 from .sampling import robustness_states
 
 DEFAULT_CHECK_TOL = 1e-9
@@ -63,7 +61,8 @@ class ConsistencyReport:
 
 
 def _report(mode, worst, witness, tol, seed=None) -> ConsistencyReport:
-    return ConsistencyReport(mode, worst <= tol, float(worst), witness, tol, seed)
+    worst = float(worst)  # a numpy scalar would make ``passed`` a numpy.bool_
+    return ConsistencyReport(mode, worst <= tol, worst, witness, tol, seed)
 
 
 def _pair_witness(dfunc: DecoherenceFunctional, i: int, j: int) -> dict:
@@ -81,9 +80,8 @@ def _offdiag_check(
     n = dfunc.n
     if n < 2:
         return _report(mode, 0.0, None, tol)
-    # the two traces of the defining sum are conjugates for Hermitian rho,
-    # so 2 Re D covers both; the identity itself is asserted in debug mode
-    assert hermiticity_deviation(np.asarray(dfunc.matrix)) <= max(dfunc.tol, tol)
+    # 2 Re D covers both conjugate traces of the defining sum because the
+    # DecoherenceFunctional constructor rejects a non-Hermitian matrix
     viol = np.where(
         np.triu(np.ones((n, n), dtype=bool), k=1), magnitude(dfunc.matrix), -1.0
     )
@@ -108,129 +106,120 @@ def check_medium_decoherence(
 
 
 # ---------------------------------------------------------------------------
-# Additivity of union probabilities.
+# Additivity of union probabilities, read from fiber blocks of D.
 
 
-def _strides(shape: tuple[int, ...]) -> list[int]:
-    strides = [1] * len(shape)
-    for k in range(len(shape) - 2, -1, -1):
-        strides[k] = strides[k + 1] * shape[k + 1]
-    return strides
+def _fiber(chains: np.ndarray, rho: np.ndarray, pos: int) -> np.ndarray:
+    """Blocks G[r, a, b] = Tr(C_(a,r) rho C_(b,r)^dagger) of D over slot ``pos``.
 
-
-def _pairs_scope(family: HistoryFamily, tol: float) -> ConsistencyReport:
-    fine = list(family.fine_histories())
-    probs = fine_probabilities(family)
-    shape = family.shape
-    strides = _strides(shape)
-
-    worst = -1.0
-    witness = None
-    for pos in range(family.n_slots):
-        size = shape[pos]
-        other_axes = [range(s) for k, s in enumerate(shape) if k != pos]
-        for a, b in itertools.combinations(range(size), 2):
-            for other in itertools.product(*other_axes):
-                base = 0
-                it = iter(other)
-                for k in range(family.n_slots):
-                    if k != pos:
-                        base += next(it) * strides[k]
-                i = base + a * strides[pos]
-                j = base + b * strides[pos]
-                union = history_union(fine[i], fine[j])
-                inter = history_intersection(fine[i], fine[j])
-                p_inter = (
-                    0.0 if inter is None else history_probability(family, inter, clamp=False)
-                )
-                p_union = history_probability(family, union, clamp=False)
-                viol = abs(p_union - (probs[i] + probs[j] - p_inter))
-                if viol > worst:
-                    worst = viol
-                    witness = {
-                        "kind": "pair",
-                        "indices": [int(i), int(j)],
-                        "slot": family.offset_of(pos),
-                        "first": fine[i].labels_by_offset(),
-                        "second": fine[j].labels_by_offset(),
-                    }
-    if worst < 0.0:
-        worst = 0.0
-    return _report("additivity", worst, witness, tol)
-
-
-def _candidate_partitions(size: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Merging partitions with at most two blocks, as position tuples.
-
-    The full merge first, then every two-block split (the coarsest levels of
-    the partition lattice).  Splits that merge nothing (all blocks
-    singletons, possible only at size 2) are skipped, as is everything for a
-    single-label resolution.
+    ``a`` and ``b`` run over the slot's labels, ``r`` over the other slots'
+    labels in lexicographic order.
     """
-    if size < 2:
-        return []
-    parts: list[tuple[tuple[int, ...], ...]] = [(tuple(range(size)),)]
-    # two-block splits, canonicalized by putting position 0 in the first
-    # block; the mask ranges over the remaining positions and excludes the
-    # full set (that is the full merge above)
-    for mask in range(2 ** (size - 1) - 1):
-        block = tuple(sorted({0, *(p + 1 for p in range(size - 1) if (mask >> p) & 1)}))
-        rest = tuple(p for p in range(size) if p not in block)
-        if len(block) == 1 and len(rest) == 1:
-            continue
-        parts.append((block, rest))
-    return parts
+    c = np.moveaxis(chains, pos, -3)
+    c = c.reshape(-1, *c.shape[-3:])
+    left = (c @ rho).reshape(*c.shape[:2], -1)
+    return left @ c.conj().reshape(*c.shape[:2], -1).transpose(0, 2, 1)
 
 
-def _partitions_scope(
-    family: HistoryFamily, tol: float, seed: int | None
-) -> ConsistencyReport:
-    probs = fine_probabilities(family).reshape(family.shape)
+def _pairs_scope(family, chains, rho, tol) -> ConsistencyReport:
+    fine = list(family.fine_histories())
+    index = np.arange(len(fine)).reshape(family.shape)
     worst = -1.0
     witness = None
-    used_seed = None
+    for pos, size in enumerate(family.shape):
+        if size < 2:
+            continue
+        a, b = np.triu_indices(size, k=1)
+        # rows in label-pair order, columns over the other slots' labels
+        viol = np.abs(2.0 * _fiber(chains, rho, pos)[:, a, b].real.T)
+        pair, r = divmod(int(np.argmax(viol)), viol.shape[1])
+        if viol[pair, r] > worst:
+            worst = float(viol[pair, r])
+            i, j = np.moveaxis(index, pos, -1).reshape(-1, size)[r, [a[pair], b[pair]]]
+            witness = {
+                "kind": "pair",
+                "indices": [int(i), int(j)],
+                "slot": family.offset_of(pos),
+                "first": fine[i].labels_by_offset(),
+                "second": fine[j].labels_by_offset(),
+            }
+    return _report("additivity", max(worst, 0.0), witness, tol)
 
-    for pos in range(family.n_slots):
-        res = family.resolutions[pos]
-        size = res.size
-        candidates = _candidate_partitions(size)
+
+def _candidate_count(size: int) -> int:
+    """Merging partitions with at most two blocks: the full merge, then every
+    two-block split except two singletons (which merges nothing)."""
+    return 2 ** (size - 1) if size > 2 else size - 1
+
+
+def _candidate_partition(size: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Candidate ``k`` as position blocks: 0 is the full merge, k >= 1 the
+    split whose first block holds position 0 and p + 1 for each bit p of k - 1."""
+    if k == 0:
+        return (tuple(range(size)),)
+    block = (0, *(p + 1 for p in range(size - 1) if ((k - 1) >> p) & 1))
+    return block, tuple(p for p in range(size) if p not in block)
+
+
+def _partitions_scope(family, chains, rho, tol, seed) -> ConsistencyReport:
+    worst = -1.0
+    best = None
+    used_seed = None
+    for pos, size in enumerate(family.shape):
+        count = _candidate_count(size)
+        if not count:
+            continue
+        picks = range(count)
         if size > PARTITION_EXHAUSTIVE_MAX:
             used_seed = DEFAULT_ROBUSTNESS_SEED if seed is None else seed
             rng = np.random.default_rng(used_seed)
-            take = min(PARTITION_SAMPLE_SIZE, len(candidates))
-            idx = rng.choice(len(candidates), size=take, replace=False)
-            candidates = [candidates[int(i)] for i in np.sort(idx)]
-
-        for blocks in candidates:
-            label_blocks: dict[str, list[int]] = {}
-            for block in blocks:
-                name = "+".join(res.labels[p].display for p in block)
-                while name in label_blocks:  # label names may themselves contain '+'
-                    name += "'"
-                label_blocks[name] = [res.labels[p].index for p in block]
-            coarse = coarsen_slot(family, family.offset_of(pos), label_blocks)
-            coarse_probs = fine_probabilities(coarse).reshape(coarse.shape)
-            expected = np.stack(
-                [probs.take([p for p in block], axis=pos).sum(axis=pos) for block in blocks],
-                axis=pos,
-            )
-            diff = np.abs(coarse_probs - expected)
-            flat = int(np.argmax(diff))
-            local = float(diff.reshape(-1)[flat])
-            if local > worst:
-                worst = local
-                coarse_history = list(coarse.fine_histories())[flat]
-                witness = {
-                    "kind": "partition",
-                    "slot": family.offset_of(pos),
-                    "blocks": [
-                        [res.labels[p].display for p in block] for block in blocks
-                    ],
-                    "coarse_history": coarse_history.labels_by_offset(),
-                }
-    if worst < 0.0:
-        worst = 0.0
+            take = min(PARTITION_SAMPLE_SIZE, count)
+            picks = np.sort(rng.choice(count, size=take, replace=False))
+        candidates = [_candidate_partition(size, int(k)) for k in picks]
+        masks = np.zeros((len(candidates), 2, size))
+        for k, blocks in enumerate(candidates):
+            for c, block in enumerate(blocks):
+                masks[k, c, list(block)] = 1.0
+        # coarse minus summed fine probability of each block, per coarse
+        # history: the block's off-diagonal Re G entries
+        off = _fiber(chains, rho, pos).real * (1.0 - np.eye(size))
+        before = math.prod(family.shape[:pos])
+        diff = np.abs(np.einsum("kca,rab,kcb->krc", masks, off, masks))
+        diff = diff.reshape(len(candidates), before, -1, 2).transpose(0, 1, 3, 2)
+        # candidate-major, then coarse flat order; a full merge's empty second
+        # block is all zero, so its first maximum is in its first block
+        k, bf, c, af = np.unravel_index(int(np.argmax(diff)), diff.shape)
+        if diff[k, bf, c, af] > worst:
+            worst = float(diff[k, bf, c, af])
+            blocks = candidates[k]
+            flat = (bf * len(blocks) + c) * diff.shape[3] + af
+            best = pos, blocks, int(flat)
+    if best is None:
+        return _report("additivity", 0.0, None, tol, seed=used_seed)
+    pos, blocks, flat = best
+    res = family.resolutions[pos]
+    label_blocks: dict[str, list[int]] = {}
+    for block in blocks:
+        name = "+".join(res.labels[p].display for p in block)
+        while name in label_blocks:  # label names may themselves contain '+'
+            name += "'"
+        label_blocks[name] = [res.labels[p].index for p in block]
+    coarse = coarsen_slot(family, family.offset_of(pos), label_blocks)
+    witness = {
+        "kind": "partition",
+        "slot": family.offset_of(pos),
+        "blocks": [[res.labels[p].display for p in block] for block in blocks],
+        "coarse_history": list(coarse.fine_histories())[flat].labels_by_offset(),
+    }
     return _report("additivity", worst, witness, tol, seed=used_seed)
+
+
+def _additivity(family, chains, rho, tol, scope, seed) -> ConsistencyReport:
+    if scope == "pairs":
+        return _pairs_scope(family, chains, rho, tol)
+    if scope == "partitions":
+        return _partitions_scope(family, chains, rho, tol, seed)
+    raise ValueError(f"unknown additivity scope {scope!r}")
 
 
 def check_additivity(
@@ -244,16 +233,14 @@ def check_additivity(
 
     ``scope='pairs'`` tests every fine-history pair differing in exactly one
     slot (where the union is a history); ``scope='partitions'`` coarsens one
-    slot at a time by every at-most-two-block partition and compares the
-    coarse chain probabilities against block-sums of fine ones.
+    slot at a time by every at-most-two-block partition and compares coarse
+    probabilities against block-sums of fine ones.  Both read the
+    discrepancies off one-slot fiber blocks of D.
     """
     if family.n_fine_histories > cap:
         raise FamilyTooLargeError(family.n_fine_histories, cap)
-    if scope == "pairs":
-        return _pairs_scope(family, tol)
-    if scope == "partitions":
-        return _partitions_scope(family, tol, seed)
-    raise ValueError(f"unknown additivity scope {scope!r}")
+    chains = _fine_chain_stack(family)
+    return _additivity(family, chains, family.state.matrix, tol, scope, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +261,8 @@ def check_state_robustness(
     Passes only if every state passes; the witness names the state index
     achieving the worst violation together with the inner witness.  When no
     explicit states are given, ``count`` normalized Wishart states are drawn
-    from ``seed``.
+    from ``seed``.  The chain operators, which do not depend on the state,
+    are built once.
     """
     used_seed: int | None = None
     if states is None:
@@ -282,22 +270,27 @@ def check_state_robustness(
         used_seed = seed
     if not states:
         raise ValueError("robustness needs at least one state")
+    offdiag = {"weak": check_weak_consistency, "medium": check_medium_decoherence}
+    if mode not in (*offdiag, "additivity"):
+        raise ValueError(f"unknown inner mode {mode!r}")
+    for state in states:
+        if state.dim != family.dim:
+            raise DimensionMismatchError(
+                f"state has dim {state.dim}, schedule has {family.dim}"
+            )
+    if family.n_fine_histories > DEFAULT_FAMILY_CAP:
+        raise FamilyTooLargeError(family.n_fine_histories, DEFAULT_FAMILY_CAP)
 
+    chains = _fine_chain_stack(family)
+    histories = tuple(family.fine_histories())
     worst = -1.0
     witness = None
     for idx, state in enumerate(states):
-        variant = family.with_state(state)
-        if mode in ("weak", "medium"):
-            d = decoherence_functional(variant)
-            inner = (
-                check_weak_consistency(d, tol)
-                if mode == "weak"
-                else check_medium_decoherence(d, tol)
-            )
-        elif mode == "additivity":
-            inner = check_additivity(variant, tol, scope=scope, seed=seed)
+        if mode == "additivity":
+            inner = _additivity(family, chains, state.matrix, tol, scope, seed)
         else:
-            raise ValueError(f"unknown inner mode {mode!r}")
+            d = DecoherenceFunctional(histories, _dfunc_matrix(chains, state.matrix))
+            inner = offdiag[mode](d, tol)
         if inner.worst_violation > worst:
             worst = inner.worst_violation
             witness = {

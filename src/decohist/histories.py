@@ -256,29 +256,24 @@ def history_probability(
     return _clamp_unit(raw) if clamp else raw
 
 
-def _fine_chain_matrices(family: HistoryFamily) -> list[np.ndarray]:
-    """Chain operators of all fine histories, lexicographic, sharing prefixes."""
-    tables = family._lifted
-    n = family.n_slots
-    out: list[np.ndarray] = []
+def _fine_chain_stack(family: HistoryFamily) -> np.ndarray:
+    """Chain operators of all fine histories as a ``(*family.shape, d, d)`` array.
 
-    def extend(pos: int, prefix: np.ndarray) -> None:
-        if pos == n:
-            out.append(prefix)
-            return
-        for p in tables[pos]:
-            extend(pos + 1, p @ prefix)
-
-    for p in tables[0]:
-        extend(1, p)
-    return out
+    Built slot by slot, latest slot leftmost, so histories that share a prefix
+    share its product.
+    """
+    tables = [np.stack(table) for table in family._lifted]
+    stack = tables[0]
+    for table in tables[1:]:
+        stack = table @ stack[..., None, :, :]
+    return stack
 
 
 def fine_probabilities(family: HistoryFamily) -> np.ndarray:
     """Probabilities of all fine histories, lexicographic order (unclamped)."""
     rho = family.state.matrix
-    vals = [float(np.sum((c @ rho) * c.conj()).real) for c in _fine_chain_matrices(family)]
-    return np.array(vals)
+    chains = _fine_chain_stack(family).reshape(-1, family.dim, family.dim)
+    return np.array([float(np.sum((c @ rho) * c.conj()).real) for c in chains])
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,12 +336,16 @@ def decoherence_functional(
     n = family.n_fine_histories
     if n > cap:
         raise FamilyTooLargeError(n, cap)
-    chains = _fine_chain_matrices(family)
-    rho = family.state.matrix
-    left = np.stack([(c @ rho).reshape(-1) for c in chains])
-    right = np.stack([c.conj().reshape(-1) for c in chains])
-    matrix = left @ right.T
+    matrix = _dfunc_matrix(_fine_chain_stack(family), family.state.matrix)
     return DecoherenceFunctional(tuple(family.fine_histories()), matrix, tol)
+
+
+def _dfunc_matrix(chains: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Tr(C_i rho C_j^dagger) over a chain stack, histories in flat order."""
+    d = rho.shape[0]
+    chains = chains.reshape(-1, d, d)
+    left = (chains @ rho).reshape(len(chains), -1)
+    return left @ chains.conj().reshape(len(chains), -1).T
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,22 @@ class TestExitCodes:
         assert doc["passed"] is True
         assert doc["worst_violation"] <= 1e-10
 
+    def test_pairs_scope_failure_renders_as_json(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "check",
+            "--mode",
+            "additivity",
+            "--scope",
+            "pairs",
+            "--scenario",
+            str(SCENARIOS / "z_then_x.json"),
+            "--output",
+            "json",
+        )
+        assert code == 1
+        assert json.loads(out)["passed"] is False
+
     def test_whole_corpus_validates(self, capsys):
         for path in sorted(SCENARIOS.glob("*.json")):
             code, out, _ = run_cli(capsys, "validate", "--scenario", str(path))

@@ -1,5 +1,9 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decohist import (
     ConsistencyReport,
@@ -12,12 +16,15 @@ from decohist import (
     check_medium_decoherence,
     check_state_robustness,
     check_weak_consistency,
+    coarsen_slot,
     decoherence_functional,
     fine_probabilities,
+    from_basis,
     history_probability,
     make_resolution,
     make_state,
 )
+from decohist.consistency import _candidate_count, _candidate_partition
 from decohist.errors import FamilyTooLargeError
 from decohist.sampling import random_family, robustness_states
 
@@ -26,6 +33,61 @@ from conftest import P_Z0, z_resolution
 
 def make_dfunc(family, matrix):
     return DecoherenceFunctional(tuple(family.fine_histories()), matrix)
+
+
+def enumerate_partitions(size):
+    """The full merge, then every two-block split that merges something."""
+    if size < 2:
+        return []
+    parts = [(tuple(range(size)),)]
+    for mask in range(2 ** (size - 1) - 1):
+        block = tuple(sorted({0, *(p + 1 for p in range(size - 1) if (mask >> p) & 1)}))
+        rest = tuple(p for p in range(size) if p not in block)
+        if len(block) == 1 and len(rest) == 1:
+            continue
+        parts.append((block, rest))
+    return parts
+
+
+def reference_additivity(fam, scope):
+    """Worst additivity discrepancy from the chain operators of unions and
+    coarsened families, without the decoherence functional."""
+    probs = fine_probabilities(fam)
+    worst = 0.0
+    if scope == "pairs":
+        fine = list(fam.fine_histories())
+        for i in range(len(fine)):
+            for j in range(i + 1, len(fine)):
+                differing = [
+                    off
+                    for off in fam.offsets()
+                    if fine[i].outcome_at(off).labels != fine[j].outcome_at(off).labels
+                ]
+                if len(differing) != 1:
+                    continue
+                spec = {
+                    off: sorted(
+                        fine[i].outcome_at(off).labels | fine[j].outcome_at(off).labels
+                    )
+                    for off in fam.offsets()
+                }
+                p_union = history_probability(fam, fam.history(spec), clamp=False)
+                worst = max(worst, abs(p_union - probs[i] - probs[j]))
+        return worst
+    probs = probs.reshape(fam.shape)
+    for pos, res in enumerate(fam.resolutions):
+        for blocks in enumerate_partitions(res.size):
+            partition = {
+                f"b{k}": [res.labels[p].index for p in block]
+                for k, block in enumerate(blocks)
+            }
+            coarse = coarsen_slot(fam, fam.offset_of(pos), partition)
+            coarse_probs = fine_probabilities(coarse).reshape(coarse.shape)
+            expected = np.stack(
+                [probs.take(block, axis=pos).sum(axis=pos) for block in blocks], axis=pos
+            )
+            worst = max(worst, float(np.max(np.abs(coarse_probs - expected))))
+    return worst
 
 
 class TestWeakConsistency:
@@ -117,32 +179,34 @@ class TestAdditivity:
         probs = fine_probabilities(z_then_x_family)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_worst_matches_exhaustive_recomputation(self):
-        rng = np.random.default_rng(42)
-        fam = random_family(rng, 4, 2, max_resolution_size=3)
-        report = check_additivity(fam, scope="pairs")
-        fine = list(fam.fine_histories())
-        probs = fine_probabilities(fam)
-        worst = 0.0
-        for i in range(len(fine)):
-            for j in range(i + 1, len(fine)):
-                differing = [
-                    off
-                    for off in fam.offsets()
-                    if fine[i].outcome_at(off).labels != fine[j].outcome_at(off).labels
-                ]
-                if len(differing) != 1:
-                    continue
-                spec = {
-                    off: sorted(
-                        fine[i].outcome_at(off).labels | fine[j].outcome_at(off).labels
-                    )
-                    for off in fam.offsets()
-                }
-                union = fam.history(spec)
-                p_union = history_probability(fam, union, clamp=False)
-                worst = max(worst, abs(p_union - probs[i] - probs[j]))
-        assert report.worst_violation == pytest.approx(worst, abs=1e-14)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        pure=st.booleans(),
+        scope=st.sampled_from(["pairs", "partitions"]),
+    )
+    def test_worst_matches_exhaustive_recomputation(self, seed, pure, scope):
+        # at most three outcomes in dim 4-5 forces projectors of rank >= 2;
+        # a pure state is rank deficient
+        rng = np.random.default_rng(seed)
+        fam = random_family(
+            rng, int(rng.integers(4, 6)), int(rng.integers(2, 4)), max_resolution_size=3
+        )
+        if pure:
+            psi = rng.standard_normal(fam.dim) + 1j * rng.standard_normal(fam.dim)
+            psi /= np.linalg.norm(psi)
+            fam = fam.with_state(make_state(np.outer(psi, psi.conj())))
+        report = check_additivity(fam, scope=scope)
+        assert report.worst_violation == pytest.approx(
+            reference_additivity(fam, scope), abs=1e-12
+        )
+
+    def test_candidate_decoding_matches_enumeration(self):
+        # sizes past PARTITION_EXHAUSTIVE_MAX too: the seeded draw picks
+        # indices, so sampled witnesses depend on the same decoding
+        for size in range(13):
+            decoded = [_candidate_partition(size, k) for k in range(_candidate_count(size))]
+            assert decoded == enumerate_partitions(size)
 
     def test_family_cap(self, z_then_x_family):
         with pytest.raises(FamilyTooLargeError):
@@ -180,6 +244,25 @@ class TestAdditivity:
         assert first.seed == 11
         other = check_additivity(fam, scope="partitions", seed=12)
         assert other.seed == 12
+
+    def test_large_slot_samples_without_enumerating(self):
+        # 24 labels have 2**23 candidates; only the sampled ones are built
+        dim = 24
+        grid = TimeGrid((0.0, 1.0), 1)
+        sched = build_schedule(grid, DynamicsSpec.trivial(dim))
+        uniform = np.full((dim, dim), 1.0 / dim, dtype=complex)
+        later = make_resolution([("u", uniform), ("rest", np.eye(dim) - uniform)])
+        fine = from_basis(dim, [[i] for i in range(dim)])
+        fam = HistoryFamily(sched, (fine, later), make_state(uniform))
+
+        start = time.perf_counter()
+        report = check_additivity(fam, scope="partitions", seed=13)
+        assert time.perf_counter() - start < 5.0
+        assert report.seed == 13
+        assert not report.passed
+        assert sorted(sum(report.witness["blocks"], []), key=int) == [
+            str(i) for i in range(dim)
+        ]
 
     def test_unknown_scope(self, z_then_x_family):
         with pytest.raises(ValueError):
@@ -266,6 +349,33 @@ class TestStateRobustness:
         )
         assert not report.passed
         assert report.witness["inner_mode"] == "additivity"
+
+    @pytest.mark.parametrize("mode", ["weak", "medium", "additivity"])
+    def test_matches_per_state_recomputation(self, mode):
+        rng = np.random.default_rng(45)
+        fam = random_family(rng, 4, 3, max_resolution_size=3)
+        states = robustness_states(fam.dim, 6, seed=8)
+        inner = []
+        for state in states:
+            variant = fam.with_state(state)
+            if mode == "additivity":
+                inner.append(check_additivity(variant))
+            elif mode == "weak":
+                inner.append(check_weak_consistency(decoherence_functional(variant)))
+            else:
+                inner.append(check_medium_decoherence(decoherence_functional(variant)))
+        worst = max(range(len(states)), key=lambda k: inner[k].worst_violation)
+
+        report = check_state_robustness(fam, states=states, mode=mode)
+        assert report.worst_violation == pytest.approx(
+            inner[worst].worst_violation, abs=1e-12
+        )
+        assert report.witness == {
+            "kind": "state",
+            "state_index": worst,
+            "inner_mode": mode,
+            "inner": inner[worst].witness,
+        }
 
     def test_needs_states(self, z_then_x_family):
         with pytest.raises(ValueError):
