@@ -29,8 +29,8 @@ from .histories import (
     DEFAULT_FAMILY_CAP,
     DecoherenceFunctional,
     HistoryFamily,
-    _dfunc_matrix,
     _fine_chain_stack,
+    _gram_dfunc,
     coarsen_slot,
 )
 from .linalg import DensityState
@@ -261,8 +261,9 @@ def check_state_robustness(
     Passes only if every state passes; the witness names the state index
     achieving the worst violation together with the inner witness.  When no
     explicit states are given, ``count`` normalized Wishart states are drawn
-    from ``seed``.  The chain operators, which do not depend on the state,
-    are built once.
+    from ``seed``.  The additivity scopes build the chain operators, which do
+    not depend on the state, once; weak and medium build each state's D from
+    that state's factor, as ``decoherence_functional`` does.
     """
     used_seed: int | None = None
     if states is None:
@@ -281,16 +282,17 @@ def check_state_robustness(
     if family.n_fine_histories > DEFAULT_FAMILY_CAP:
         raise FamilyTooLargeError(family.n_fine_histories, DEFAULT_FAMILY_CAP)
 
-    chains = _fine_chain_stack(family)
-    histories = tuple(family.fine_histories())
+    if mode == "additivity":
+        chains = _fine_chain_stack(family)
+    else:
+        histories = tuple(family.fine_histories())
     worst = -1.0
     witness = None
     for idx, state in enumerate(states):
         if mode == "additivity":
             inner = _additivity(family, chains, state.matrix, tol, scope, seed)
         else:
-            d = DecoherenceFunctional(histories, _dfunc_matrix(chains, state.matrix))
-            inner = offdiag[mode](d, tol)
+            inner = offdiag[mode](_gram_dfunc(family, state, histories), tol)
         if inner.worst_violation > worst:
             worst = inner.worst_violation
             witness = {

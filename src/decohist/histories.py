@@ -256,24 +256,75 @@ def history_probability(
     return _clamp_unit(raw) if clamp else raw
 
 
-def _fine_chain_stack(family: HistoryFamily) -> np.ndarray:
+def _fine_chain_stack(
+    family: HistoryFamily, right: np.ndarray | None = None
+) -> np.ndarray:
     """Chain operators of all fine histories as a ``(*family.shape, d, d)`` array.
 
-    Built slot by slot, latest slot leftmost, so histories that share a prefix
-    share its product.
+    With ``right`` (d x r) given, the products C_i right as a
+    ``(*family.shape, d, r)`` array instead.  Built slot by slot, latest slot
+    leftmost, so histories that share a prefix share its product.
     """
     tables = [np.stack(table) for table in family._lifted]
-    stack = tables[0]
+    stack = tables[0] if right is None else tables[0] @ right
     for table in tables[1:]:
         stack = table @ stack[..., None, :, :]
     return stack
 
 
+def _state_factor(state: DensityState) -> tuple[np.ndarray, np.ndarray]:
+    """Pivoted LDL^dagger of a state: rho = L diag(delta) L^dagger.
+
+    ``L`` is d x r and ``delta`` > 0.  Each step pivots on the largest
+    residual diagonal and divides that residual column by the pivot, with no
+    square root, so dyadic states factor exactly.  Steps stop once the
+    largest residual diagonal is round-off, which drops the null directions
+    of a rank-deficient state and the slightly negative ones a state may
+    carry within its tolerance; the d x d residual is then checked.
+    """
+    rho = state.matrix
+    d = rho.shape[0]
+    floor = d * np.finfo(float).eps * float(np.max(rho.diagonal().real))
+    residual = rho.copy()
+    columns, pivots = [], []
+    for _ in range(d):
+        diag = residual.diagonal().real
+        k = int(np.argmax(diag))
+        pivot = float(diag[k])  # diag is a view of the residual
+        if pivot <= floor:
+            break
+        column = residual[:, k] / pivot
+        residual -= pivot * np.outer(column, column.conj())
+        columns.append(column)
+        pivots.append(pivot)
+    factor = np.stack(columns, axis=1)
+    delta = np.array(pivots)
+    gap = float(np.max(np.abs((factor * delta) @ factor.conj().T - rho)))
+    if gap > state.tol:
+        raise InvalidHistoryError(f"state factor misses the state by {gap:.3e}")
+    return factor, delta
+
+
+def _gram_rows(
+    family: HistoryFamily, state: DensityState
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows V_i = vec(C_i L) and weights w with D = (V w) V^dagger.
+
+    ``L`` and ``delta`` factor ``state`` and ``w`` tiles ``delta`` along each
+    row, so D_ij = Tr(C_i rho C_j^dagger) = sum_k V_ik w_k conj(V_jk).
+    """
+    factor, delta = _state_factor(state)
+    rows = _fine_chain_stack(family, factor).reshape(family.n_fine_histories, -1)
+    return rows, np.tile(delta, family.dim)
+
+
 def fine_probabilities(family: HistoryFamily) -> np.ndarray:
     """Probabilities of all fine histories, lexicographic order (unclamped)."""
-    rho = family.state.matrix
-    chains = _fine_chain_stack(family).reshape(-1, family.dim, family.dim)
-    return np.array([float(np.sum((c @ rho) * c.conj()).real) for c in chains])
+    n = family.n_fine_histories
+    if n > DEFAULT_FAMILY_CAP:
+        raise FamilyTooLargeError(n, DEFAULT_FAMILY_CAP)
+    rows, weights = _gram_rows(family, family.state)
+    return (rows.real**2 + rows.imag**2) @ weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,7 +332,10 @@ class DecoherenceFunctional:
     """Matrix of Tr(C_i rho C_j^dagger) over the fine histories of a family.
 
     Hermitian, positive semidefinite, and unit trace within ``tol``; the
-    diagonal holds the fine-history probabilities.
+    diagonal holds the fine-history probabilities.  The engine builds D as
+    the Gram form V Delta V^dagger from a factor of the state, which is PSD
+    by construction; only matrices passed to this constructor get the
+    eigenvalue check.
     """
 
     histories: tuple[History, ...]
@@ -289,8 +343,19 @@ class DecoherenceFunctional:
     tol: float = 1e-9
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        n = len(self.histories)
+        self._settle(self.histories, np.array(self.matrix, dtype=complex), psd=True)
+
+    @classmethod
+    def _from_gram(cls, histories, matrix: np.ndarray, tol: float):
+        """Wrap an engine-built Gram matrix, skipping the eigenvalue check."""
+        dfunc = object.__new__(cls)
+        object.__setattr__(dfunc, "tol", tol)
+        dfunc._settle(histories, matrix, psd=False)
+        return dfunc
+
+    def _settle(self, histories, m: np.ndarray, psd: bool) -> None:
+        """Validate ``m``, which this instance now owns; freeze and store it."""
+        n = len(histories)
         if m.shape != (n, n):
             raise DimensionMismatchError(
                 f"matrix shape {m.shape} does not match {n} histories"
@@ -300,11 +365,12 @@ class DecoherenceFunctional:
             raise InvalidHistoryError(
                 f"decoherence functional is not Hermitian: deviation {dev:.3e}"
             )
-        lo = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
-        if lo < -self.tol:
-            raise InvalidHistoryError(
-                f"decoherence functional is not PSD: min eigenvalue {lo:.3e}"
-            )
+        if psd:
+            lo = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
+            if lo < -self.tol:
+                raise InvalidHistoryError(
+                    f"decoherence functional is not PSD: min eigenvalue {lo:.3e}"
+                )
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > self.tol:
             raise InvalidHistoryError(
@@ -313,10 +379,9 @@ class DecoherenceFunctional:
         d = np.diagonal(m)
         if float(np.max(np.abs(d.imag))) > self.tol or float(np.min(d.real)) < -self.tol:
             raise InvalidHistoryError("diagonal entries must be real and nonnegative")
-        m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "histories", tuple(self.histories))
+        object.__setattr__(self, "histories", tuple(histories))
 
     @property
     def n(self) -> int:
@@ -336,16 +401,19 @@ def decoherence_functional(
     n = family.n_fine_histories
     if n > cap:
         raise FamilyTooLargeError(n, cap)
-    matrix = _dfunc_matrix(_fine_chain_stack(family), family.state.matrix)
-    return DecoherenceFunctional(tuple(family.fine_histories()), matrix, tol)
+    return _gram_dfunc(family, family.state, tuple(family.fine_histories()), tol)
 
 
-def _dfunc_matrix(chains: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Tr(C_i rho C_j^dagger) over a chain stack, histories in flat order."""
-    d = rho.shape[0]
-    chains = chains.reshape(-1, d, d)
-    left = (chains @ rho).reshape(len(chains), -1)
-    return left @ chains.conj().reshape(len(chains), -1).T
+def _gram_dfunc(
+    family: HistoryFamily,
+    state: DensityState,
+    histories: tuple[History, ...],
+    tol: float = 1e-9,
+) -> DecoherenceFunctional:
+    """D = (V w) V^dagger for ``state`` substituted into the family."""
+    rows, weights = _gram_rows(family, state)
+    matrix = (rows * weights) @ rows.conj().T
+    return DecoherenceFunctional._from_gram(histories, matrix, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,7 @@ def random_family(
             [random_unitary(dim, rng) for _ in range(n_slots - 1)]
         )
     reference = int(rng.integers(0, n_slots)) if rng.random() < 0.5 else 0
-    schedule = build_schedule(grid, spec, reference)
+    schedule = build_schedule(grid, spec, reference, dim=dim)
 
     resolutions = tuple(
         random_resolution(dim, rng, max_resolution_size) for _ in range(n_slots)

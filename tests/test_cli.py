@@ -101,6 +101,18 @@ class TestExitCodes:
         assert "missing required key" in err
         assert "Traceback" not in err
 
+    def test_probs_over_family_cap_exits_two(self, capsys, tmp_path):
+        # 13 qubit slots give 8192 fine histories, above the 4096 cap
+        doc = json.loads((SCENARIOS / "minimal.json").read_text())
+        doc["times"] = [float(t) for t in range(13)]
+        doc["slots"] = ["z"] * 13
+        path = tmp_path / "over_cap.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "probs", "--scenario", str(path))
+        assert code == 2
+        assert out == ""
+        assert "8192 fine-grained histories, cap is 4096" in err
+
     def test_usage_error_exits_two(self, capsys):
         assert main(["check", "--scenario", "x.json"]) == 2  # --mode is required
 

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decohist import (
+    DecoherenceFunctional,
     DynamicsSpec,
     HistoryFamily,
     TimeGrid,
@@ -27,7 +30,8 @@ from decohist.errors import (
     InvalidHistoryError,
     ZeroConditionProbabilityError,
 )
-from decohist.sampling import random_family
+from decohist.histories import DEFAULT_FAMILY_CAP, _state_factor
+from decohist.sampling import random_family, random_unitary
 
 from conftest import P_XP, P_Z0, PAULI_X, PAULI_Z, x_resolution, z_resolution
 
@@ -35,6 +39,20 @@ from conftest import P_XP, P_Z0, PAULI_X, PAULI_Z, x_resolution, z_resolution
 def single_slot_family(state, resolution):
     sched = build_schedule(TimeGrid((0.0,), 0), DynamicsSpec.trivial(resolution.dim))
     return HistoryFamily(sched, (resolution,), make_state(state))
+
+
+def random_rank_state(rng, dim, rank):
+    """Normalized G G^dagger for a dim x rank complex Gaussian G."""
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    w = g @ g.conj().T
+    return make_state(w / np.trace(w).real)
+
+
+def over_cap_family():
+    """A qubit z measurement at 13 slots: 8192 fine histories."""
+    grid = TimeGrid(tuple(float(t) for t in range(13)), 0)
+    sched = build_schedule(grid, DynamicsSpec.trivial(2))
+    return HistoryFamily(sched, (z_resolution(),) * 13, make_state(P_XP))
 
 
 class TestChainOperator:
@@ -88,6 +106,20 @@ class TestHistoryProbability:
         for dim, slots in [(2, 5), (4, 3), (8, 2), (16, 4)]:
             fam = random_family(rng, dim, slots)
             assert abs(fine_probabilities(fam).sum() - 1.0) < 1e-9
+
+    def test_single_slot_random_families(self):
+        # both dynamics branches, including an empty step-unitary list
+        for seed in range(20):
+            fam = random_family(np.random.default_rng(seed), 3, 1)
+            assert fam.n_slots == 1
+            assert abs(fine_probabilities(fam).sum() - 1.0) < 1e-12
+
+    def test_fine_probabilities_cap(self):
+        fam = over_cap_family()
+        assert fam.n_fine_histories > DEFAULT_FAMILY_CAP
+        with pytest.raises(FamilyTooLargeError):
+            fine_probabilities(fam)
+        assert "_lifted" not in vars(fam)  # refused before lifting anything
 
 
 class TestDecoherenceFunctional:
@@ -145,6 +177,76 @@ class TestDecoherenceFunctional:
                     d_fine[i, j] for i in fine_set(ci) for j in fine_set(cj)
                 )
                 assert abs(d_coarse[ci, cj] - expected) < 1e-9
+
+
+class TestGramFactor:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        state_kind=st.sampled_from(["mixed", "pure", "rank_deficient"]),
+    )
+    def test_matches_chain_operator_reference(self, seed, state_kind):
+        # at most three outcomes in dim 4-5 forces projectors of rank >= 2
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(2, 6))
+        fam = random_family(rng, dim, int(rng.integers(1, 4)), max_resolution_size=3)
+        if state_kind != "mixed":
+            rank = 1 if state_kind == "pure" else int(rng.integers(1, dim))
+            fam = fam.with_state(random_rank_state(rng, dim, rank))
+        rho = fam.state.matrix
+        chains = [chain_operator(fam, h) for h in fam.fine_histories()]
+        reference = np.array(
+            [[np.trace(ci @ rho @ cj.conj().T) for cj in chains] for ci in chains]
+        )
+
+        d = decoherence_functional(fam)
+        assert np.max(np.abs(d.matrix - reference)) <= 1e-12
+        assert np.max(np.abs(fine_probabilities(fam) - d.diagonal)) <= 1e-12
+
+    def test_factor_reproduces_every_rank(self):
+        rng = np.random.default_rng(5)
+        for dim in range(1, 7):
+            for rank in range(1, dim + 1):
+                state = random_rank_state(rng, dim, rank)
+                factor, delta = _state_factor(state)
+                assert factor.shape == (dim, rank)
+                assert np.all(delta > 0)
+                rebuilt = (factor * delta) @ factor.conj().T
+                assert np.max(np.abs(rebuilt - state.matrix)) <= 1e-12
+
+    def test_factor_drops_a_slightly_negative_direction(self):
+        u = random_unitary(3, np.random.default_rng(6))
+        tol = 1e-10
+        eigenvalues = np.array([0.6, 0.4 + tol / 2, -tol / 2])
+        state = make_state((u * eigenvalues) @ u.conj().T, tol)
+        factor, delta = _state_factor(state)
+        assert factor.shape == (3, 2)
+        assert np.all(delta > 0)
+        assert np.max(np.abs((factor * delta) @ factor.conj().T - state.matrix)) <= tol
+
+    def test_dyadic_family_is_exact(self, z_then_x_family):
+        # a square-root-free factor keeps dyadic entries and exact zeros
+        expected = 0.25 * np.array(
+            [[1, 0, 1, 0], [0, 1, 0, -1], [1, 0, 1, 0], [0, -1, 0, 1]], dtype=complex
+        )
+        assert np.array_equal(decoherence_functional(z_then_x_family).matrix, expected)
+
+
+class TestConstructorValidation:
+    # caller-supplied matrices keep the full validation, eigenvalues included
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ([[0.5, 0.6], [0.6, 0.5]], "not PSD"),
+            ([[0.5, 0.1], [0.0, 0.5]], "not Hermitian"),
+            ([[0.5, 0.0], [0.0, 0.25]], "trace"),
+        ],
+        ids=["non_psd", "non_hermitian", "off_trace"],
+    )
+    def test_rejects_invalid_matrix(self, matrix, message):
+        histories = tuple(single_slot_family(np.eye(2) / 2, z_resolution()).fine_histories())
+        with pytest.raises(InvalidHistoryError, match=message):
+            DecoherenceFunctional(histories, matrix)
 
 
 class TestPredictiveConditional:
