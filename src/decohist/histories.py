@@ -30,7 +30,7 @@ from .errors import (
     InvalidHistoryError,
     ZeroConditionProbabilityError,
 )
-from .linalg import DensityState, hermiticity_deviation
+from .linalg import DensityState, frozen, hermiticity_deviation
 from .resolutions import Outcome, Resolution, coarsen, outcome_intersection
 
 log = logging.getLogger(__name__)
@@ -128,6 +128,17 @@ class HistoryFamily:
                 )
             )
         return tuple(tables)
+
+    @cached_property
+    def _gram(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``_gram_rows`` of the family's own state.
+
+        ``decoherence_functional`` and ``fine_probabilities`` share them, so
+        the state is factored and the rows built once per family; they stay
+        alive with the family (N x d*r complex entries for a rank-r state).
+        """
+        rows, weights = _gram_rows(self, self.state)
+        return frozen(rows), frozen(weights)
 
     def history(self, spec: Mapping[int, object] | None = None) -> "History":
         """Build a History from a map of slot offset to labels.
@@ -323,7 +334,7 @@ def fine_probabilities(family: HistoryFamily) -> np.ndarray:
     n = family.n_fine_histories
     if n > DEFAULT_FAMILY_CAP:
         raise FamilyTooLargeError(n, DEFAULT_FAMILY_CAP)
-    rows, weights = _gram_rows(family, family.state)
+    rows, weights = family._gram
     return (rows.real**2 + rows.imag**2) @ weights
 
 
@@ -343,7 +354,11 @@ class DecoherenceFunctional:
     tol: float = 1e-9
 
     def __post_init__(self):
-        self._settle(self.histories, np.array(self.matrix, dtype=complex), psd=True)
+        m = np.array(self.matrix, dtype=complex)
+        if not np.all(np.isfinite(m)):
+            # NaN would pass every ``> tol`` check below
+            raise InvalidHistoryError("decoherence functional entries must be finite")
+        self._settle(self.histories, m, psd=True)
 
     @classmethod
     def _from_gram(cls, histories, matrix: np.ndarray, tol: float):
@@ -411,7 +426,10 @@ def _gram_dfunc(
     tol: float = 1e-9,
 ) -> DecoherenceFunctional:
     """D = (V w) V^dagger for ``state`` substituted into the family."""
-    rows, weights = _gram_rows(family, state)
+    if state is family.state:
+        rows, weights = family._gram
+    else:
+        rows, weights = _gram_rows(family, state)
     matrix = (rows * weights) @ rows.conj().T
     return DecoherenceFunctional._from_gram(histories, matrix, tol)
 

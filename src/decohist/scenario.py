@@ -480,7 +480,8 @@ def parse_scenario(source) -> Scenario:
             queries[name] = q
 
     col.raise_if_any()
-    assert family is not None
+    if family is None:  # every path that leaves it unset records an error
+        raise ScenarioValidationError([("slots", "no history family was built")])
 
     normalized = {
         "schema_version": SCHEMA_VERSION,

@@ -25,6 +25,7 @@ from decohist import (
     make_state,
 )
 from decohist.consistency import _candidate_count, _candidate_partition
+from decohist.linalg import TILE
 from decohist.errors import FamilyTooLargeError
 from decohist.sampling import random_family, robustness_states
 
@@ -150,6 +151,89 @@ class TestMediumDecoherence:
     def test_diagonal_passes(self, z_then_x_family):
         d = make_dfunc(z_then_x_family, np.eye(4) / 4)
         assert check_medium_decoherence(d).passed
+
+
+def reference_offdiag(matrix, magnitude):
+    """Dense first maximum over the strict upper triangle, row-major order."""
+    n = matrix.shape[0]
+    viol = np.where(np.triu(np.ones((n, n), dtype=bool), k=1), magnitude(matrix), -1.0)
+    flat = int(np.argmax(viol))
+    i, j = divmod(flat, n)
+    return float(viol[i, j]), [i, j]
+
+
+class _Unlabelled:
+    def labels_by_offset(self):
+        return {}
+
+
+class _Matrix:
+    """Just what the weak and medium checks read of a DecoherenceFunctional,
+    so that matrices the constructor would refuse (all zero) can be scanned."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.n = matrix.shape[0]
+        self.histories = (_Unlabelled(),) * self.n
+
+
+class TestStripScan:
+    CHECKS = [
+        (check_weak_consistency, lambda m: np.abs(2.0 * m.real)),
+        (check_medium_decoherence, np.abs),
+    ]
+    SIZES = [2, 3, TILE - 1, TILE, TILE + 1, TILE + 2, 2 * TILE + 3]
+
+    @staticmethod
+    def assert_matches_reference(matrix):
+        for check, magnitude in TestStripScan.CHECKS:
+            report = check(_Matrix(matrix))
+            worst, indices = reference_offdiag(matrix, magnitude)
+            assert report.worst_violation == worst  # bit for bit
+            assert report.witness["indices"] == indices
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_random_matrix(self, n):
+        rng = np.random.default_rng(n)
+        v = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        self.assert_matches_reference(v @ v.conj().T)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_all_zero_matrix(self, n):
+        self.assert_matches_reference(np.zeros((n, n), dtype=complex))
+
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            # last row of the first strip against the first row of the next
+            [(TILE - 1, TILE + 3), (TILE, TILE + 1)],
+            # the next strip's tie sits in a column the first strip also reads
+            [(TILE - 1, 2 * TILE + 1), (TILE, TILE + 1), (TILE + 1, TILE + 2)],
+            # ties inside one strip, either side of the next strip's rows
+            [(TILE, 2 * TILE + 2), (TILE + 5, TILE + 6), (2 * TILE, 2 * TILE + 1)],
+            # a strip boundary on the diagonal itself
+            [(TILE - 1, TILE), (2 * TILE - 1, 2 * TILE)],
+        ],
+        ids=["row_boundary", "shared_column", "within_strip", "on_diagonal"],
+    )
+    def test_ties_either_side_of_a_strip_boundary(self, cells):
+        n = 2 * TILE + 3
+        rng = np.random.default_rng(7)
+        matrix = 1e-3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        matrix = matrix + matrix.conj().T
+        for i, j in cells:  # equal weak and medium magnitudes at every cell
+            matrix[i, j] = matrix[j, i] = 0.5
+        self.assert_matches_reference(matrix)
+        first = [list(min(cells))]
+        for check, _ in self.CHECKS:
+            assert [check(_Matrix(matrix)).witness["indices"]] == first
+
+    def test_engine_matrix(self):
+        rng = np.random.default_rng(3)
+        families = (random_family(rng, 6, 4, 6) for _ in range(100))
+        fam = next(f for f in families if f.n_fine_histories > TILE)
+        d = decoherence_functional(fam)
+        self.assert_matches_reference(np.array(d.matrix))
 
 
 class TestAdditivity:

@@ -30,6 +30,8 @@ from decohist.errors import (
     InvalidHistoryError,
     ZeroConditionProbabilityError,
 )
+from decohist import histories as histories_module
+from decohist.consistency import check_state_robustness
 from decohist.histories import DEFAULT_FAMILY_CAP, _state_factor
 from decohist.sampling import random_family, random_unitary
 
@@ -232,6 +234,59 @@ class TestGramFactor:
         assert np.array_equal(decoherence_functional(z_then_x_family).matrix, expected)
 
 
+class TestSharedGramRows:
+    @staticmethod
+    def count_row_builds(monkeypatch):
+        calls = []
+        build = histories_module._gram_rows
+
+        def counted(family, state):
+            calls.append(state)
+            return build(family, state)
+
+        monkeypatch.setattr(histories_module, "_gram_rows", counted)
+        return calls
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_row_build_per_family(self, monkeypatch, seed):
+        calls = self.count_row_builds(monkeypatch)
+        fam = random_family(np.random.default_rng(seed), 4, 3)
+        d = decoherence_functional(fam)
+        probs = fine_probabilities(fam)
+        assert calls == [fam.state]
+        self.assert_same_as_unshared(fam, d, probs)
+
+    def test_probabilities_first(self, monkeypatch):
+        calls = self.count_row_builds(monkeypatch)
+        fam = random_family(np.random.default_rng(9), 4, 2)
+        probs = fine_probabilities(fam)
+        d = decoherence_functional(fam)
+        assert calls == [fam.state]
+        self.assert_same_as_unshared(fam, d, probs)
+
+    @staticmethod
+    def assert_same_as_unshared(fam, d, probs):
+        """Bit for bit what separately built rows give; the probabilities sum
+        in another order than the gemm, so they meet diag(D) to round-off."""
+        rows, weights = histories_module._gram_rows(fam, fam.state)
+        assert np.array_equal(d.matrix, (rows * weights) @ rows.conj().T)
+        assert np.array_equal(probs, (rows.real**2 + rows.imag**2) @ weights)
+        assert np.max(np.abs(probs - d.matrix.diagonal().real)) < 1e-15
+
+    def test_cached_rows_are_read_only(self):
+        fam = random_family(np.random.default_rng(5), 3, 2)
+        rows, weights = fam._gram
+        assert not rows.flags.writeable and not weights.flags.writeable
+
+    def test_other_states_build_their_own_rows(self, monkeypatch):
+        calls = self.count_row_builds(monkeypatch)
+        fam = random_family(np.random.default_rng(11), 3, 2)
+        states = [random_rank_state(np.random.default_rng(k), 3, 2) for k in range(3)]
+        check_state_robustness(fam, states=states, mode="weak")
+        assert calls == states
+        assert "_gram" not in vars(fam)
+
+
 class TestConstructorValidation:
     # caller-supplied matrices keep the full validation, eigenvalues included
     @pytest.mark.parametrize(
@@ -247,6 +302,27 @@ class TestConstructorValidation:
         histories = tuple(single_slot_family(np.eye(2) / 2, z_resolution()).fine_histories())
         with pytest.raises(InvalidHistoryError, match=message):
             DecoherenceFunctional(histories, matrix)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[0.5, 0.0], [0.0, np.nan]],
+            [[1.0, np.nan], [np.nan, 0.0]],
+            [[0.5, complex(0.0, np.nan)], [0.0, 0.5]],
+            [[0.5, np.inf], [np.inf, 0.5]],
+        ],
+        ids=["nan_diagonal", "nan_pair", "nan_imaginary", "inf_pair"],
+    )
+    def test_rejects_non_finite_matrix(self, matrix):
+        histories = tuple(single_slot_family(np.eye(2) / 2, z_resolution()).fine_histories())
+        with pytest.raises(InvalidHistoryError, match="finite"):
+            DecoherenceFunctional(histories, matrix)
+
+    def test_rejects_a_single_nan(self):
+        state = np.eye(2) / 2
+        fam = single_slot_family(state, make_resolution([("all", np.eye(2))]))
+        with pytest.raises(InvalidHistoryError, match="finite"):
+            DecoherenceFunctional(tuple(fam.fine_histories()), [[np.nan]])
 
 
 class TestPredictiveConditional:

@@ -21,6 +21,7 @@ from decohist.errors import (
     NotPositiveError,
     TraceNotOneError,
 )
+from decohist.linalg import TILE, hermiticity_deviation
 
 from conftest import P_XP, P_Z0
 
@@ -153,3 +154,51 @@ class TestMatrixLiterals:
     def test_bad_shape(self):
         with pytest.raises(DimensionMismatchError):
             matrix_from_pairs([[1, 0], [0, 1]])
+
+
+def dense_hermiticity_deviation(a):
+    """The untiled formula: one full transposed copy."""
+    return float(np.max(np.abs(a - a.conj().T)))
+
+
+class TestTiledHermiticity:
+    SIZES = [1, TILE - 1, TILE, TILE + 1, 2 * TILE + 3]
+
+    @staticmethod
+    def random_matrix(n, seed):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_random_matches_dense_bit_for_bit(self, n):
+        a = self.random_matrix(n, n)
+        assert hermiticity_deviation(a) == dense_hermiticity_deviation(a)
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize(
+        "cell",
+        [lambda n: (n // 2, n - 1), lambda n: (n - 1, n - 2), lambda n: (n - 1, n - 1)],
+        ids=["last_column", "last_row", "last_diagonal"],
+    )
+    def test_near_hermitian_matches_dense_bit_for_bit(self, n, cell):
+        a = self.random_matrix(n, n + 1)
+        a = a + a.conj().T
+        a[cell(n)] += 1e-13j  # one small defect, in the last tile row or column
+        assert hermiticity_deviation(a) == dense_hermiticity_deviation(a) > 0.0
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_exactly_hermitian_is_zero(self, n):
+        a = self.random_matrix(n, n + 2)
+        a = a + a.conj().T
+        assert hermiticity_deviation(a) == dense_hermiticity_deviation(a) == 0.0
+
+    @pytest.mark.parametrize("n", SIZES[1:])
+    @pytest.mark.parametrize("value", [np.nan, complex(np.nan, 0.0), np.inf])
+    def test_non_finite_off_diagonal_entry_propagates(self, n, value):
+        a = self.random_matrix(n, n + 3)
+        a = a + a.conj().T
+        # row 0, last column: for n > TILE an off-diagonal tile visited after
+        # the first, so a reduction that drops NaN would miss it
+        a[0, n - 1] = value
+        assert not np.isfinite(hermiticity_deviation(a))
+        assert np.isnan(hermiticity_deviation(a)) == np.isnan(dense_hermiticity_deviation(a))
