@@ -31,6 +31,7 @@ from .histories import (
     HistoryFamily,
     _fine_chain_stack,
     _gram_dfunc,
+    _gram_rows,
     coarsen_slot,
 )
 from .linalg import TILE, DensityState
@@ -302,7 +303,9 @@ def check_state_robustness(
         if mode == "additivity":
             inner = _additivity(family, chains, state.matrix, tol, scope, seed)
         else:
-            inner = offdiag[mode](_gram_dfunc(family, state, histories), tol)
+            inner = offdiag[mode](
+                _gram_dfunc(_gram_rows(family, state), histories), tol
+            )
         if inner.worst_violation > worst:
             worst = inner.worst_violation
             witness = {

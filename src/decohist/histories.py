@@ -416,20 +416,16 @@ def decoherence_functional(
     n = family.n_fine_histories
     if n > cap:
         raise FamilyTooLargeError(n, cap)
-    return _gram_dfunc(family, family.state, tuple(family.fine_histories()), tol)
+    return _gram_dfunc(family._gram, tuple(family.fine_histories()), tol)
 
 
 def _gram_dfunc(
-    family: HistoryFamily,
-    state: DensityState,
+    gram: tuple[np.ndarray, np.ndarray],
     histories: tuple[History, ...],
     tol: float = 1e-9,
 ) -> DecoherenceFunctional:
-    """D = (V w) V^dagger for ``state`` substituted into the family."""
-    if state is family.state:
-        rows, weights = family._gram
-    else:
-        rows, weights = _gram_rows(family, state)
+    """D = (V w) V^dagger from ``_gram_rows``' rows V and weights w."""
+    rows, weights = gram
     matrix = (rows * weights) @ rows.conj().T
     return DecoherenceFunctional._from_gram(histories, matrix, tol)
 

@@ -30,6 +30,7 @@ from decohist.errors import (
     InvalidHistoryError,
     ZeroConditionProbabilityError,
 )
+from decohist import consistency as consistency_module
 from decohist import histories as histories_module
 from decohist.consistency import check_state_robustness
 from decohist.histories import DEFAULT_FAMILY_CAP, _state_factor
@@ -244,7 +245,9 @@ class TestSharedGramRows:
             calls.append(state)
             return build(family, state)
 
-        monkeypatch.setattr(histories_module, "_gram_rows", counted)
+        # the robustness check calls its own imported binding
+        for module in (histories_module, consistency_module):
+            monkeypatch.setattr(module, "_gram_rows", counted)
         return calls
 
     @pytest.mark.parametrize("seed", range(4))

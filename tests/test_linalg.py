@@ -194,11 +194,23 @@ class TestTiledHermiticity:
 
     @pytest.mark.parametrize("n", SIZES[1:])
     @pytest.mark.parametrize("value", [np.nan, complex(np.nan, 0.0), np.inf])
-    def test_non_finite_off_diagonal_entry_propagates(self, n, value):
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            lambda n: (0, n - 1),
+            lambda n: (min(TILE, n - 2), n - 1),
+            lambda n: (n - 1, n - 1),
+        ],
+        ids=["first_strip", "second_strip_off_diagonal", "last_strip_diagonal"],
+    )
+    def test_non_finite_entry_propagates(self, n, value, cell):
         a = self.random_matrix(n, n + 3)
         a = a + a.conj().T
-        # row 0, last column: for n > TILE an off-diagonal tile visited after
-        # the first, so a reduction that drops NaN would miss it
-        a[0, n - 1] = value
-        assert not np.isfinite(hermiticity_deviation(a))
-        assert np.isnan(hermiticity_deviation(a)) == np.isnan(dense_hermiticity_deviation(a))
+        # for n > TILE the last diagonal entry, and for n > TILE + 1 the entry
+        # at (TILE, n - 1), are read only by a strip after the first, so a
+        # reduction over the strips that drops NaN would miss them
+        a[cell(n)] = value
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, as intended
+            got, dense = hermiticity_deviation(a), dense_hermiticity_deviation(a)
+        assert not np.isfinite(got)
+        assert np.isnan(got) == np.isnan(dense)
