@@ -13,6 +13,11 @@ the witness achieving it:
 * robustness: a chosen check passes for every state in a (seeded or
   user-supplied) state set.
 
+All four read one kernel: the Gram rows V_i = vec(C_i L) of the fine
+histories, where rho = L Delta L^dagger (``histories._gram_rows``).  Weak and
+medium scan D = (V w) V^dagger; additivity reads the fiber blocks of D from
+the rows of each fiber alone; robustness builds the rows once per state.
+
 Reports are deterministic: identical inputs and seed give identical
 violations and witnesses (ties broken by enumeration order).
 """
@@ -29,7 +34,6 @@ from .histories import (
     DEFAULT_FAMILY_CAP,
     DecoherenceFunctional,
     HistoryFamily,
-    _fine_chain_stack,
     _gram_dfunc,
     _gram_rows,
     coarsen_slot,
@@ -120,19 +124,20 @@ def check_medium_decoherence(
 # Additivity of union probabilities, read from fiber blocks of D.
 
 
-def _fiber(chains: np.ndarray, rho: np.ndarray, pos: int) -> np.ndarray:
+def _fiber(family: HistoryFamily, gram, pos: int) -> np.ndarray:
     """Blocks G[r, a, b] = Tr(C_(a,r) rho C_(b,r)^dagger) of D over slot ``pos``.
 
     ``a`` and ``b`` run over the slot's labels, ``r`` over the other slots'
-    labels in lexicographic order.
+    labels in lexicographic order.  Each block is the Gram form (V w) V^dagger
+    of the rows ``_gram_rows`` gives for the histories (a, r) of one ``r``.
     """
-    c = np.moveaxis(chains, pos, -3)
-    c = c.reshape(-1, *c.shape[-3:])
-    left = (c @ rho).reshape(*c.shape[:2], -1)
-    return left @ c.conj().reshape(*c.shape[:2], -1).transpose(0, 2, 1)
+    rows, weights = gram
+    v = np.moveaxis(rows.reshape(*family.shape, -1), pos, -2)
+    v = v.reshape(-1, *v.shape[-2:])
+    return (v * weights) @ v.conj().transpose(0, 2, 1)
 
 
-def _pairs_scope(family, chains, rho, tol) -> ConsistencyReport:
+def _pairs_scope(family, gram, tol) -> ConsistencyReport:
     fine = list(family.fine_histories())
     index = np.arange(len(fine)).reshape(family.shape)
     worst = -1.0
@@ -142,7 +147,7 @@ def _pairs_scope(family, chains, rho, tol) -> ConsistencyReport:
             continue
         a, b = np.triu_indices(size, k=1)
         # rows in label-pair order, columns over the other slots' labels
-        viol = np.abs(2.0 * _fiber(chains, rho, pos)[:, a, b].real.T)
+        viol = np.abs(2.0 * _fiber(family, gram, pos)[:, a, b].real.T)
         pair, r = divmod(int(np.argmax(viol)), viol.shape[1])
         if viol[pair, r] > worst:
             worst = float(viol[pair, r])
@@ -172,7 +177,7 @@ def _candidate_partition(size: int, k: int) -> tuple[tuple[int, ...], ...]:
     return block, tuple(p for p in range(size) if p not in block)
 
 
-def _partitions_scope(family, chains, rho, tol, seed) -> ConsistencyReport:
+def _partitions_scope(family, gram, tol, seed) -> ConsistencyReport:
     worst = -1.0
     best = None
     used_seed = None
@@ -193,7 +198,7 @@ def _partitions_scope(family, chains, rho, tol, seed) -> ConsistencyReport:
                 masks[k, c, list(block)] = 1.0
         # coarse minus summed fine probability of each block, per coarse
         # history: the block's off-diagonal Re G entries
-        off = _fiber(chains, rho, pos).real * (1.0 - np.eye(size))
+        off = _fiber(family, gram, pos).real * (1.0 - np.eye(size))
         before = math.prod(family.shape[:pos])
         diff = np.abs(np.einsum("kca,rab,kcb->krc", masks, off, masks))
         diff = diff.reshape(len(candidates), before, -1, 2).transpose(0, 1, 3, 2)
@@ -225,11 +230,11 @@ def _partitions_scope(family, chains, rho, tol, seed) -> ConsistencyReport:
     return _report("additivity", worst, witness, tol, seed=used_seed)
 
 
-def _additivity(family, chains, rho, tol, scope, seed) -> ConsistencyReport:
+def _additivity(family, gram, tol, scope, seed) -> ConsistencyReport:
     if scope == "pairs":
-        return _pairs_scope(family, chains, rho, tol)
+        return _pairs_scope(family, gram, tol)
     if scope == "partitions":
-        return _partitions_scope(family, chains, rho, tol, seed)
+        return _partitions_scope(family, gram, tol, seed)
     raise ValueError(f"unknown additivity scope {scope!r}")
 
 
@@ -246,12 +251,13 @@ def check_additivity(
     slot (where the union is a history); ``scope='partitions'`` coarsens one
     slot at a time by every at-most-two-block partition and compares coarse
     probabilities against block-sums of fine ones.  Both read the
-    discrepancies off one-slot fiber blocks of D.
+    discrepancies off one-slot fiber blocks of D, built from the family's
+    cached Gram rows, which ``decoherence_functional`` and
+    ``fine_probabilities`` on the same family object reuse.
     """
     if family.n_fine_histories > cap:
         raise FamilyTooLargeError(family.n_fine_histories, cap)
-    chains = _fine_chain_stack(family)
-    return _additivity(family, chains, family.state.matrix, tol, scope, seed)
+    return _additivity(family, family._gram, tol, scope, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +278,9 @@ def check_state_robustness(
     Passes only if every state passes; the witness names the state index
     achieving the worst violation together with the inner witness.  When no
     explicit states are given, ``count`` normalized Wishart states are drawn
-    from ``seed``.  The additivity scopes build the chain operators, which do
-    not depend on the state, once; weak and medium build each state's D from
-    that state's factor, as ``decoherence_functional`` does.
+    from ``seed``.  Each state's Gram rows are built once, from that state's
+    factor as for the family's own state, and every inner mode reads them:
+    weak and medium through that state's D, additivity through its fibers.
     """
     used_seed: int | None = None
     if states is None:
@@ -293,19 +299,15 @@ def check_state_robustness(
     if family.n_fine_histories > DEFAULT_FAMILY_CAP:
         raise FamilyTooLargeError(family.n_fine_histories, DEFAULT_FAMILY_CAP)
 
-    if mode == "additivity":
-        chains = _fine_chain_stack(family)
-    else:
-        histories = tuple(family.fine_histories())
+    histories = tuple(family.fine_histories())
     worst = -1.0
     witness = None
     for idx, state in enumerate(states):
+        gram = _gram_rows(family, state)
         if mode == "additivity":
-            inner = _additivity(family, chains, state.matrix, tol, scope, seed)
+            inner = _additivity(family, gram, tol, scope, seed)
         else:
-            inner = offdiag[mode](
-                _gram_dfunc(_gram_rows(family, state), histories), tol
-            )
+            inner = offdiag[mode](_gram_dfunc(gram, histories), tol)
         if inner.worst_violation > worst:
             worst = inner.worst_violation
             witness = {

@@ -117,25 +117,23 @@ class HistoryFamily:
         return self.resolutions[self.position(offset)]
 
     @cached_property
-    def _lifted(self) -> tuple[tuple[np.ndarray, ...], ...]:
-        """Heisenberg-lifted fine projector matrices, per slot position."""
-        tables = []
+    def _lifted(self) -> tuple[np.ndarray, ...]:
+        """Heisenberg-lifted fine projector matrices, one read-only
+        ``(size, d, d)`` stack per slot position."""
+        stacks = []
         for pos, res in enumerate(self.resolutions):
-            tables.append(
-                tuple(
-                    heisenberg_projector(self.schedule, pos, p).matrix
-                    for p in res.projectors
-                )
-            )
-        return tuple(tables)
+            lifted = (heisenberg_projector(self.schedule, pos, p) for p in res.projectors)
+            stacks.append(frozen(np.stack([p.matrix for p in lifted])))
+        return tuple(stacks)
 
     @cached_property
     def _gram(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only ``_gram_rows`` of the family's own state.
 
-        ``decoherence_functional`` and ``fine_probabilities`` share them, so
-        the state is factored and the rows built once per family; they stay
-        alive with the family (N x d*r complex entries for a rank-r state).
+        ``decoherence_functional``, ``fine_probabilities`` and
+        ``check_additivity`` share them, so the state is factored and the
+        rows built once per family; they stay alive with the family
+        (N x d*r complex entries for a rank-r state).
         """
         rows, weights = _gram_rows(self, self.state)
         return frozen(rows), frozen(weights)
@@ -267,22 +265,6 @@ def history_probability(
     return _clamp_unit(raw) if clamp else raw
 
 
-def _fine_chain_stack(
-    family: HistoryFamily, right: np.ndarray | None = None
-) -> np.ndarray:
-    """Chain operators of all fine histories as a ``(*family.shape, d, d)`` array.
-
-    With ``right`` (d x r) given, the products C_i right as a
-    ``(*family.shape, d, r)`` array instead.  Built slot by slot, latest slot
-    leftmost, so histories that share a prefix share its product.
-    """
-    tables = [np.stack(table) for table in family._lifted]
-    stack = tables[0] if right is None else tables[0] @ right
-    for table in tables[1:]:
-        stack = table @ stack[..., None, :, :]
-    return stack
-
-
 def _state_factor(state: DensityState) -> tuple[np.ndarray, np.ndarray]:
     """Pivoted LDL^dagger of a state: rho = L diag(delta) L^dagger.
 
@@ -325,8 +307,13 @@ def _gram_rows(
     row, so D_ij = Tr(C_i rho C_j^dagger) = sum_k V_ik w_k conj(V_jk).
     """
     factor, delta = _state_factor(state)
-    rows = _fine_chain_stack(family, factor).reshape(family.n_fine_histories, -1)
-    return rows, np.tile(delta, family.dim)
+    # slot by slot, latest slot leftmost: histories sharing a prefix share
+    # its product C L, so the build costs O(N d^2 r)
+    first, *later = family._lifted
+    rows = first @ factor
+    for table in later:
+        rows = table @ rows[..., None, :, :]
+    return rows.reshape(family.n_fine_histories, -1), np.tile(delta, family.dim)
 
 
 def fine_probabilities(family: HistoryFamily) -> np.ndarray:

@@ -14,6 +14,7 @@ Slots missing from a map carry the trivial full outcome.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -64,17 +65,21 @@ _TOP_KEYS = {
     "queries",
 }
 
-_QUERY_KEYS = {
-    "probability": {"kind", "history"},
-    "dfunc": {"kind"},
-    "conditional": {"kind", "future", "given"},
-    "retrodict": {"kind", "past", "present"},
-    "retrodict-normalized": {"kind", "past", "present"},
-    "check": {"kind", "mode", "tol", "scope", "seed", "states", "inner"},
-    "oracle": {"kind", "history", "trace"},
-}
-
 _CHECK_MODES = {"weak", "medium", "additivity", "robust"}
+
+
+def _bad_check_args(tol, seed, states) -> list[tuple[str, str]]:
+    """A check's numeric arguments that break the one rule for them:
+    ``tol`` finite and >= 0, ``seed`` >= 0, ``states`` >= 1 (None is the
+    default and always fine)."""
+    bad = []
+    if tol is not None and not 0 <= tol < math.inf:
+        bad.append(("tol", f"must be finite and >= 0, got {tol!r}"))
+    if seed is not None and seed < 0:
+        bad.append(("seed", f"must be >= 0, got {seed!r}"))
+    if states is not None and states < 1:
+        bad.append(("states", f"must be >= 1, got {states!r}"))
+    return bad
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,10 +261,10 @@ def _parse_query(
         col.add(path, "expected an object")
         return None
     kind = spec.get("kind")
-    if not isinstance(kind, str) or kind not in _QUERY_KEYS:
+    if not isinstance(kind, str) or kind not in _QUERIES:
         col.add(f"{path}.kind", f"unknown query kind {kind!r}")
         return None
-    col.check_keys(spec, _QUERY_KEYS[kind], path)
+    col.check_keys(spec, {"kind", *_QUERIES[kind][2]}, path)
 
     def ref(key):
         hname = spec.get(key)
@@ -314,6 +319,11 @@ def _parse_query(
                     col.add(f"{path}.{key}", f"expected a number")
                     return None
                 out[key] = spec[key]
+        bad = _bad_check_args(out.get("tol"), out.get("seed"), out.get("states"))
+        for key, message in bad:
+            col.add(f"{path}.{key}", message)
+        if bad:
+            return None
         if "scope" in spec:
             if spec["scope"] not in ("pairs", "partitions"):
                 col.add(f"{path}.scope", "expected 'pairs' or 'partitions'")
@@ -559,12 +569,12 @@ def result_probs(scenario: Scenario) -> dict:
     }
 
 
-def result_probability(scenario: Scenario, history_name: str) -> dict:
-    h = scenario.history(history_name)
+def result_probability(scenario: Scenario, history: str) -> dict:
+    h = scenario.history(history)
     return {
         "query": "probability",
         **_meta(scenario),
-        "history": history_name,
+        "history": history,
         "outcomes": _history_row(h),
         "probability": history_probability(scenario.family, h),
     }
@@ -582,32 +592,31 @@ def result_dfunc(scenario: Scenario) -> dict:
     }
 
 
-def result_condition(scenario: Scenario, future_name: str, given_name: str) -> dict:
+def result_condition(scenario: Scenario, future: str, given: str) -> dict:
     value = predictive_conditional(
-        scenario.family, scenario.history(future_name), scenario.history(given_name)
+        scenario.family, scenario.history(future), scenario.history(given)
     )
     return {
         "query": "condition",
         **_meta(scenario),
-        "future": future_name,
-        "given": given_name,
+        "future": future,
+        "given": given,
         "value": value,
     }
 
 
 def result_retrodict(
-    scenario: Scenario, past_name: str, present_labels: list, normalized: bool
+    scenario: Scenario, past: str, present: list, normalized: bool
 ) -> dict:
     family = scenario.family
-    present = family.resolution_at(0).outcome(present_labels)
-    past = scenario.history(past_name)
+    outcome = family.resolution_at(0).outcome(present)
     fn = retrodictive_normalized if normalized else retrodictive_conditional
-    value = fn(family, past, present)
+    value = fn(family, scenario.history(past), outcome)
     return {
         "query": "retrodict",
         **_meta(scenario),
-        "past": past_name,
-        "present": present.display_labels(),
+        "past": past,
+        "present": outcome.display_labels(),
         "normalized": normalized,
         "value": value,
     }
@@ -622,6 +631,9 @@ def result_check(
     states: int | None = None,
     inner: str | None = None,
 ) -> dict:
+    bad = _bad_check_args(tol, seed, states)
+    if bad:
+        raise ScenarioValidationError(bad)
     family = scenario.family
     tol = DEFAULT_CHECK_TOL if tol is None else float(tol)
     if mode == "weak":
@@ -655,14 +667,14 @@ def result_check(
     }
 
 
-def result_oracle(scenario: Scenario, history_name: str, trace: bool = False) -> dict:
+def result_oracle(scenario: Scenario, history: str, trace: bool = False) -> dict:
     family = scenario.family
-    h = scenario.history(history_name)
+    h = scenario.history(history)
     prob, mtrace = sequential_probability(family, h)
     out = {
         "query": "oracle",
         **_meta(scenario),
-        "history": history_name,
+        "history": history,
         "probability": prob,
         "truncated": mtrace.truncated,
     }
@@ -764,32 +776,24 @@ def result_coarse_grain(scenario: Scenario, offset: int, partition: dict) -> dic
     return {"query": "coarse-grain", **_meta(scenario), "scenario": doc}
 
 
+#: Query kind -> (result builder, fixed arguments, keys a query may give);
+#: a query's keys are the builder's keyword arguments.
+_QUERIES = {
+    "probability": (result_probability, {}, {"history"}),
+    "dfunc": (result_dfunc, {}, set()),
+    "conditional": (result_condition, {}, {"future", "given"}),
+    "retrodict": (result_retrodict, {"normalized": False}, {"past", "present"}),
+    "retrodict-normalized": (result_retrodict, {"normalized": True}, {"past", "present"}),
+    "check": (result_check, {}, {"mode", "tol", "scope", "seed", "states", "inner"}),
+    "oracle": (result_oracle, {}, {"history", "trace"}),
+}
+
+
 def run_query(scenario: Scenario, name: str, **overrides) -> dict:
-    """Execute a named query from the scenario, with optional overrides."""
+    """Execute a named query from the scenario; ``overrides`` replace any of
+    the keys its kind allows."""
     if name not in scenario.queries:
         raise UnknownQueryError(name)
-    q = {**scenario.queries[name], **overrides}
-    kind = q["kind"]
-    if kind == "probability":
-        return result_probability(scenario, q["history"])
-    if kind == "dfunc":
-        return result_dfunc(scenario)
-    if kind == "conditional":
-        return result_condition(scenario, q["future"], q["given"])
-    if kind == "retrodict":
-        return result_retrodict(scenario, q["past"], q["present"], normalized=False)
-    if kind == "retrodict-normalized":
-        return result_retrodict(scenario, q["past"], q["present"], normalized=True)
-    if kind == "check":
-        return result_check(
-            scenario,
-            q["mode"],
-            tol=q.get("tol"),
-            scope=q.get("scope"),
-            seed=q.get("seed"),
-            states=q.get("states"),
-            inner=q.get("inner"),
-        )
-    if kind == "oracle":
-        return result_oracle(scenario, q["history"], trace=q.get("trace", False))
-    raise UnknownQueryError(name)
+    args = {**scenario.queries[name], **overrides}
+    build, fixed, _ = _QUERIES[args.pop("kind")]
+    return build(scenario, **fixed, **args)

@@ -21,6 +21,13 @@ P_XP = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
 P_XM = 0.5 * np.array([[1, -1], [-1, 1]], dtype=complex)
 
 
+def random_rank_state(rng, dim, rank):
+    """Normalized G G^dagger for a dim x rank complex Gaussian G."""
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    w = g @ g.conj().T
+    return make_state(w / np.trace(w).real)
+
+
 def z_resolution():
     return from_basis(2, [[0], [1]], names=["z0", "z1"])
 

@@ -113,6 +113,31 @@ class TestExitCodes:
         assert out == ""
         assert "8192 fine-grained histories, cap is 4096" in err
 
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            (("--states", "0"), "states"),
+            (("--states", "-2"), "states"),
+            (("--seed", "-1"), "seed"),
+            (("--tol", "nan"), "tol"),
+            (("--tol", "-0.5"), "tol"),
+        ],
+    )
+    def test_invalid_check_arguments_exit_two(self, capsys, args, field):
+        code, out, err = run_cli(
+            capsys,
+            "check",
+            "--mode",
+            "robust",
+            *args,
+            "--scenario",
+            str(SCENARIOS / "z_then_x.json"),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {field}: ")
+        assert "Traceback" not in err
+
     def test_usage_error_exits_two(self, capsys):
         assert main(["check", "--scenario", "x.json"]) == 2  # --mode is required
 

@@ -27,9 +27,9 @@ from decohist import (
 from decohist.consistency import _candidate_count, _candidate_partition
 from decohist.linalg import TILE
 from decohist.errors import FamilyTooLargeError
-from decohist.sampling import random_family, robustness_states
+from decohist.sampling import random_family, random_unitary, robustness_states
 
-from conftest import P_Z0, z_resolution
+from conftest import P_Z0, random_rank_state, z_resolution
 
 
 def make_dfunc(family, matrix):
@@ -266,23 +266,35 @@ class TestAdditivity:
     @settings(max_examples=30, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        pure=st.booleans(),
+        rank=st.integers(1, 5),
         scope=st.sampled_from(["pairs", "partitions"]),
     )
-    def test_worst_matches_exhaustive_recomputation(self, seed, pure, scope):
+    def test_worst_matches_exhaustive_recomputation(self, seed, rank, scope):
         # at most three outcomes in dim 4-5 forces projectors of rank >= 2;
-        # a pure state is rank deficient
+        # a state of rank r < d has a factor with r columns
         rng = np.random.default_rng(seed)
         fam = random_family(
             rng, int(rng.integers(4, 6)), int(rng.integers(2, 4)), max_resolution_size=3
         )
-        if pure:
-            psi = rng.standard_normal(fam.dim) + 1j * rng.standard_normal(fam.dim)
-            psi /= np.linalg.norm(psi)
-            fam = fam.with_state(make_state(np.outer(psi, psi.conj())))
+        fam = fam.with_state(random_rank_state(rng, fam.dim, min(rank, fam.dim)))
         report = check_additivity(fam, scope=scope)
         assert report.worst_violation == pytest.approx(
             reference_additivity(fam, scope), abs=1e-12
+        )
+
+    @pytest.mark.parametrize("scope", ["pairs", "partitions"])
+    def test_slightly_negative_state_accepted(self, scope):
+        # a state may carry an eigenvalue down to -tol; the factor drops that
+        # direction for the fibers just as it does for D
+        u = random_unitary(3, np.random.default_rng(6))
+        tol = 1e-10
+        eigenvalues = np.array([0.6, 0.4 + tol / 2, -tol / 2])
+        state = make_state((u * eigenvalues) @ u.conj().T, tol)
+        fam = random_family(np.random.default_rng(7), 3, 2).with_state(state)
+        decoherence_functional(fam)
+        report = check_additivity(fam, scope=scope)
+        assert report.worst_violation == pytest.approx(
+            reference_additivity(fam, scope), abs=tol
         )
 
     def test_candidate_decoding_matches_enumeration(self):
@@ -460,6 +472,21 @@ class TestStateRobustness:
             "inner_mode": mode,
             "inner": inner[worst].witness,
         }
+
+    @pytest.mark.parametrize("scope", ["pairs", "partitions"])
+    def test_inner_additivity_matches_chain_reference(self, scope):
+        # rank-deficient states, each against the chain-operator reference,
+        # which shares no kernel with the check
+        rng = np.random.default_rng(46)
+        fam = random_family(rng, 4, 3, max_resolution_size=3)
+        states = [random_rank_state(rng, fam.dim, rank) for rank in (1, 2, 3, 1)]
+        expected = [reference_additivity(fam.with_state(s), scope) for s in states]
+
+        report = check_state_robustness(fam, states=states, mode="additivity", scope=scope)
+        assert report.worst_violation == pytest.approx(max(expected), abs=1e-12)
+        assert expected[report.witness["state_index"]] == pytest.approx(
+            max(expected), abs=1e-12
+        )
 
     def test_needs_states(self, z_then_x_family):
         with pytest.raises(ValueError):

@@ -32,23 +32,24 @@ from decohist.errors import (
 )
 from decohist import consistency as consistency_module
 from decohist import histories as histories_module
-from decohist.consistency import check_state_robustness
+from decohist.consistency import check_additivity, check_state_robustness
 from decohist.histories import DEFAULT_FAMILY_CAP, _state_factor
 from decohist.sampling import random_family, random_unitary
 
-from conftest import P_XP, P_Z0, PAULI_X, PAULI_Z, x_resolution, z_resolution
+from conftest import (
+    P_XP,
+    P_Z0,
+    PAULI_X,
+    PAULI_Z,
+    random_rank_state,
+    x_resolution,
+    z_resolution,
+)
 
 
 def single_slot_family(state, resolution):
     sched = build_schedule(TimeGrid((0.0,), 0), DynamicsSpec.trivial(resolution.dim))
     return HistoryFamily(sched, (resolution,), make_state(state))
-
-
-def random_rank_state(rng, dim, rank):
-    """Normalized G G^dagger for a dim x rank complex Gaussian G."""
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    w = g @ g.conj().T
-    return make_state(w / np.trace(w).real)
 
 
 def over_cap_family():
@@ -275,6 +276,17 @@ class TestSharedGramRows:
         assert np.array_equal(d.matrix, (rows * weights) @ rows.conj().T)
         assert np.array_equal(probs, (rows.real**2 + rows.imag**2) @ weights)
         assert np.max(np.abs(probs - d.matrix.diagonal().real)) < 1e-15
+
+    def test_additivity_scopes_share_the_rows(self, monkeypatch):
+        calls = self.count_row_builds(monkeypatch)
+        fam = random_family(np.random.default_rng(12), 4, 3)
+        for scope in ("pairs", "partitions"):
+            check_additivity(fam, scope=scope)
+            assert calls == [fam.state]  # the first scope builds the rows
+        probs = fine_probabilities(fam)
+        d = decoherence_functional(fam)
+        assert calls == [fam.state]
+        self.assert_same_as_unshared(fam, d, probs)
 
     def test_cached_rows_are_read_only(self):
         fam = random_family(np.random.default_rng(5), 3, 2)

@@ -127,6 +127,25 @@ class TestParsing:
             parse_scenario(json.dumps(bad))
         assert "queries.q.extra" in errors_of(err)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("states", 0), ("states", -2), ("seed", -1), ("tol", float("nan")), ("tol", -1.0)],
+    )
+    def test_check_query_arguments_located(self, field, value):
+        # the same rule as the CLI's check arguments; json reads NaN as well
+        bad = json.loads(json.dumps(MINIMAL))
+        bad["queries"] = {"q": {"kind": "check", "mode": "robust", field: value}}
+        with pytest.raises(ScenarioValidationError) as err:
+            parse_scenario(json.dumps(bad))
+        assert errors_of(err) == {f"queries.q.{field}"}
+
+    def test_check_query_argument_bounds_accepted(self):
+        good = json.loads(json.dumps(MINIMAL))
+        good["queries"] = {
+            "q": {"kind": "check", "mode": "robust", "states": 1, "seed": 0, "tol": 0}
+        }
+        assert run_query(parse_scenario(json.dumps(good)), "q")["passed"]
+
     def test_steps_count_checked(self):
         bad = json.loads(json.dumps(MINIMAL))
         bad["dynamics"] = {"steps": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}
