@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .errors import DimensionMismatchError, FamilyTooLargeError
 from .histories import (
     DEFAULT_FAMILY_CAP,
     DecoherenceFunctional,
+    History,
     HistoryFamily,
     _gram_dfunc,
     _gram_rows,
@@ -137,9 +139,17 @@ def _fiber(family: HistoryFamily, gram, pos: int) -> np.ndarray:
     return (v * weights) @ v.conj().transpose(0, 2, 1)
 
 
+def _fine_labels(family: HistoryFamily, flat: int) -> dict[int, list[str]]:
+    """Labels by offset of fine history ``flat`` in lexicographic order."""
+    index = np.unravel_index(flat, family.shape)
+    outcomes = tuple(
+        res.outcome(res.labels[k].index) for res, k in zip(family.resolutions, index)
+    )
+    return History(family, outcomes).labels_by_offset()
+
+
 def _pairs_scope(family, gram, tol) -> ConsistencyReport:
-    fine = list(family.fine_histories())
-    index = np.arange(len(fine)).reshape(family.shape)
+    index = np.arange(family.n_fine_histories).reshape(family.shape)
     worst = -1.0
     witness = None
     for pos, size in enumerate(family.shape):
@@ -156,8 +166,8 @@ def _pairs_scope(family, gram, tol) -> ConsistencyReport:
                 "kind": "pair",
                 "indices": [int(i), int(j)],
                 "slot": family.offset_of(pos),
-                "first": fine[i].labels_by_offset(),
-                "second": fine[j].labels_by_offset(),
+                "first": _fine_labels(family, i),
+                "second": _fine_labels(family, j),
             }
     return _report("additivity", max(worst, 0.0), witness, tol)
 
@@ -225,7 +235,7 @@ def _partitions_scope(family, gram, tol, seed) -> ConsistencyReport:
         "kind": "partition",
         "slot": family.offset_of(pos),
         "blocks": [[res.labels[p].display for p in block] for block in blocks],
-        "coarse_history": list(coarse.fine_histories())[flat].labels_by_offset(),
+        "coarse_history": _fine_labels(coarse, flat),
     }
     return _report("additivity", worst, witness, tol, seed=used_seed)
 
@@ -266,7 +276,7 @@ def check_additivity(
 
 def check_state_robustness(
     family: HistoryFamily,
-    states: list[DensityState] | None = None,
+    states: Sequence[DensityState] | None = None,
     count: int = DEFAULT_ROBUSTNESS_COUNT,
     seed: int = DEFAULT_ROBUSTNESS_SEED,
     mode: str = "weak",
@@ -299,7 +309,8 @@ def check_state_robustness(
     if family.n_fine_histories > DEFAULT_FAMILY_CAP:
         raise FamilyTooLargeError(family.n_fine_histories, DEFAULT_FAMILY_CAP)
 
-    histories = tuple(family.fine_histories())
+    # only the weak and medium reports name their witnesses through D
+    histories = None if mode == "additivity" else tuple(family.fine_histories())
     worst = -1.0
     witness = None
     for idx, state in enumerate(states):

@@ -31,6 +31,7 @@ from .errors import (
     ZeroConditionProbabilityError,
 )
 from .linalg import DensityState, frozen, hermiticity_deviation
+from .linalg import _state_factor  # noqa: F401  (re-exported)
 from .resolutions import Outcome, Resolution, coarsen, outcome_intersection
 
 log = logging.getLogger(__name__)
@@ -265,39 +266,6 @@ def history_probability(
     return _clamp_unit(raw) if clamp else raw
 
 
-def _state_factor(state: DensityState) -> tuple[np.ndarray, np.ndarray]:
-    """Pivoted LDL^dagger of a state: rho = L diag(delta) L^dagger.
-
-    ``L`` is d x r and ``delta`` > 0.  Each step pivots on the largest
-    residual diagonal and divides that residual column by the pivot, with no
-    square root, so dyadic states factor exactly.  Steps stop once the
-    largest residual diagonal is round-off, which drops the null directions
-    of a rank-deficient state and the slightly negative ones a state may
-    carry within its tolerance; the d x d residual is then checked.
-    """
-    rho = state.matrix
-    d = rho.shape[0]
-    floor = d * np.finfo(float).eps * float(np.max(rho.diagonal().real))
-    residual = rho.copy()
-    columns, pivots = [], []
-    for _ in range(d):
-        diag = residual.diagonal().real
-        k = int(np.argmax(diag))
-        pivot = float(diag[k])  # diag is a view of the residual
-        if pivot <= floor:
-            break
-        column = residual[:, k] / pivot
-        residual -= pivot * np.outer(column, column.conj())
-        columns.append(column)
-        pivots.append(pivot)
-    factor = np.stack(columns, axis=1)
-    delta = np.array(pivots)
-    gap = float(np.max(np.abs((factor * delta) @ factor.conj().T - rho)))
-    if gap > state.tol:
-        raise InvalidHistoryError(f"state factor misses the state by {gap:.3e}")
-    return factor, delta
-
-
 def _gram_rows(
     family: HistoryFamily, state: DensityState
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -306,7 +274,7 @@ def _gram_rows(
     ``L`` and ``delta`` factor ``state`` and ``w`` tiles ``delta`` along each
     row, so D_ij = Tr(C_i rho C_j^dagger) = sum_k V_ik w_k conj(V_jk).
     """
-    factor, delta = _state_factor(state)
+    factor, delta = state._factor
     # slot by slot, latest slot leftmost: histories sharing a prefix share
     # its product C L, so the build costs O(N d^2 r)
     first, *later = family._lifted

@@ -9,12 +9,14 @@ and freeze the array, after which values are immutable and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    InvalidHistoryError,
     NotHermitianError,
     NotIdempotentError,
     NotPositiveError,
@@ -132,6 +134,39 @@ def unitarity_deviation(a: np.ndarray) -> float:
     return float(np.max(np.abs(a.conj().T @ a - np.eye(n))))
 
 
+def _state_factor(state: DensityState) -> tuple[np.ndarray, np.ndarray]:
+    """Pivoted LDL^dagger of a state: rho = L diag(delta) L^dagger.
+
+    ``L`` is d x r and ``delta`` > 0.  Each step pivots on the largest
+    residual diagonal and divides that residual column by the pivot, with no
+    square root, so dyadic states factor exactly.  Steps stop once the
+    largest residual diagonal is round-off, which drops the null directions
+    of a rank-deficient state and the slightly negative ones a state may
+    carry within its tolerance; the d x d residual is then checked.
+    """
+    rho = state.matrix
+    d = rho.shape[0]
+    floor = d * np.finfo(float).eps * float(np.max(rho.diagonal().real))
+    residual = rho.copy()
+    columns, pivots = [], []
+    for _ in range(d):
+        diag = residual.diagonal().real
+        k = int(np.argmax(diag))
+        pivot = float(diag[k])  # diag is a view of the residual
+        if pivot <= floor:
+            break
+        column = residual[:, k] / pivot
+        residual -= pivot * np.outer(column, column.conj())
+        columns.append(column)
+        pivots.append(pivot)
+    factor = np.stack(columns, axis=1)
+    delta = np.array(pivots)
+    gap = float(np.max(np.abs((factor * delta) @ factor.conj().T - rho)))
+    if gap > state.tol:
+        raise InvalidHistoryError(f"state factor misses the state by {gap:.3e}")
+    return factor, delta
+
+
 @dataclass(frozen=True, eq=False)
 class DensityState:
     """A density matrix: Hermitian, positive semidefinite, unit trace.
@@ -160,6 +195,14 @@ class DensityState:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def _factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``_state_factor`` of this state, made and checked on first
+        use; a factor that misses the state is not kept, so it raises on every
+        use."""
+        factor, delta = _state_factor(self)
+        return frozen(factor), frozen(delta)
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,10 +9,19 @@ differential-testing oracle for the history engine.
 Nothing here touches Heisenberg-lifted projectors or chain operators; the
 only shared input is the dynamics schedule itself, so agreement with the
 engine validates the picture conventions end to end.
+
+By Lueders' rule the state after slot k depends only on the outcomes up to
+k.  Each call therefore keeps its steps for its family object, and the next
+call on that object resumes after the prefix of slot label sets the two
+histories share: a lexicographic sweep over a family's fine histories makes
+one step per distinct prefix.  Calls on a fresh family object, or on
+histories that differ at the first slot, start from the state.
 """
 
 from __future__ import annotations
 
+import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +72,43 @@ def _outcome_matrix(family: HistoryFamily, pos: int, outcome: Outcome) -> np.nda
     return total
 
 
+def _step(
+    family: HistoryFamily, pos: int, outcome: Outcome, rho: np.ndarray
+) -> StepRecord:
+    """Evolve ``rho`` (the state after slot ``pos - 1``) to slot ``pos`` and
+    measure ``outcome`` there: P rho P, its trace, the renormalized state."""
+    u = family.schedule.unitary(pos)
+    if pos == 0:
+        step_u = u
+    else:
+        step_u = u @ family.schedule.unitary(pos - 1).conj().T
+    rho = step_u @ rho @ step_u.conj().T
+
+    p_out = _outcome_matrix(family, pos, outcome)
+    projected = p_out @ rho @ p_out
+    prob = float(np.trace(projected).real)
+    prob = min(max(prob, 0.0), 1.0) if -1e-12 <= prob <= 1.0 + 1e-12 else prob
+    offset = family.offset_of(pos)
+    labels = tuple(outcome.display_labels())
+
+    if prob <= ZERO_STEP:
+        return StepRecord(offset, labels, 0.0, None)
+
+    rho = projected / prob
+    rho = 0.5 * (rho + rho.conj().T)
+    # roundoff in P rho P is absolute; after dividing by a small step
+    # probability the relative noise floor grows accordingly
+    state_tol = max(DEFAULT_TOL, 1e-13 / prob)
+    return StepRecord(offset, labels, prob, DensityState(rho, state_tol))
+
+
+#: The last trace computed for each live family: the label set measured at
+#: each slot it reached, and its step records.  Families compare by identity
+#: and are held weakly: an entry dies with its family and holds at most
+#: n_slots d x d post-states.  An entry is replaced whole, never edited.
+_last_trace: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def sequential_probability(
     family: HistoryFamily, history: History
 ) -> tuple[float, MeasurementTrace]:
@@ -70,51 +116,30 @@ def sequential_probability(
 
     Returns the product of step probabilities and the full trace; a zero
     step short-circuits to probability 0 with a truncated trace.
+
+    Steps shared with the previous call on the same family object (the
+    longest common prefix of slot label sets) are taken from that call, not
+    recomputed.
     """
     if history.family is not family:
         raise InvalidHistoryError("history was built for a different family")
 
-    rho = np.array(family.state.matrix, dtype=complex)
-    steps: list[StepRecord] = []
-    cumulative = 1.0
-    truncated = False
+    labels = tuple(outcome.labels for outcome in history.outcomes)
+    done, steps = _last_trace.get(family, ((), ()))
+    shared = 0
+    while shared < len(done) and done[shared] == labels[shared]:
+        shared += 1
+    steps = list(steps[:shared])
 
-    for pos in range(family.n_slots):
-        u = family.schedule.unitary(pos)
-        if pos == 0:
-            step_u = u
-        else:
-            step_u = u @ family.schedule.unitary(pos - 1).conj().T
-        rho = step_u @ rho @ step_u.conj().T
+    for pos in range(len(steps), family.n_slots):
+        if steps and steps[-1].post_state is None:
+            break  # a zero step, shared or new, ends the trace
+        rho = steps[-1].post_state.matrix if steps else family.state.matrix
+        steps.append(_step(family, pos, history.outcomes[pos], rho))
 
-        outcome = history.outcomes[pos]
-        p_out = _outcome_matrix(family, pos, outcome)
-        projected = p_out @ rho @ p_out
-        prob = float(np.trace(projected).real)
-        prob = min(max(prob, 0.0), 1.0) if -1e-12 <= prob <= 1.0 + 1e-12 else prob
-        offset = family.offset_of(pos)
-
-        if prob <= ZERO_STEP:
-            steps.append(StepRecord(offset, tuple(outcome.display_labels()), 0.0, None))
-            cumulative = 0.0
-            truncated = pos < family.n_slots - 1
-            break
-
-        rho = projected / prob
-        rho = 0.5 * (rho + rho.conj().T)
-        # roundoff in P rho P is absolute; after dividing by a small step
-        # probability the relative noise floor grows accordingly
-        state_tol = max(DEFAULT_TOL, 1e-13 / prob)
-        steps.append(
-            StepRecord(
-                offset,
-                tuple(outcome.display_labels()),
-                prob,
-                DensityState(rho, state_tol),
-            )
-        )
-        cumulative *= prob
-
+    _last_trace[family] = (labels[: len(steps)], tuple(steps))
+    cumulative = math.prod(s.probability for s in steps)
+    truncated = len(steps) < family.n_slots
     return cumulative, MeasurementTrace(tuple(steps), cumulative, truncated)
 
 

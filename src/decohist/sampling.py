@@ -7,6 +7,8 @@ seed alone.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .dynamics import DynamicsSpec, TimeGrid, build_schedule
@@ -35,10 +37,16 @@ def random_density(dim: int, rng: np.random.Generator) -> DensityState:
     return DensityState(w / np.trace(w).real)
 
 
-def robustness_states(dim: int, count: int, seed: int) -> list[DensityState]:
-    """The seeded state set used by the robustness check."""
+@functools.lru_cache(maxsize=8)
+def robustness_states(dim: int, count: int, seed: int) -> tuple[DensityState, ...]:
+    """The seeded state set used by the robustness check.
+
+    The set depends on its arguments alone, so the last eight sets drawn
+    are kept, and with them each state's validation and cached factor: a
+    repeated check draws, validates and factors nothing.
+    """
     rng = np.random.default_rng(seed)
-    return [random_density(dim, rng) for _ in range(count)]
+    return tuple(random_density(dim, rng) for _ in range(count))
 
 
 def random_block_sizes(

@@ -24,10 +24,21 @@ from decohist import (
     make_resolution,
     make_state,
 )
-from decohist.consistency import _candidate_count, _candidate_partition
+from decohist import linalg as linalg_module
+from decohist.consistency import (
+    DEFAULT_ROBUSTNESS_COUNT,
+    DEFAULT_ROBUSTNESS_SEED,
+    _candidate_count,
+    _candidate_partition,
+)
 from decohist.linalg import TILE
-from decohist.errors import FamilyTooLargeError
-from decohist.sampling import random_family, random_unitary, robustness_states
+from decohist.errors import FamilyTooLargeError, InvalidHistoryError
+from decohist.sampling import (
+    random_density,
+    random_family,
+    random_unitary,
+    robustness_states,
+)
 
 from conftest import P_Z0, random_rank_state, z_resolution
 
@@ -491,6 +502,50 @@ class TestStateRobustness:
     def test_needs_states(self, z_then_x_family):
         with pytest.raises(ValueError):
             check_state_robustness(z_then_x_family, states=[])
+
+    @pytest.mark.parametrize("mode", ["weak", "medium", "additivity"])
+    def test_repeated_seeded_checks_agree(self, mode):
+        fam = random_family(np.random.default_rng(47), 3, 3, max_resolution_size=3)
+        first = check_state_robustness(fam, mode=mode)
+        assert check_state_robustness(fam, mode=mode) == first
+        assert check_state_robustness(fam.with_state(fam.state), mode=mode) == first
+        # freshly drawn, validated and factored states give the same report
+        rng = np.random.default_rng(DEFAULT_ROBUSTNESS_SEED)
+        drawn = [random_density(fam.dim, rng) for _ in range(DEFAULT_ROBUSTNESS_COUNT)]
+        again = check_state_robustness(fam, states=drawn, mode=mode)
+        assert (again.worst_violation, again.witness) == (first.worst_violation, first.witness)
+
+    def test_seeded_states_match_a_fresh_draw(self):
+        states = robustness_states(3, 5, 21)
+        assert isinstance(states, tuple)
+        assert robustness_states(3, 5, 21) is states
+        rng = np.random.default_rng(21)
+        for state in states:
+            assert not state.matrix.flags.writeable
+            assert state.matrix.tobytes() == random_density(3, rng).matrix.tobytes()
+
+    def test_seeded_states_are_factored_once(self, monkeypatch):
+        calls = []
+        factor = linalg_module._state_factor
+
+        def counted(state):
+            calls.append(state)
+            return factor(state)
+
+        monkeypatch.setattr(linalg_module, "_state_factor", counted)
+        robustness_states.cache_clear()
+        fam = random_family(np.random.default_rng(48), 3, 2)
+        for mode in ("weak", "additivity", "weak"):
+            check_state_robustness(fam, count=4, seed=31, mode=mode)
+        assert calls == list(robustness_states(3, 4, 31))
+
+    def test_factor_that_misses_its_state_raises_every_time(self, z_then_x_family):
+        # with a zero tolerance, the factor's round-off (5.6e-17) is too much
+        state = make_state([[0.25, 0.1], [0.1, 0.75]], tol=0.0)
+        for _ in range(2):
+            with pytest.raises(InvalidHistoryError, match="misses the state"):
+                check_state_robustness(z_then_x_family, states=[state])
+        assert "_factor" not in vars(state)
 
 
 class TestReportInvariant:

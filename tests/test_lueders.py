@@ -1,5 +1,12 @@
+import gc
+import itertools
+import math
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decohist import (
     DynamicsSpec,
@@ -8,19 +15,22 @@ from decohist import (
     build_schedule,
     conditional_via_oracle,
     fine_probabilities,
+    from_basis,
     history_probability,
     make_state,
     predictive_conditional,
     retrodictive_conditional,
     sequential_probability,
 )
+from decohist import lueders as lueders_module
 from decohist.errors import (
     InvalidHistoryError,
     ZeroConditionProbabilityError,
 )
-from decohist.sampling import random_family
+from decohist.histories import History
+from decohist.sampling import random_block_sizes, random_family
 
-from conftest import P_Z0, PAULI_Z, z_resolution
+from conftest import P_Z0, PAULI_Z, random_rank_state, z_resolution
 
 
 def two_z_slots(state):
@@ -88,6 +98,148 @@ class TestSequentialProbability:
     def test_wrong_family(self, z_then_x_family, same_basis_family):
         with pytest.raises(InvalidHistoryError):
             sequential_probability(z_then_x_family, same_basis_family.history())
+
+
+def basis_family(rng, dim, n_slots):
+    """Basis-block resolutions, permutation dynamics and a diagonal state of
+    random rank: every step is exact, so zero steps end whole prefixes."""
+    grid = TimeGrid(tuple(float(t) for t in range(n_slots)), int(rng.integers(n_slots)))
+    perms = [np.eye(dim)[rng.permutation(dim)] for _ in range(n_slots - 1)]
+    spec = DynamicsSpec.from_steps(perms) if perms else DynamicsSpec.trivial(dim)
+    resolutions = []
+    for _ in range(n_slots):
+        order = rng.permutation(dim).tolist()
+        edges = np.cumsum([0, *random_block_sizes(dim, rng)])
+        resolutions.append(from_basis(dim, [order[a:b] for a, b in zip(edges, edges[1:])]))
+    weights = rng.random(dim) * (rng.random(dim) < 0.6)
+    weights[int(rng.integers(dim))] += 1.0
+    state = make_state(np.diag(weights / weights.sum()))
+    return HistoryFamily(build_schedule(grid, spec, dim=dim), tuple(resolutions), state)
+
+
+def coarse_histories(rng, family, count):
+    """Histories with a random nonempty label set at every slot."""
+    out = []
+    for _ in range(count):
+        outcomes = []
+        for res in family.resolutions:
+            keep = rng.random(res.size) < 0.5
+            keep[int(rng.integers(res.size))] = True
+            outcomes.append(res.outcome([lab.index for lab, k in zip(res.labels, keep) if k]))
+        out.append(History(family, tuple(outcomes)))
+    return out
+
+
+def trace_fields(result):
+    prob, trace = result
+    steps = [
+        (
+            s.offset,
+            s.labels,
+            s.probability,
+            None if s.post_state is None else (s.post_state.matrix.tobytes(), s.post_state.tol),
+        )
+        for s in trace.steps
+    ]
+    return prob, trace.probability, trace.truncated, steps
+
+
+def unmemoized(family, history):
+    """The oracle on a family object no earlier call has seen."""
+    fresh = HistoryFamily(family.schedule, family.resolutions, family.state)
+    return sequential_probability(fresh, History(fresh, history.outcomes))
+
+
+def stepwise(family, history):
+    """The oracle's step function applied slot by slot, with no memo."""
+    steps = []
+    rho = family.state.matrix
+    for pos, outcome in enumerate(history.outcomes):
+        steps.append(lueders_module._step(family, pos, outcome, rho))
+        if steps[-1].post_state is None:
+            break
+        rho = steps[-1].post_state.matrix
+    prob = math.prod(s.probability for s in steps)
+    return prob, lueders_module.MeasurementTrace(
+        tuple(steps), prob, len(steps) < family.n_slots
+    )
+
+
+def assert_unmemoized(family, history, result):
+    expected = trace_fields(stepwise(family, history))
+    assert trace_fields(result) == expected
+    assert trace_fields(unmemoized(family, history)) == expected
+
+
+class TestPrefixMemo:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["random", "rank_deficient", "basis"]),
+        dim=st.integers(1, 4),
+        n_slots=st.integers(1, 3),
+        shuffled=st.booleans(),
+    )
+    def test_matches_a_fresh_family(self, seed, kind, dim, n_slots, shuffled):
+        rng = np.random.default_rng(seed)
+        if kind == "basis":
+            first = basis_family(rng, dim, n_slots)
+            second = first.with_state(basis_family(rng, dim, n_slots).state)
+        else:
+            first = random_family(rng, dim, n_slots, max_resolution_size=3)
+            rank = int(rng.integers(1, dim + 1)) if kind == "rank_deficient" else dim
+            first = first.with_state(random_rank_state(rng, dim, rank))
+            second = first.with_state(random_rank_state(rng, dim, rank))
+        # the two families share schedule and resolutions but not the state,
+        # so a memo keyed by anything but the family object mixes them up
+        calls = []
+        for fam in (first, second):
+            histories = [*fam.fine_histories(), *coarse_histories(rng, fam, 4)]
+            calls.append([(fam, h) for h in histories])
+        if shuffled:
+            pool = calls[0] + calls[1]
+            calls = [pool[k] for k in rng.integers(len(pool), size=2 * len(pool))]
+        else:
+            calls = [c for pair in itertools.zip_longest(*calls) for c in pair if c]
+        for fam, h in calls:
+            assert_unmemoized(fam, h, sequential_probability(fam, h))
+
+    @pytest.mark.parametrize(
+        "labels, truncated",
+        [([("z1", "z0"), ("z1", "z1"), ("z1", "z0")], True), ([("z0", "z1")] * 2, False)],
+        ids=["early", "final"],
+    )
+    def test_reused_zero_step_keeps_truncation(self, labels, truncated):
+        fam = two_z_slots(P_Z0)
+        for past, present in labels:
+            h = fam.history({-1: [past], 0: [present]})
+            prob, trace = sequential_probability(fam, h)
+            assert prob == 0.0 and trace.truncated is truncated
+            assert_unmemoized(fam, h, (prob, trace))
+
+    def test_lexicographic_sweep_steps_once_per_prefix(self, monkeypatch):
+        calls = []
+        step = lueders_module._step
+
+        def counted(family, pos, outcome, rho):
+            calls.append(pos)
+            return step(family, pos, outcome, rho)
+
+        monkeypatch.setattr(lueders_module, "_step", counted)
+        fam = random_family(np.random.default_rng(34), 4, 3)
+        for h in fam.fine_histories():
+            sequential_probability(fam, h)
+        shape = fam.shape
+        assert len(calls) == sum(math.prod(shape[: k + 1]) for k in range(len(shape)))
+
+    def test_memo_does_not_keep_a_family_alive(self):
+        fam = random_family(np.random.default_rng(35), 3, 2)
+        sequential_probability(fam, fam.history())
+        assert fam in lueders_module._last_trace
+        ref = weakref.ref(fam)
+        del fam
+        gc.collect()
+        assert ref() is None
 
 
 class TestConditionalViaOracle:
