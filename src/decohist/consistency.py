@@ -72,30 +72,26 @@ def _report(mode, worst, witness, tol, seed=None) -> ConsistencyReport:
     return ConsistencyReport(mode, worst <= tol, worst, witness, tol, seed)
 
 
-def _pair_witness(dfunc: DecoherenceFunctional, i: int, j: int) -> dict:
-    return {
-        "kind": "pair",
-        "indices": [int(i), int(j)],
-        "first": dfunc.histories[i].labels_by_offset(),
-        "second": dfunc.histories[j].labels_by_offset(),
-    }
+def _pair_witness(i: int, j: int, first: dict, second: dict) -> dict:
+    return {"kind": "pair", "indices": [int(i), int(j)], "first": first, "second": second}
 
 
-def _offdiag_check(
-    dfunc: DecoherenceFunctional, tol: float, mode: str, magnitude
-) -> ConsistencyReport:
-    n = dfunc.n
+def _offdiag_scan(matrix: np.ndarray, magnitude) -> tuple[float, tuple[int, int] | None]:
+    """Largest ``magnitude`` of an entry above the diagonal and where it is.
+
+    Only the strict upper triangle is read: 2 Re D covers both conjugate
+    traces of the defining sum because every D reaching here was checked to
+    be Hermitian.  It is scanned in strips of TILE rows, each taken right of
+    the diagonal; a later strip wins only with a strictly larger value, so
+    the position is the row-major first maximum of the whole triangle.
+    Fewer than two rows give (0.0, None).
+    """
+    n = matrix.shape[0]
     if n < 2:
-        return _report(mode, 0.0, None, tol)
-    # Only the strict upper triangle is read: 2 Re D covers both conjugate
-    # traces of the defining sum because the DecoherenceFunctional
-    # constructor rejects a non-Hermitian matrix.  It is scanned in strips of
-    # TILE rows, each taken right of the diagonal; a later strip wins only
-    # with a strictly larger value, so the witness is the row-major first
-    # maximum of the whole triangle.
+        return 0.0, None
     worst, at = -1.0, None
     for top in range(0, n - 1, TILE):
-        strip = magnitude(dfunc.matrix[top : top + TILE, top + 1 :])
+        strip = magnitude(matrix[top : top + TILE, top + 1 :])
         # the strip's entries on or below the diagonal fill its leading
         # corner's strict lower triangle
         corner = strip[:, : strip.shape[0]]
@@ -105,21 +101,33 @@ def _offdiag_check(
             worst = float(strip.flat[flat])
             i, j = divmod(flat, strip.shape[1])
             at = top + i, top + 1 + j
-    return _report(mode, worst, _pair_witness(dfunc, *at), tol)
+    return worst, at
+
+
+#: The entry magnitude each off-diagonal check bounds, by mode.
+_MAGNITUDE = {"weak": lambda m: np.abs(2.0 * m.real), "medium": np.abs}
+
+
+def _offdiag_check(dfunc: DecoherenceFunctional, tol: float, mode: str) -> ConsistencyReport:
+    worst, at = _offdiag_scan(dfunc.matrix, _MAGNITUDE[mode])
+    if at is None:
+        return _report(mode, worst, None, tol)
+    first, second = (dfunc.histories[k].labels_by_offset() for k in at)
+    return _report(mode, worst, _pair_witness(*at, first, second), tol)
 
 
 def check_weak_consistency(
     dfunc: DecoherenceFunctional, tol: float = DEFAULT_CHECK_TOL
 ) -> ConsistencyReport:
     """Largest |2 Re D[i][j]| over distinct history pairs."""
-    return _offdiag_check(dfunc, tol, "weak", lambda m: np.abs(2.0 * m.real))
+    return _offdiag_check(dfunc, tol, "weak")
 
 
 def check_medium_decoherence(
     dfunc: DecoherenceFunctional, tol: float = DEFAULT_CHECK_TOL
 ) -> ConsistencyReport:
     """Largest |D[i][j]| over distinct history pairs; implies the weak check."""
-    return _offdiag_check(dfunc, tol, "medium", np.abs)
+    return _offdiag_check(dfunc, tol, "medium")
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +306,7 @@ def check_state_robustness(
         used_seed = seed
     if not states:
         raise ValueError("robustness needs at least one state")
-    offdiag = {"weak": check_weak_consistency, "medium": check_medium_decoherence}
-    if mode not in (*offdiag, "additivity"):
+    if mode not in (*_MAGNITUDE, "additivity"):
         raise ValueError(f"unknown inner mode {mode!r}")
     for state in states:
         if state.dim != family.dim:
@@ -309,22 +316,23 @@ def check_state_robustness(
     if family.n_fine_histories > DEFAULT_FAMILY_CAP:
         raise FamilyTooLargeError(family.n_fine_histories, DEFAULT_FAMILY_CAP)
 
-    # only the weak and medium reports name their witnesses through D
+    # only the weak and medium scans need D, which is validated against them
     histories = None if mode == "additivity" else tuple(family.fine_histories())
     worst = -1.0
-    witness = None
+    best = None
     for idx, state in enumerate(states):
         gram = _gram_rows(family, state)
         if mode == "additivity":
             inner = _additivity(family, gram, tol, scope, seed)
+            violation, found = inner.worst_violation, inner.witness
         else:
-            inner = offdiag[mode](_gram_dfunc(gram, histories), tol)
-        if inner.worst_violation > worst:
-            worst = inner.worst_violation
-            witness = {
-                "kind": "state",
-                "state_index": idx,
-                "inner_mode": mode,
-                "inner": inner.witness,
-            }
+            dfunc = _gram_dfunc(gram, histories)
+            violation, found = _offdiag_scan(dfunc.matrix, _MAGNITUDE[mode])
+        if violation > worst:
+            worst, best = violation, (idx, found)
+    idx, found = best
+    if mode != "additivity" and found is not None:
+        # a scan gives the pair's indices; only the worst state's is labelled
+        found = _pair_witness(*found, *(_fine_labels(family, k) for k in found))
+    witness = {"kind": "state", "state_index": idx, "inner_mode": mode, "inner": found}
     return _report("robustness", worst, witness, tol, seed=used_seed)

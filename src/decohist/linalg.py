@@ -34,6 +34,8 @@ DEFAULT_TOL = 1e-10
 #: 256 rows about 1.5x as much, and one 512-row strip (no tiling) 2 to 5x.
 TILE = 128
 
+_NOT_FINITE = "matrix entries must be finite (no NaN or infinity)"
+
 
 def as_operator(m) -> np.ndarray:
     """Coerce ``m`` to a finite 2-D complex128 array (a copy, not a view)."""
@@ -43,7 +45,7 @@ def as_operator(m) -> np.ndarray:
     if a.size == 0:
         raise DimensionMismatchError("matrix has no entries")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise ValueError("matrix entries must be finite (no NaN or infinity)")
+        raise ValueError(_NOT_FINITE)
     return a
 
 
@@ -117,12 +119,6 @@ def _strip_deviation(a: np.ndarray, top: int) -> np.floating:
     return np.abs(a[rows, top:] - a[top:, rows].conj().T).max()
 
 
-def min_hermitian_eigenvalue(a: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian part (M + M^dagger)/2."""
-    h = 0.5 * (a + a.conj().T)
-    return float(np.linalg.eigvalsh(h)[0])
-
-
 def idempotency_deviation(a: np.ndarray) -> float:
     """max |M^2 - M|, entrywise."""
     return float(np.max(np.abs(a @ a - a)))
@@ -167,12 +163,45 @@ def _state_factor(state: DensityState) -> tuple[np.ndarray, np.ndarray]:
     return factor, delta
 
 
+def _state_errors(stack: np.ndarray, tols: Sequence[float]) -> list[Exception | None]:
+    """Validate each matrix of an ``(n, d, d)`` stack as a density matrix.
+
+    Entry k is None when ``stack[k]`` passes, else the error its first
+    failing check gives: finite entries, Hermiticity, the smallest
+    eigenvalue of the Hermitian part, the trace, in that order, each against
+    ``tols[k]``.  Every check runs once over the whole stack.
+    """
+    tols = np.asarray(tols, dtype=float)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        # the later checks read finite matrices only: eigvalsh fails on others
+        rest = iter(_state_errors(stack[finite], tols[finite]) if finite.any() else ())
+        return [next(rest) if ok else ValueError(_NOT_FINITE) for ok in finite]
+    # a state is d x d with d in the tens: one full conjugate transpose per
+    # matrix serves both the Hermiticity check and the Hermitian part
+    adjoint = stack.conj().swapaxes(1, 2)
+    dev = np.abs(stack - adjoint).max(axis=(1, 2))
+    lo = np.linalg.eigvalsh(0.5 * (stack + adjoint))[:, 0]
+    tr_dev = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0)
+    errors: list[Exception | None] = [None] * len(stack)
+    for k in np.flatnonzero((dev > tols) | (lo < -tols) | (tr_dev > tols)):
+        if dev[k] > tols[k]:
+            errors[k] = NotHermitianError(float(dev[k]))
+        elif lo[k] < -tols[k]:
+            errors[k] = NotPositiveError(float(lo[k]))
+        else:
+            errors[k] = TraceNotOneError(float(tr_dev[k]))
+    return errors
+
+
 @dataclass(frozen=True, eq=False)
 class DensityState:
     """A density matrix: Hermitian, positive semidefinite, unit trace.
 
     Invariants are checked at construction against ``tol`` (absolute,
-    max-norm); the stored array is read-only.
+    max-norm); the stored array is read-only.  The checks are one stacked
+    validator (``_state_errors``): the constructor runs it on a stack of
+    one, ``_from_stack`` on many matrices at once.
     """
 
     matrix: np.ndarray
@@ -181,16 +210,31 @@ class DensityState:
     def __post_init__(self):
         a = as_operator(self.matrix)
         require_square(a)
-        dev = hermiticity_deviation(a)
-        if dev > self.tol:
-            raise NotHermitianError(dev)
-        lo = min_hermitian_eigenvalue(a)
-        if lo < -self.tol:
-            raise NotPositiveError(lo)
-        tr_dev = abs(np.trace(a) - 1.0)
-        if tr_dev > self.tol:
-            raise TraceNotOneError(float(tr_dev))
+        (error,) = _state_errors(a[np.newaxis], (self.tol,))
+        if error is not None:
+            raise error
         object.__setattr__(self, "matrix", frozen(a))
+
+    @classmethod
+    def _from_stack(
+        cls, stack: np.ndarray, tols: Sequence[float]
+    ) -> list["DensityState | Exception"]:
+        """Validate an ``(n, d, d)`` stack in one pass: a state holding a
+        view of ``stack[k]`` for each matrix that passes, and the error the
+        constructor would raise for each one that does not.  ``stack`` is
+        made read-only, and with it every view."""
+        errors = _state_errors(stack, tols)
+        frozen(stack)
+        out: list[DensityState | Exception] = []
+        for matrix, tol, error in zip(stack, tols, errors):
+            if error is None:
+                state = object.__new__(cls)
+                object.__setattr__(state, "matrix", matrix)
+                object.__setattr__(state, "tol", tol)
+                out.append(state)
+            else:
+                out.append(error)
+        return out
 
     @property
     def dim(self) -> int:

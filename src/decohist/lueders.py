@@ -11,11 +11,20 @@ only shared input is the dynamics schedule itself, so agreement with the
 engine validates the picture conventions end to end.
 
 By Lueders' rule the state after slot k depends only on the outcomes up to
-k.  Each call therefore keeps its steps for its family object, and the next
-call on that object resumes after the prefix of slot label sets the two
-histories share: a lexicographic sweep over a family's fine histories makes
-one step per distinct prefix.  Calls on a fresh family object, or on
-histories that differ at the first slot, start from the state.
+k, so every sibling outcome at slot k + 1 is measured on the same evolved
+state.  One step (``_steps``) therefore evolves that state once, projects a
+stack of label sets in one product, and renormalizes and validates the live
+post-states as one stack.  Each family object keeps, for every slot on its
+last path, a level: the records of the sibling label sets measured there,
+pairwise disjoint, so at most sum_k size_k post-states per family.  The
+next call on that object reuses the records along the longest prefix of
+slot label sets it shares with the path, looks up its label set at the
+first differing slot among that slot's siblings, and measures the slots
+after it as new levels, each filled with every fine label of its slot at
+once (a coarse label set is measured alone).  A lexicographic sweep over a
+family's fine histories thus evolves the state once per distinct proper
+prefix, in one batched step each.  Calls on a fresh family object start
+from the state.
 """
 
 from __future__ import annotations
@@ -29,13 +38,23 @@ import numpy as np
 from .errors import InvalidHistoryError, ZeroConditionProbabilityError
 from .histories import History, HistoryFamily, ZERO_THRESHOLD
 from .linalg import DEFAULT_TOL, DensityState
-from .resolutions import Outcome
+from .resolutions import Resolution
 
 #: Steps with conditional probability at or below this are treated as
 #: impossible: the Lueders update is undefined on a zero state, and the
 #: renormalized matrix is roundoff noise long before the probability
 #: underflows.
 ZERO_STEP = 1e-14
+
+#: A step probability at most this far outside [0, 1] is round-off in the
+#: trace of P rho P and is clamped onto the interval; one further out is
+#: kept as it is, for the post-state validation to reject.
+STEP_CLAMP = 1e-12
+
+#: Absolute round-off floor of P rho P.  Dividing by the step probability p
+#: scales it by 1 / p, so a post-state is validated against
+#: max(DEFAULT_TOL, PROJECTION_ROUNDOFF / p).
+PROJECTION_ROUNDOFF = 1e-13
 
 
 @dataclass(frozen=True)
@@ -63,20 +82,27 @@ class MeasurementTrace:
         return out
 
 
-def _outcome_matrix(family: HistoryFamily, pos: int, outcome: Outcome) -> np.ndarray:
-    """Raw (Schroedinger-picture) outcome projector at a slot."""
-    res = family.resolutions[pos]
-    total = np.zeros((family.dim, family.dim), dtype=complex)
-    for idx in outcome.sorted_labels():
-        total = total + res.projector_for(idx).matrix
+def _outcome_matrices(res: Resolution, label_sets) -> np.ndarray:
+    """Raw (Schroedinger-picture) outcome projectors of ``label_sets`` at one
+    slot, as a stack; each is summed from zero in sorted label order, as
+    ``outcome_projector`` sums it."""
+    total = np.zeros((len(label_sets), res.dim, res.dim), dtype=complex)
+    for k, labels in enumerate(label_sets):
+        for i in sorted(labels):
+            total[k] += res.projector_for(i).matrix
     return total
 
 
-def _step(
-    family: HistoryFamily, pos: int, outcome: Outcome, rho: np.ndarray
-) -> StepRecord:
-    """Evolve ``rho`` (the state after slot ``pos - 1``) to slot ``pos`` and
-    measure ``outcome`` there: P rho P, its trace, the renormalized state."""
+def _steps(
+    family: HistoryFamily, pos: int, label_sets, rho: np.ndarray
+) -> list[StepRecord | Exception]:
+    """Evolve ``rho`` (the state after slot ``pos - 1``) to slot ``pos`` once
+    and measure each of ``label_sets`` there: P rho P, its trace, the
+    renormalized state.
+
+    Entry k is the record of ``label_sets[k]``, or the error its post-state
+    failed validation with; the post-states are validated as one stack.
+    """
     u = family.schedule.unitary(pos)
     if pos == 0:
         step_u = u
@@ -84,28 +110,78 @@ def _step(
         step_u = u @ family.schedule.unitary(pos - 1).conj().T
     rho = step_u @ rho @ step_u.conj().T
 
-    p_out = _outcome_matrix(family, pos, outcome)
+    res = family.resolutions[pos]
+    p_out = _outcome_matrices(res, label_sets)
     projected = p_out @ rho @ p_out
-    prob = float(np.trace(projected).real)
-    prob = min(max(prob, 0.0), 1.0) if -1e-12 <= prob <= 1.0 + 1e-12 else prob
+    probs = np.trace(projected, axis1=1, axis2=2).real.tolist()
+    live = []
+    for k, prob in enumerate(probs):
+        if -STEP_CLAMP <= prob <= 1.0 + STEP_CLAMP:
+            probs[k] = prob = min(max(prob, 0.0), 1.0)
+        if not prob <= ZERO_STEP:
+            live.append(k)
+
+    states: dict[int, DensityState | Exception] = {}
+    if live:
+        if len(live) < len(probs):
+            projected = projected[live]
+        post = projected / np.array([probs[k] for k in live])[:, None, None]
+        post = 0.5 * (post + post.conj().transpose(0, 2, 1))
+        # roundoff in P rho P is absolute; after dividing by a small step
+        # probability the relative noise floor grows accordingly
+        tols = [max(DEFAULT_TOL, PROJECTION_ROUNDOFF / probs[k]) for k in live]
+        states = dict(zip(live, DensityState._from_stack(post, tols)))
+
     offset = family.offset_of(pos)
-    labels = tuple(outcome.display_labels())
-
-    if prob <= ZERO_STEP:
-        return StepRecord(offset, labels, 0.0, None)
-
-    rho = projected / prob
-    rho = 0.5 * (rho + rho.conj().T)
-    # roundoff in P rho P is absolute; after dividing by a small step
-    # probability the relative noise floor grows accordingly
-    state_tol = max(DEFAULT_TOL, 1e-13 / prob)
-    return StepRecord(offset, labels, prob, DensityState(rho, state_tol))
+    out: list[StepRecord | Exception] = []
+    for k, labels in enumerate(label_sets):
+        state = states.get(k)
+        if isinstance(state, Exception):
+            out.append(state)
+            continue
+        display = tuple(res.labels[p].display for p in sorted(map(res.position, labels)))
+        out.append(StepRecord(offset, display, probs[k] if state is not None else 0.0, state))
+    return out
 
 
-#: The last trace computed for each live family: the label set measured at
-#: each slot it reached, and its step records.  Families compare by identity
-#: and are held weakly: an entry dies with its family and holds at most
-#: n_slots d x d post-states.  An entry is replaced whole, never edited.
+def _record(
+    family: HistoryFamily, pos: int, labels: frozenset, level: dict, rho: np.ndarray
+) -> StepRecord:
+    """The record of ``labels`` at slot ``pos``, read from ``level`` (its
+    siblings measured from ``rho``) or measured and added to it.
+
+    An empty level is filled with every fine label of the slot when
+    ``labels`` is fine; otherwise ``labels`` is measured alone.  A sibling
+    whose post-state fails validation stays out of the level, so asking for
+    it measures it alone and raises.
+    """
+    record = level.get(labels)
+    if record is not None:
+        return record
+    if level or len(labels) > 1:
+        batch = [labels]
+    else:
+        batch = [frozenset((lab.index,)) for lab in family.resolutions[pos].labels]
+    results = _steps(family, pos, batch, rho)
+    measured = {s: r for s, r in zip(batch, results) if isinstance(r, StepRecord)}
+    # a level's label sets stay pairwise disjoint: at most the slot's size
+    for old in [s for s in level if any(s & new for new in measured)]:
+        del level[old]
+    level.update(measured)
+    record = results[batch.index(labels)]
+    if isinstance(record, Exception):
+        raise record
+    return record
+
+
+#: The last path computed for each live family: the label set measured at
+#: each slot it reached, and for each of those slots (and for the slot whose
+#: step failed, if one did) its level, a dict from sibling label set to step
+#: record.  A level's label sets are pairwise disjoint, so an entry holds at
+#: most sum_k size_k d x d post-states.
+#: Families compare by identity and are held weakly: an entry dies with its
+#: family.  A path is replaced whole; a level on it only gains siblings or
+#: swaps out ones that overlap them, all measured from the same state.
 _last_trace: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -117,27 +193,38 @@ def sequential_probability(
     Returns the product of step probabilities and the full trace; a zero
     step short-circuits to probability 0 with a truncated trace.
 
-    Steps shared with the previous call on the same family object (the
-    longest common prefix of slot label sets) are taken from that call, not
-    recomputed.
+    Steps are read from the levels of the previous call on the same family
+    object up to and including the first slot where the two histories'
+    label sets differ; below that each slot is one batched step, which
+    measures every fine sibling of a fine outcome at once.  Each evolution
+    to a slot is done once per prefix, and the post-states of a step are
+    validated as one stack.  The memo holds at most sum_k size_k
+    post-states per family object and does not keep the family alive.
     """
     if history.family is not family:
         raise InvalidHistoryError("history was built for a different family")
 
     labels = tuple(outcome.labels for outcome in history.outcomes)
-    done, steps = _last_trace.get(family, ((), ()))
+    path, levels = _last_trace.get(family, ((), ()))
     shared = 0
-    while shared < len(done) and done[shared] == labels[shared]:
+    while shared < len(path) and path[shared] == labels[shared]:
         shared += 1
-    steps = list(steps[:shared])
+    # levels up to the first differing slot were measured from shared states
+    levels = list(levels[: shared + 1])
 
-    for pos in range(len(steps), family.n_slots):
-        if steps and steps[-1].post_state is None:
-            break  # a zero step, shared or new, ends the trace
-        rho = steps[-1].post_state.matrix if steps else family.state.matrix
-        steps.append(_step(family, pos, history.outcomes[pos], rho))
-
-    _last_trace[family] = (labels[: len(steps)], tuple(steps))
+    steps: list[StepRecord] = []
+    try:
+        for pos in range(family.n_slots):
+            if steps and steps[-1].post_state is None:
+                break  # a zero step, shared or new, ends the trace
+            rho = steps[-1].post_state.matrix if steps else family.state.matrix
+            if pos == len(levels):
+                levels.append({})
+            steps.append(_record(family, pos, labels[pos], levels[pos], rho))
+    finally:
+        # after a failed step the path ends before its slot, whose level
+        # keeps the siblings that passed
+        _last_trace[family] = (labels[: len(steps)], tuple(levels[: len(steps) + 1]))
     cumulative = math.prod(s.probability for s in steps)
     truncated = len(steps) < family.n_slots
     return cumulative, MeasurementTrace(tuple(steps), cumulative, truncated)

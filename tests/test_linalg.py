@@ -15,13 +15,14 @@ from decohist import (
     trace,
 )
 from decohist.errors import (
+    DecohistError,
     DimensionMismatchError,
     NotHermitianError,
     NotIdempotentError,
     NotPositiveError,
     TraceNotOneError,
 )
-from decohist.linalg import TILE, hermiticity_deviation
+from decohist.linalg import TILE, DensityState, hermiticity_deviation
 
 from conftest import P_XP, P_Z0
 
@@ -214,3 +215,111 @@ class TestTiledHermiticity:
             got, dense = hermiticity_deviation(a), dense_hermiticity_deviation(a)
         assert not np.isfinite(got)
         assert np.isnan(got) == np.isnan(dense)
+
+
+def constructed(matrix, tol):
+    """The state the DensityState constructor makes of ``matrix``, or the error
+    it raises."""
+    try:
+        return DensityState(matrix, tol)
+    except (ValueError, DecohistError) as err:
+        return err
+
+
+def assert_same_outcome(stacked, scalar):
+    assert type(stacked) is type(scalar)
+    if isinstance(scalar, DensityState):
+        assert stacked.matrix.tobytes() == scalar.matrix.tobytes()
+        assert stacked.tol == scalar.tol
+        assert not stacked.matrix.flags.writeable
+    else:
+        assert str(stacked) == str(scalar)
+        assert vars(stacked) == vars(scalar)  # the measured deviation or eigenvalue
+
+
+class TestStackedStateValidation:
+    """``DensityState._from_stack`` against the constructor, element by element."""
+
+    TOL = 1e-10
+
+    @staticmethod
+    def good(rng, dim=3):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        w = g @ g.conj().T
+        return w / np.trace(w).real
+
+    @staticmethod
+    def poisoned(kind, rng, dim=3):
+        m = TestStackedStateValidation.good(rng, dim)
+        if kind == "nan":
+            m[0, 1] = np.nan
+        elif kind == "inf":
+            m[2, 2] = np.inf
+        elif kind == "not_hermitian":
+            m[0, 1] += 1e-6
+        elif kind == "negative":
+            v = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+            m = v @ np.diag([0.7, 0.3 + 1e-6, -1e-6]) @ v.T
+        elif kind == "trace":
+            m = 1.01 * m
+        elif kind == "negative_and_trace":
+            v = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+            m = v @ np.diag([0.8, 0.3, -1e-6]) @ v.T
+        elif kind == "not_hermitian_and_negative":
+            v = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+            m = v @ np.diag([0.7, 0.3 + 1e-6, -1e-6]) @ v.T
+            m[0, 1] += 1e-6
+        return m.astype(complex)
+
+    def check(self, stack, tols):
+        got = DensityState._from_stack(np.array(stack), tols)
+        assert len(got) == len(stack)
+        for stacked, matrix, tol in zip(got, stack, tols):
+            assert_same_outcome(stacked, constructed(matrix, tol))
+        return got
+
+    @pytest.mark.parametrize(
+        "kind", ["nan", "inf", "not_hermitian", "negative", "trace"]
+    )
+    @pytest.mark.parametrize("where", [0, 2, 3])
+    def test_one_poisoned_element(self, kind, where):
+        rng = np.random.default_rng(40)
+        stack = [self.good(rng) for _ in range(4)]
+        stack[where] = self.poisoned(kind, rng)
+        got = self.check(stack, [self.TOL] * 4)
+        assert [isinstance(s, DensityState) for s in got] == [k != where for k in range(4)]
+
+    def test_two_bad_elements_keep_their_own_errors(self):
+        rng = np.random.default_rng(41)
+        stack = [
+            self.poisoned("negative_and_trace", rng),
+            self.good(rng),
+            self.poisoned("not_hermitian_and_negative", rng),
+            self.poisoned("not_hermitian", rng),
+            self.poisoned("nan", rng),
+        ]
+        got = self.check(stack, [self.TOL] * 5)
+        # an element failing two checks reports the first, as the constructor does
+        assert [type(s) for s in got] == [
+            NotPositiveError, DensityState, NotHermitianError, NotHermitianError, ValueError
+        ]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_accepts_and_rejects_as_the_constructor_near_each_threshold(self, seed):
+        rng = np.random.default_rng(seed)
+        stack, tols = [], []
+        for scale in (0.3, 0.9, 1.1, 3.0):
+            tol = float(10.0 ** rng.uniform(-12, -9))
+            m = self.good(rng)
+            e = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            v = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+            low = v @ np.diag([0.6, 0.4 + scale * tol, -scale * tol]) @ v.T
+            stack += [m + scale * tol * e / np.abs(e).max(), (1 + scale * tol) * m, low]
+            tols += [tol] * 3
+        self.check(stack, tols)
+
+    def test_stack_of_one_is_the_constructor(self):
+        rng = np.random.default_rng(42)
+        for kind in ("good", "nan", "not_hermitian", "negative", "trace"):
+            m = self.good(rng) if kind == "good" else self.poisoned(kind, rng)
+            self.check([m], [self.TOL])

@@ -22,15 +22,18 @@ from decohist import (
     retrodictive_conditional,
     sequential_probability,
 )
+from decohist import linalg as linalg_module
 from decohist import lueders as lueders_module
+from decohist import make_resolution
 from decohist.errors import (
     InvalidHistoryError,
+    NotPositiveError,
     ZeroConditionProbabilityError,
 )
 from decohist.histories import History
-from decohist.sampling import random_block_sizes, random_family
+from decohist.sampling import random_block_sizes, random_family, random_unitary
 
-from conftest import P_Z0, PAULI_Z, random_rank_state, z_resolution
+from conftest import P_Z0, PAULI_Z, random_rank_state, x_resolution, z_resolution
 
 
 def two_z_slots(state):
@@ -151,11 +154,15 @@ def unmemoized(family, history):
 
 
 def stepwise(family, history):
-    """The oracle's step function applied slot by slot, with no memo."""
+    """The oracle's step function applied slot by slot to one label set at a
+    time, with no memo."""
     steps = []
     rho = family.state.matrix
     for pos, outcome in enumerate(history.outcomes):
-        steps.append(lueders_module._step(family, pos, outcome, rho))
+        (step,) = lueders_module._steps(family, pos, [outcome.labels], rho)
+        if isinstance(step, Exception):
+            raise step
+        steps.append(step)
         if steps[-1].post_state is None:
             break
         rho = steps[-1].post_state.matrix
@@ -219,13 +226,13 @@ class TestPrefixMemo:
 
     def test_lexicographic_sweep_steps_once_per_prefix(self, monkeypatch):
         calls = []
-        step = lueders_module._step
+        steps = lueders_module._steps
 
-        def counted(family, pos, outcome, rho):
-            calls.append(pos)
-            return step(family, pos, outcome, rho)
+        def counted(family, pos, label_sets, rho):
+            calls.extend([pos] * len(label_sets))
+            return steps(family, pos, label_sets, rho)
 
-        monkeypatch.setattr(lueders_module, "_step", counted)
+        monkeypatch.setattr(lueders_module, "_steps", counted)
         fam = random_family(np.random.default_rng(34), 4, 3)
         for h in fam.fine_histories():
             sequential_probability(fam, h)
@@ -240,6 +247,155 @@ class TestPrefixMemo:
         del fam
         gc.collect()
         assert ref() is None
+
+
+def exact_resolution(rng, dim, size):
+    """``size`` projectors onto random subspaces that together span ``dim``."""
+    cuts = np.sort(rng.choice(np.arange(1, dim), size=size - 1, replace=False))
+    edges = [0, *cuts.tolist(), dim]
+    v = random_unitary(dim, rng)
+    blocks = [v[:, a:b] for a, b in zip(edges, edges[1:])]
+    return make_resolution([(f"o{k}", b @ b.conj().T) for k, b in enumerate(blocks)])
+
+
+def exact_family(rng, dim, shape):
+    base = random_family(rng, dim, len(shape))
+    resolutions = tuple(exact_resolution(rng, dim, size) for size in shape)
+    return HistoryFamily(base.schedule, resolutions, base.state)
+
+
+def count_steps(monkeypatch, fam):
+    """Record (slot position, number of label sets) of every batched step on
+    the family object ``fam``."""
+    calls = []
+    steps = lueders_module._steps
+
+    def counted(family, pos, label_sets, rho):
+        if family is fam:
+            calls.append((pos, len(label_sets)))
+        return steps(family, pos, label_sets, rho)
+
+    monkeypatch.setattr(lueders_module, "_steps", counted)
+    return calls
+
+
+class TestBatchedSteps:
+    @settings(max_examples=8, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 10),
+        n_slots=st.integers(1, 3),
+        shuffled=st.booleans(),
+    )
+    def test_matches_a_fresh_family_up_to_dim_10(self, seed, dim, n_slots, shuffled):
+        # one slot has a label per dimension: the widest stacks a step makes
+        rng = np.random.default_rng(seed)
+        shape = [int(rng.integers(1, min(dim, 4) + 1)) for _ in range(n_slots)]
+        shape[int(rng.integers(n_slots))] = dim
+        fam = exact_family(rng, dim, shape)
+        histories = [*fam.fine_histories(), *coarse_histories(rng, fam, 6)]
+        if shuffled:
+            histories = [histories[k] for k in rng.permutation(len(histories))]
+        for h in histories:
+            assert_unmemoized(fam, h, sequential_probability(fam, h))
+            # each level holds pairwise disjoint label sets of its slot, so
+            # the memo keeps at most sum_k size_k post-states
+            for level in lueders_module._last_trace[fam][1]:
+                held = [label for labels in level for label in labels]
+                assert len(held) == len(set(held))
+
+    def test_audit_shape_matches_a_fresh_family(self):
+        fam = exact_family(np.random.default_rng(37), 10, (2, 10, 3))
+        for h in fam.fine_histories():
+            assert_unmemoized(fam, h, sequential_probability(fam, h))
+
+    @pytest.mark.parametrize("shape", [(4, 4, 4), (2, 10, 3), (3, 1, 2, 2)])
+    def test_lexicographic_sweep_batch_counts(self, monkeypatch, shape):
+        fam = exact_family(np.random.default_rng(38), 10, shape)
+        calls = count_steps(monkeypatch, fam)
+        for h in fam.fine_histories():
+            sequential_probability(fam, h)
+        n = len(shape)
+        # one batched step per proper prefix, one step per prefix
+        assert len(calls) == sum(math.prod(shape[:k]) for k in range(n))
+        assert sum(size for _, size in calls) == sum(
+            math.prod(shape[: k + 1]) for k in range(n)
+        )
+        assert all(size == shape[pos] for pos, size in calls)
+
+    def test_one_fine_history_one_batch_per_slot(self, monkeypatch):
+        fam = exact_family(np.random.default_rng(39), 6, (3, 6, 2))
+        calls = count_steps(monkeypatch, fam)
+        sequential_probability(fam, next(fam.fine_histories()))
+        assert calls == [(0, 3), (1, 6), (2, 2)]
+
+    def test_coarse_outcome_is_measured_alone(self, monkeypatch):
+        fam = exact_family(np.random.default_rng(40), 6, (3, 6, 2))
+        calls = count_steps(monkeypatch, fam)
+        sequential_probability(fam, fam.history())
+        assert calls == [(0, 1), (1, 1), (2, 1)]
+
+    @pytest.mark.parametrize(
+        "excess, clamped",
+        [(0.5 * lueders_module.STEP_CLAMP, True), (5 * lueders_module.STEP_CLAMP, False)],
+    )
+    def test_step_probability_clamp(self, excess, clamped):
+        fam = two_z_slots(P_Z0)
+        rho = (1.0 + excess) * P_Z0
+        (step,) = lueders_module._steps(fam, 0, [frozenset({0})], rho)
+        assert step.probability == (1.0 if clamped else 1.0 + excess)
+
+    @staticmethod
+    def poison_z1(monkeypatch):
+        """Make the validator reject |1><1|, the post-state of z1 (and of no
+        x outcome): NotPositiveError(-1.0) instead of a state."""
+        errors = linalg_module._state_errors
+
+        def poisoned(stack, tols):
+            out = errors(stack, tols)
+            return [NotPositiveError(-1.0) if m[1, 1].real > 0.9 else e for m, e in zip(stack, out)]
+
+        monkeypatch.setattr(linalg_module, "_state_errors", poisoned)
+
+    @staticmethod
+    def z_then_x_mixed():
+        grid = TimeGrid((0.0, 1.0), 1)
+        sched = build_schedule(grid, DynamicsSpec.trivial(2))
+        return HistoryFamily(
+            sched, (z_resolution(), x_resolution()), make_state(np.eye(2) / 2)
+        )
+
+    @pytest.mark.parametrize("first", ["z0", "z1"])
+    def test_failed_sibling_is_isolated(self, monkeypatch, first):
+        self.poison_z1(monkeypatch)
+        fam = self.z_then_x_mixed()
+        calls = count_steps(monkeypatch, fam)
+        order = [(first, "x+"), ("z0", "x-"), ("z1", "x-"), ("z0", "x+"), ("z1", "x+")]
+        results = []
+        for past, present in order:
+            h = fam.history({-1: [past], 0: [present]})
+            if past == "z1":
+                with pytest.raises(NotPositiveError) as err:
+                    sequential_probability(fam, h)
+                assert err.value.min_eigenvalue == -1.0
+            else:
+                results.append((h, sequential_probability(fam, h)))
+            # the level at the first slot never holds the failed sibling
+            assert frozenset({1}) not in lueders_module._last_trace[fam][1][0]
+        # slot 0: one batch of both labels, then z1 alone on each later ask;
+        # slot 1: one batch each time the path comes back to z0
+        z1_alone = sum(past == "z1" for past, _ in order[1:])
+        assert [c for c in calls if c[0] == 0] == [(0, 2)] + [(0, 1)] * z1_alone
+        z0_visits = sum(
+            past == "z0" and (k == 0 or order[k - 1][0] != "z0")
+            for k, (past, _) in enumerate(order)
+        )
+        assert [c for c in calls if c[0] == 1] == [(1, 2)] * z0_visits
+        for h, (prob, trace) in results:
+            assert prob == pytest.approx(0.25, abs=1e-15)
+            assert_unmemoized(fam, h, (prob, trace))
+        with pytest.raises(NotPositiveError):
+            stepwise(fam, fam.history({-1: ["z1"], 0: ["x+"]}))
 
 
 class TestConditionalViaOracle:
