@@ -171,26 +171,28 @@ def _state_errors(stack: np.ndarray, tols: Sequence[float]) -> list[Exception | 
     eigenvalue of the Hermitian part, the trace, in that order, each against
     ``tols[k]``.  Every check runs once over the whole stack.
     """
-    tols = np.asarray(tols, dtype=float)
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    if not finite.all():
+    if not np.isfinite(stack).all():
         # the later checks read finite matrices only: eigvalsh fails on others
-        rest = iter(_state_errors(stack[finite], tols[finite]) if finite.any() else ())
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        kept = [tol for tol, ok in zip(tols, finite) if ok]
+        rest = iter(_state_errors(stack[finite], kept) if kept else ())
         return [next(rest) if ok else ValueError(_NOT_FINITE) for ok in finite]
     # a state is d x d with d in the tens: one full conjugate transpose per
     # matrix serves both the Hermiticity check and the Hermitian part
     adjoint = stack.conj().swapaxes(1, 2)
-    dev = np.abs(stack - adjoint).max(axis=(1, 2))
-    lo = np.linalg.eigvalsh(0.5 * (stack + adjoint))[:, 0]
-    tr_dev = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0)
-    errors: list[Exception | None] = [None] * len(stack)
-    for k in np.flatnonzero((dev > tols) | (lo < -tols) | (tr_dev > tols)):
-        if dev[k] > tols[k]:
-            errors[k] = NotHermitianError(float(dev[k]))
-        elif lo[k] < -tols[k]:
-            errors[k] = NotPositiveError(float(lo[k]))
+    devs = np.abs(stack - adjoint).max(axis=(1, 2)).tolist()
+    lows = np.linalg.eigvalsh(0.5 * (stack + adjoint))[:, 0].tolist()
+    tr_devs = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0).tolist()
+    errors: list[Exception | None] = []
+    for dev, lo, tr_dev, tol in zip(devs, lows, tr_devs, tols):
+        if dev > tol:
+            errors.append(NotHermitianError(dev))
+        elif lo < -tol:
+            errors.append(NotPositiveError(lo))
+        elif tr_dev > tol:
+            errors.append(TraceNotOneError(tr_dev))
         else:
-            errors[k] = TraceNotOneError(float(tr_dev[k]))
+            errors.append(None)
     return errors
 
 

@@ -38,7 +38,6 @@ import numpy as np
 from .errors import InvalidHistoryError, ZeroConditionProbabilityError
 from .histories import History, HistoryFamily, ZERO_THRESHOLD
 from .linalg import DEFAULT_TOL, DensityState
-from .resolutions import Resolution
 
 #: Steps with conditional probability at or below this are treated as
 #: impossible: the Lueders update is undefined on a zero state, and the
@@ -82,17 +81,6 @@ class MeasurementTrace:
         return out
 
 
-def _outcome_matrices(res: Resolution, label_sets) -> np.ndarray:
-    """Raw (Schroedinger-picture) outcome projectors of ``label_sets`` at one
-    slot, as a stack; each is summed from zero in sorted label order, as
-    ``outcome_projector`` sums it."""
-    total = np.zeros((len(label_sets), res.dim, res.dim), dtype=complex)
-    for k, labels in enumerate(label_sets):
-        for i in sorted(labels):
-            total[k] += res.projector_for(i).matrix
-    return total
-
-
 def _steps(
     family: HistoryFamily, pos: int, label_sets, rho: np.ndarray
 ) -> list[StepRecord | Exception]:
@@ -110,8 +98,14 @@ def _steps(
         step_u = u @ family.schedule.unitary(pos - 1).conj().T
     rho = step_u @ rho @ step_u.conj().T
 
+    # raw (Schroedinger-picture) outcome projectors, each summed from zero in
+    # sorted label order, as outcome_projector sums them
     res = family.resolutions[pos]
-    p_out = _outcome_matrices(res, label_sets)
+    orders = [[res.position(i) for i in sorted(labels)] for labels in label_sets]
+    p_out = np.zeros((len(orders), res.dim, res.dim), dtype=complex)
+    for k, order in enumerate(orders):
+        for p in order:
+            p_out[k] += res.projectors[p].matrix
     projected = p_out @ rho @ p_out
     probs = np.trace(projected, axis1=1, axis2=2).real.tolist()
     live = []
@@ -134,12 +128,12 @@ def _steps(
 
     offset = family.offset_of(pos)
     out: list[StepRecord | Exception] = []
-    for k, labels in enumerate(label_sets):
+    for k, order in enumerate(orders):
         state = states.get(k)
         if isinstance(state, Exception):
             out.append(state)
             continue
-        display = tuple(res.labels[p].display for p in sorted(map(res.position, labels)))
+        display = tuple(res.labels[p].display for p in sorted(order))
         out.append(StepRecord(offset, display, probs[k] if state is not None else 0.0, state))
     return out
 
