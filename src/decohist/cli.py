@@ -10,6 +10,7 @@ reported failure, 2 usage or validation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -46,21 +47,20 @@ def _render_json_value(value, indent: int) -> str:
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = ",\n".join(
-            f"{pad}  {json.dumps(str(k))}: {_render_json_value(v, indent + 1)}"
+        brackets = "{}"
+        items = [
+            f"{json.dumps(str(k))}: {_render_json_value(v, indent + 1)}"
             for k, v in value.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = ",\n".join(
-            f"{pad}  {_render_json_value(v, indent + 1)}" for v in value
-        )
-        return "[\n" + inner + "\n" + pad + "]"
-    raise TypeError(f"cannot render {type(value).__name__}")
+        ]
+    elif isinstance(value, (list, tuple)):
+        brackets = "[]"
+        items = [_render_json_value(v, indent + 1) for v in value]
+    else:
+        raise TypeError(f"cannot render {type(value).__name__}")
+    if not items:
+        return brackets
+    inner = ",\n".join(f"{pad}  {item}" for item in items)
+    return brackets[0] + "\n" + inner + "\n" + pad + brackets[1]
 
 
 def render_json(doc: dict) -> str:
@@ -86,16 +86,18 @@ def _compact(value) -> str:
     return str(value)
 
 
+def _split(doc: dict) -> tuple[list, list, list]:
+    """A document's header as (key, cell) pairs, and its rows' columns and cells."""
+    header = [(key, _compact(value)) for key, value in doc.items() if key != "rows"]
+    rows = doc.get("rows") or []
+    columns = list(rows[0]) if rows else []
+    return header, columns, [[_compact(r.get(c)) for c in columns] for r in rows]
+
+
 def render_table(doc: dict) -> str:
-    lines = []
-    rows = doc.get("rows")
-    for key, value in doc.items():
-        if key == "rows":
-            continue
-        lines.append(f"{key}: {_compact(value)}")
-    if rows:
-        columns = list(rows[0])
-        cells = [[_compact(r.get(c)) for c in columns] for r in rows]
+    header, columns, cells = _split(doc)
+    lines = [f"{key}: {cell}" for key, cell in header]
+    if cells:
         widths = [
             max(len(col), *(len(row[i]) for row in cells))
             for i, col in enumerate(columns)
@@ -114,24 +116,22 @@ def _csv_quote(cell: str) -> str:
 
 
 def render_csv(doc: dict) -> str:
-    lines = []
-    rows = doc.get("rows")
-    for key, value in doc.items():
-        if key == "rows":
-            continue
-        lines.append(f"# {key}={_compact(value)}")
-    if rows:
-        columns = list(rows[0])
+    header, columns, cells = _split(doc)
+    lines = [f"# {key}={cell}" for key, cell in header]
+    if cells:
         lines.append(",".join(_csv_quote(c) for c in columns))
-        for r in rows:
-            lines.append(",".join(_csv_quote(_compact(r.get(c))) for c in columns))
+        lines += [",".join(_csv_quote(c) for c in row) for row in cells]
     return "\n".join(lines) + "\n"
 
 
 _RENDERERS = {"table": render_table, "json": render_json, "csv": render_csv}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared, so it must
+    not be mutated; ``parse_args`` leaves it unchanged and gives each call a
+    fresh namespace, so ``main`` may be called repeatedly in one process."""
     parser = argparse.ArgumentParser(
         prog="decohist",
         description="consistent-histories engine: probabilities, conditionals, "
@@ -193,67 +193,61 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dispatch(args: argparse.Namespace) -> dict:
-    with open(args.scenario, encoding="utf-8") as fh:
-        scenario = parse_scenario(fh.read())
+def _retrodict_args(args: argparse.Namespace) -> dict:
+    present = [s for s in args.present.split(",") if s]
+    if not present:
+        raise ScenarioValidationError([("present", "expected at least one label")])
+    return {"past": args.past, "present": present, "normalized": args.normalized}
 
-    if args.verb == "validate":
-        return result_validate(scenario)
-    if args.verb == "probs":
-        return result_probs(scenario)
-    if args.verb == "dfunc":
-        return result_dfunc(scenario)
-    if args.verb == "probability":
-        return result_probability(scenario, args.history)
-    if args.verb == "condition":
-        return result_condition(scenario, args.future, args.given)
-    if args.verb == "retrodict":
-        present = [s for s in args.present.split(",") if s]
-        if not present:
-            raise ScenarioValidationError([("present", "expected at least one label")])
-        return result_retrodict(scenario, args.past, present, args.normalized)
-    if args.verb == "coarse-grain":
-        try:
-            partition = json.loads(args.partition)
-        except json.JSONDecodeError as exc:
-            raise ScenarioValidationError([("partition", f"invalid JSON: {exc.msg}")])
-        if not isinstance(partition, dict):
-            raise ScenarioValidationError([("partition", "expected a JSON object")])
-        return result_coarse_grain(scenario, args.slot, partition)
-    if args.verb == "check":
-        return result_check(
-            scenario,
-            args.mode,
-            tol=args.tol,
-            scope=args.scope,
-            seed=args.seed,
-            states=args.states,
-            inner=args.inner,
-        )
-    if args.verb == "oracle":
-        return result_oracle(scenario, args.history, trace=args.action == "trace")
-    if args.verb == "query":
-        return run_query(scenario, args.name)
-    raise AssertionError(f"unhandled verb {args.verb}")
+
+def _coarse_grain_args(args: argparse.Namespace) -> dict:
+    try:
+        partition = json.loads(args.partition)
+    except json.JSONDecodeError as exc:
+        raise ScenarioValidationError([("partition", f"invalid JSON: {exc.msg}")])
+    if not isinstance(partition, dict):
+        raise ScenarioValidationError([("partition", "expected a JSON object")])
+    return {"offset": args.slot, "partition": partition}
+
+
+def _named(*keys: str):
+    """Argument conversion passing the parsed options of these names."""
+    return lambda args: {key: getattr(args, key) for key in keys}
+
+
+#: Verb -> (argument conversion, result function): the function, one of the
+#: ``result_*`` functions ``scenario._QUERIES`` also uses, gets the scenario and
+#: the keyword arguments the conversion makes of the parsed command line.
+_VERBS = {
+    "validate": (_named(), result_validate),
+    "probs": (_named(), result_probs),
+    "dfunc": (_named(), result_dfunc),
+    "probability": (_named("history"), result_probability),
+    "condition": (_named("future", "given"), result_condition),
+    "retrodict": (_retrodict_args, result_retrodict),
+    "coarse-grain": (_coarse_grain_args, result_coarse_grain),
+    "check": (_named("mode", "tol", "scope", "seed", "states", "inner"), result_check),
+    "oracle": (lambda a: {"history": a.history, "trace": a.action == "trace"}, result_oracle),
+    "query": (_named("name"), run_query),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
 
     try:
-        doc = _dispatch(args)
+        with open(args.scenario, encoding="utf-8") as fh:
+            scenario = parse_scenario(fh.read())
+        convert, build = _VERBS[args.verb]
+        doc = build(scenario, **convert(args))
     except ScenarioValidationError as exc:
         for path, message in exc.errors:
             print(f"error: {path or '<document>'}: {message}", file=sys.stderr)
         return 2
-    except DecohistError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DecohistError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

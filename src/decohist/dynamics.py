@@ -10,6 +10,7 @@ convention is ever implicit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -220,6 +221,26 @@ def build_schedule(
     return DynamicsSchedule(grid, reference, tuple(cumulative), tol)
 
 
+def _lift(
+    schedule: DynamicsSchedule, slot: int, projectors: Sequence[Projector]
+) -> tuple[np.ndarray, list[Projector]]:
+    """The lift kernel: U_k^dagger P U_k for every projector at once, as one
+    read-only ``(n, d, d)`` stack validated in one pass (the first failure
+    raises).  Returns the stack and the lifted projectors, views of it."""
+    u = schedule.unitary(slot)
+    for projector in projectors:
+        if projector.dim != u.shape[0]:
+            raise DimensionMismatchError(
+                f"projector dim {projector.dim} does not match schedule dim {u.shape[0]}"
+            )
+    stack = u.conj().T @ np.stack([p.matrix for p in projectors]) @ u
+    lifted = Projector._from_stack(stack, [max(p.tol, 10 * DEFAULT_TOL) for p in projectors])
+    for p in lifted:
+        if isinstance(p, Exception):
+            raise p
+    return stack, lifted
+
+
 def heisenberg_projector(
     schedule: DynamicsSchedule, slot: int, projector: Projector
 ) -> Projector:
@@ -227,14 +248,11 @@ def heisenberg_projector(
 
     Unitary conjugation preserves Hermiticity and idempotence, so the result
     validates as a projector (with a mildly relaxed tolerance for round-off).
+    This is the lift kernel ``_lift`` on a stack of one; a resolution and a
+    family's slot are lifted through it as one stack each.
     """
-    u = schedule.unitary(slot)
-    if projector.dim != u.shape[0]:
-        raise DimensionMismatchError(
-            f"projector dim {projector.dim} does not match schedule dim {u.shape[0]}"
-        )
-    lifted = u.conj().T @ projector.matrix @ u
-    return Projector(lifted, max(projector.tol, 10 * DEFAULT_TOL))
+    _, (lifted,) = _lift(schedule, slot, [projector])
+    return lifted
 
 
 def heisenberg_resolution(
@@ -245,8 +263,5 @@ def heisenberg_resolution(
     Conjugation preserves orthogonality and completeness, so the lifted
     family is again a valid resolution.
     """
-    entries = [
-        (label, heisenberg_projector(schedule, slot, proj))
-        for label, proj in zip(resolution.labels, resolution.projectors)
-    ]
-    return Resolution(entries, max(resolution.tol, 10 * DEFAULT_TOL))
+    _, lifted = _lift(schedule, slot, resolution.projectors)
+    return Resolution(list(zip(resolution.labels, lifted)), max(resolution.tol, 10 * DEFAULT_TOL))

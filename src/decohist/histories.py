@@ -22,7 +22,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .dynamics import DynamicsSchedule, heisenberg_projector
+from .dynamics import DynamicsSchedule, _lift
 from .errors import (
     DimensionMismatchError,
     FamilyMismatchError,
@@ -120,12 +120,12 @@ class HistoryFamily:
     @cached_property
     def _lifted(self) -> tuple[np.ndarray, ...]:
         """Heisenberg-lifted fine projector matrices, one read-only
-        ``(size, d, d)`` stack per slot position."""
-        stacks = []
-        for pos, res in enumerate(self.resolutions):
-            lifted = (heisenberg_projector(self.schedule, pos, p) for p in res.projectors)
-            stacks.append(frozen(np.stack([p.matrix for p in lifted])))
-        return tuple(stacks)
+        ``(size, d, d)`` stack per slot position, each made and validated
+        at once by the lift kernel ``dynamics._lift``."""
+        return tuple(
+            _lift(self.schedule, pos, res.projectors)[0]
+            for pos, res in enumerate(self.resolutions)
+        )
 
     @cached_property
     def _gram(self) -> tuple[np.ndarray, np.ndarray]:
@@ -248,12 +248,6 @@ def chain_operator(family: HistoryFamily, history: History) -> np.ndarray:
     return chain
 
 
-def _raw_probability(family: HistoryFamily, history: History) -> float:
-    chain = chain_operator(family, history)
-    a = chain @ family.state.matrix
-    return float(np.sum(a * chain.conj()).real)
-
-
 def history_probability(
     family: HistoryFamily, history: History, clamp: bool = True
 ) -> float:
@@ -262,7 +256,8 @@ def history_probability(
     Values within CLAMP_TOL outside [0, 1] are snapped to the bound unless
     ``clamp`` is false (diagnostics want the raw number).
     """
-    raw = _raw_probability(family, history)
+    chain = chain_operator(family, history)
+    raw = float(np.sum((chain @ family.state.matrix) * chain.conj()).real)
     return _clamp_unit(raw) if clamp else raw
 
 
@@ -401,13 +396,10 @@ def _require_trivial_outside(history: History, keep, what: str) -> None:
 
 def _combine(a: History, b: History) -> History:
     """Componentwise intersection of two histories with disjoint support."""
-    outcomes = []
-    for oa, ob in zip(a.outcomes, b.outcomes):
-        common = outcome_intersection(oa, ob)
-        if common is None:
-            raise InvalidHistoryError("conditional parts select disjoint outcomes")
-        outcomes.append(common)
-    return History(a.family, tuple(outcomes))
+    joint = history_intersection(a, b)
+    if joint is None:
+        raise InvalidHistoryError("conditional parts select disjoint outcomes")
+    return joint
 
 
 def _conditional_ratio(family: HistoryFamily, joint: History, given: History) -> float:
@@ -444,11 +436,7 @@ def retrodictive_conditional(
     result is neither guaranteed to stay below 1 nor to sum to 1 over pasts
     unless the family is consistent.
     """
-    _require_same_family(family, past)
-    _require_trivial_outside(past, lambda off: off <= -1, "past")
-    present = _coerce_present(family, present)
-    given = family.history({0: present.sorted_labels()})
-    joint = _combine(past, given)
+    joint, given, _ = _retrodiction(family, past, present)
     return _conditional_ratio(family, joint, given)
 
 
@@ -463,12 +451,7 @@ def retrodictive_normalized(
     keeps the chain-operator numerator and may exceed 1 for inconsistent
     families.
     """
-    _require_same_family(family, past)
-    _require_trivial_outside(past, lambda off: off <= -1, "past")
-    present = _coerce_present(family, present)
-    given = family.history({0: present.sorted_labels()})
-    joint = _combine(past, given)
-
+    joint, _, present = _retrodiction(family, past, present)
     den = _summed_past_denominator(family, present)
     if den <= ZERO_THRESHOLD:
         raise ZeroConditionProbabilityError(den, ZERO_THRESHOLD)
@@ -476,15 +459,17 @@ def retrodictive_normalized(
     return _clamp_unit(num / den)
 
 
-def _coerce_present(family: HistoryFamily, present) -> Outcome:
+def _retrodiction(family: HistoryFamily, past: History, present) -> tuple:
+    """The joint and the present-only history, and the present as an Outcome."""
+    _require_same_family(family, past)
+    _require_trivial_outside(past, lambda off: off <= -1, "past")
     res = family.resolution_at(0)
-    if isinstance(present, Outcome):
-        if present.resolution is not res:
-            raise InvalidHistoryError(
-                "present outcome belongs to a different resolution"
-            )
-        return present
-    return res.outcome(present)
+    if not isinstance(present, Outcome):
+        present = res.outcome(present)
+    elif present.resolution is not res:
+        raise InvalidHistoryError("present outcome belongs to a different resolution")
+    given = family.history({0: present.sorted_labels()})
+    return _combine(past, given), given, present
 
 
 def _summed_past_denominator(family: HistoryFamily, present: Outcome) -> float:

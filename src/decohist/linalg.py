@@ -9,7 +9,7 @@ and freeze the array, after which values are immutable and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,7 +44,7 @@ def as_operator(m) -> np.ndarray:
         raise DimensionMismatchError(f"expected a 2-D matrix, got ndim={a.ndim}")
     if a.size == 0:
         raise DimensionMismatchError("matrix has no entries")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():  # a complex entry is finite when both parts are
         raise ValueError(_NOT_FINITE)
     return a
 
@@ -119,11 +119,6 @@ def _strip_deviation(a: np.ndarray, top: int) -> np.floating:
     return np.abs(a[rows, top:] - a[top:, rows].conj().T).max()
 
 
-def idempotency_deviation(a: np.ndarray) -> float:
-    """max |M^2 - M|, entrywise."""
-    return float(np.max(np.abs(a @ a - a)))
-
-
 def unitarity_deviation(a: np.ndarray) -> float:
     """max |U^dagger U - I|, entrywise."""
     n = require_square(a)
@@ -163,6 +158,24 @@ def _state_factor(state: DensityState) -> tuple[np.ndarray, np.ndarray]:
     return factor, delta
 
 
+def _finite_first(checks):
+    """A stacked validator that gives a matrix with a non-finite entry the
+    non-finite error and runs ``checks(stack, tols)`` on the rest only
+    (``eigvalsh`` fails on non-finite matrices, and products of them warn)."""
+
+    @wraps(checks)
+    def errors(stack: np.ndarray, tols: Sequence[float]) -> list[Exception | None]:
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if finite.all():
+            return checks(stack, tols)
+        kept = [tol for tol, ok in zip(tols, finite) if ok]
+        rest = iter(checks(stack[finite], kept) if kept else ())
+        return [next(rest) if ok else ValueError(_NOT_FINITE) for ok in finite]
+
+    return errors
+
+
+@_finite_first
 def _state_errors(stack: np.ndarray, tols: Sequence[float]) -> list[Exception | None]:
     """Validate each matrix of an ``(n, d, d)`` stack as a density matrix.
 
@@ -171,40 +184,39 @@ def _state_errors(stack: np.ndarray, tols: Sequence[float]) -> list[Exception | 
     eigenvalue of the Hermitian part, the trace, in that order, each against
     ``tols[k]``.  Every check runs once over the whole stack.
     """
-    if not np.isfinite(stack).all():
-        # the later checks read finite matrices only: eigvalsh fails on others
-        finite = np.isfinite(stack).all(axis=(1, 2))
-        kept = [tol for tol, ok in zip(tols, finite) if ok]
-        rest = iter(_state_errors(stack[finite], kept) if kept else ())
-        return [next(rest) if ok else ValueError(_NOT_FINITE) for ok in finite]
     # a state is d x d with d in the tens: one full conjugate transpose per
     # matrix serves both the Hermiticity check and the Hermitian part
     adjoint = stack.conj().swapaxes(1, 2)
     devs = np.abs(stack - adjoint).max(axis=(1, 2)).tolist()
     lows = np.linalg.eigvalsh(0.5 * (stack + adjoint))[:, 0].tolist()
     tr_devs = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0).tolist()
-    errors: list[Exception | None] = []
-    for dev, lo, tr_dev, tol in zip(devs, lows, tr_devs, tols):
-        if dev > tol:
-            errors.append(NotHermitianError(dev))
-        elif lo < -tol:
-            errors.append(NotPositiveError(lo))
-        elif tr_dev > tol:
-            errors.append(TraceNotOneError(tr_dev))
-        else:
-            errors.append(None)
-    return errors
+    return [
+        NotHermitianError(dev) if dev > tol else
+        NotPositiveError(lo) if lo < -tol else
+        TraceNotOneError(tr_dev) if tr_dev > tol else None
+        for dev, lo, tr_dev, tol in zip(devs, lows, tr_devs, tols)
+    ]
+
+
+@_finite_first
+def _projector_errors(stack: np.ndarray, tols: Sequence[float]) -> list[Exception | None]:
+    """``_state_errors`` for orthogonal projectors: finite entries,
+    Hermiticity, idempotency (max |P^2 - P|), in that order."""
+    devs = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2)).tolist()
+    idem_devs = np.abs(stack @ stack - stack).max(axis=(1, 2)).tolist()
+    return [
+        NotHermitianError(dev) if dev > tol else
+        NotIdempotentError(idem) if idem > tol else None
+        for dev, idem, tol in zip(devs, idem_devs, tols)
+    ]
 
 
 @dataclass(frozen=True, eq=False)
-class DensityState:
-    """A density matrix: Hermitian, positive semidefinite, unit trace.
-
-    Invariants are checked at construction against ``tol`` (absolute,
-    max-norm); the stored array is read-only.  The checks are one stacked
-    validator (``_state_errors``): the constructor runs it on a stack of
-    one, ``_from_stack`` on many matrices at once.
-    """
+class _Checked:
+    """A square matrix checked at construction against ``tol`` (absolute,
+    max-norm) by one stacked validator, which the class's ``_errors`` calls
+    by its module-level name: the constructor runs it on a stack of one,
+    ``_from_stack`` on many matrices at once.  The array is read-only."""
 
     matrix: np.ndarray
     tol: float = DEFAULT_TOL
@@ -212,35 +224,37 @@ class DensityState:
     def __post_init__(self):
         a = as_operator(self.matrix)
         require_square(a)
-        (error,) = _state_errors(a[np.newaxis], (self.tol,))
+        (error,) = self._errors(a[np.newaxis], (self.tol,))
         if error is not None:
             raise error
         object.__setattr__(self, "matrix", frozen(a))
 
     @classmethod
-    def _from_stack(
-        cls, stack: np.ndarray, tols: Sequence[float]
-    ) -> list["DensityState | Exception"]:
-        """Validate an ``(n, d, d)`` stack in one pass: a state holding a
+    def _from_stack(cls, stack: np.ndarray, tols: Sequence[float]) -> list:
+        """Validate an ``(n, d, d)`` stack in one pass: an instance holding a
         view of ``stack[k]`` for each matrix that passes, and the error the
         constructor would raise for each one that does not.  ``stack`` is
         made read-only, and with it every view."""
-        errors = _state_errors(stack, tols)
+        out = cls._errors(stack, tols)
         frozen(stack)
-        out: list[DensityState | Exception] = []
-        for matrix, tol, error in zip(stack, tols, errors):
-            if error is None:
-                state = object.__new__(cls)
-                object.__setattr__(state, "matrix", matrix)
-                object.__setattr__(state, "tol", tol)
-                out.append(state)
-            else:
-                out.append(error)
+        for k, (matrix, tol) in enumerate(zip(stack, tols)):
+            if out[k] is None:
+                out[k] = object.__new__(cls)
+                object.__setattr__(out[k], "matrix", matrix)
+                object.__setattr__(out[k], "tol", tol)
         return out
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+class DensityState(_Checked):
+    """A density matrix: Hermitian, positive semidefinite, unit trace."""
+
+    @staticmethod
+    def _errors(stack, tols):
+        return _state_errors(stack, tols)
 
     @cached_property
     def _factor(self) -> tuple[np.ndarray, np.ndarray]:
@@ -251,27 +265,13 @@ class DensityState:
         return frozen(factor), frozen(delta)
 
 
-@dataclass(frozen=True, eq=False)
-class Projector:
-    """An orthogonal projector: Hermitian and idempotent within ``tol``."""
+class Projector(_Checked):
+    """An orthogonal projector: Hermitian and idempotent within ``tol``; a
+    Heisenberg-lifted slot is checked as one stack (``_projector_errors``)."""
 
-    matrix: np.ndarray
-    tol: float = DEFAULT_TOL
-
-    def __post_init__(self):
-        a = as_operator(self.matrix)
-        require_square(a)
-        dev = hermiticity_deviation(a)
-        if dev > self.tol:
-            raise NotHermitianError(dev)
-        dev = idempotency_deviation(a)
-        if dev > self.tol:
-            raise NotIdempotentError(dev)
-        object.__setattr__(self, "matrix", frozen(a))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    @staticmethod
+    def _errors(stack, tols):
+        return _projector_errors(stack, tols)
 
     @property
     def rank(self) -> int:

@@ -66,16 +66,16 @@ class Resolution:
         if not labels:
             raise ValueError("a resolution needs at least one projector")
 
-        seen_idx: set[int] = set()
-        seen_names: set[str] = set()
-        for lab in labels:
-            if lab.index in seen_idx:
+        by_index: dict[int, int] = {}
+        by_name: dict[str, int] = {}
+        for k, lab in enumerate(labels):
+            if lab.index in by_index:
                 raise DuplicateLabelError(lab.index)
-            seen_idx.add(lab.index)
+            by_index[lab.index] = k
             if lab.name is not None:
-                if lab.name in seen_names:
+                if lab.name in by_name:
                     raise DuplicateLabelError(lab.name)
-                seen_names.add(lab.name)
+                by_name[lab.name] = k
 
         dim = projectors[0].dim
         for p in projectors:
@@ -100,10 +100,8 @@ class Resolution:
         self._projectors = tuple(projectors)
         self._dim = dim
         self._tol = tol
-        self._by_index = {lab.index: k for k, lab in enumerate(self._labels)}
-        self._by_name = {
-            lab.name: k for k, lab in enumerate(self._labels) if lab.name is not None
-        }
+        self._by_index = by_index
+        self._by_name = by_name
 
     @property
     def labels(self) -> tuple[SpectralLabel, ...]:

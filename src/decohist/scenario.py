@@ -16,7 +16,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
+
+import numpy as np
 
 from .consistency import (
     DEFAULT_CHECK_TOL,
@@ -85,13 +88,18 @@ def _bad_check_args(tol, seed, states) -> list[tuple[str, str]]:
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """A fully validated scenario: built engine objects plus the normalized
-    document they came from."""
+    document they came from, kept as ``inputs`` with each matrix the validated
+    array; ``document`` renders the matrices as [re, im] pairs on first read."""
 
-    document: dict
+    inputs: dict
     family: HistoryFamily
     resolutions: dict[str, Resolution]
     histories: dict[str, History]
     queries: dict[str, dict]
+
+    @cached_property
+    def document(self) -> dict:
+        return _with_pairs(self.inputs)
 
     def to_document(self) -> dict:
         return json.loads(json.dumps(self.document))
@@ -100,6 +108,17 @@ class Scenario:
         if name not in self.histories:
             raise UnresolvedReferenceError(name, "history")
         return self.histories[name]
+
+
+def _with_pairs(value):
+    """A copy of ``value`` with every array in it as ``matrix_to_pairs``."""
+    if isinstance(value, np.ndarray):
+        return matrix_to_pairs(value)
+    if isinstance(value, dict):
+        return {k: _with_pairs(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_with_pairs(v) for v in value]
+    return value
 
 
 class _Collector:
@@ -196,7 +215,7 @@ def _parse_resolution(name: str, spec, dim: int, col: _Collector):
                     return None, None
                 mats.append(mat)
             res = make_resolution(list(zip(labels, mats)))
-            norm = {"labels": labels, "projectors": [matrix_to_pairs(m) for m in mats]}
+            norm = {"labels": labels, "projectors": mats}
     except DecohistError as exc:
         col.add(path, str(exc))
         return None, None
@@ -266,32 +285,21 @@ def _parse_query(
         return None
     col.check_keys(spec, {"kind", *_QUERIES[kind][2]}, path)
 
-    def ref(key):
+    out = {"kind": kind}
+    for key in ("history", "future", "given", "past"):  # history references
+        if key not in _QUERIES[kind][2]:
+            continue
         hname = spec.get(key)
         if not isinstance(hname, str) or hname not in histories:
             col.add(f"{path}.{key}", f"unresolved history reference {hname!r}")
             return None
-        return hname
-
-    out = {"kind": kind}
-    if kind in ("probability", "oracle"):
-        if ref("history") is None:
+        out[key] = hname
+    if kind == "oracle" and "trace" in spec:
+        if not isinstance(spec["trace"], bool):
+            col.add(f"{path}.trace", "expected a boolean")
             return None
-        out["history"] = spec["history"]
-        if kind == "oracle" and "trace" in spec:
-            if not isinstance(spec["trace"], bool):
-                col.add(f"{path}.trace", "expected a boolean")
-                return None
-            out["trace"] = spec["trace"]
-    elif kind == "conditional":
-        if ref("future") is None or ref("given") is None:
-            return None
-        out["future"] = spec["future"]
-        out["given"] = spec["given"]
+        out["trace"] = spec["trace"]
     elif kind in ("retrodict", "retrodict-normalized"):
-        if ref("past") is None:
-            return None
-        out["past"] = spec["past"]
         present = spec.get("present")
         if (
             not isinstance(present, list)
@@ -407,12 +415,11 @@ def parse_scenario(source) -> Scenario:
             if not isinstance(steps, list) or len(steps) != grid.n_slots - 1:
                 col.add("dynamics.steps", f"expected {grid.n_slots - 1} step matrices")
             else:
-                mats = []
-                for k, s in enumerate(steps):
-                    m = _parse_matrix(s, dim, f"dynamics.steps[{k}]", col)
-                    if m is not None:
-                        mats.append(m)
-                if len(mats) == len(steps):
+                mats = [
+                    _parse_matrix(s, dim, f"dynamics.steps[{k}]", col)
+                    for k, s in enumerate(steps)
+                ]
+                if all(m is not None for m in mats):
                     try:
                         spec = DynamicsSpec.from_steps(mats)
                     except DecohistError as exc:
@@ -493,24 +500,24 @@ def parse_scenario(source) -> Scenario:
     if family is None:  # every path that leaves it unset records an error
         raise ScenarioValidationError([("slots", "no history family was built")])
 
-    normalized = {
+    inputs = {
         "schema_version": SCHEMA_VERSION,
         "dimension": dim,
         "times": [float(t) for t in grid.times],
         "present_index": grid.present_index,
         "reference_index": reference_index,
         "dynamics": (
-            {"hamiltonian": matrix_to_pairs(spec.hamiltonian)}
+            {"hamiltonian": spec.hamiltonian}
             if spec.hamiltonian is not None
-            else {"steps": [matrix_to_pairs(u) for u in spec.step_unitaries]}
+            else {"steps": list(spec.step_unitaries)}
         ),
-        "state": matrix_to_pairs(state.matrix),
+        "state": state.matrix,
         "resolutions": res_norm,
         "slots": list(slot_names),
         "histories": hist_norm,
         "queries": queries,
     }
-    return Scenario(normalized, family, resolutions, histories, dict(queries))
+    return Scenario(inputs, family, resolutions, histories, dict(queries))
 
 
 def serialize_scenario(scenario: Scenario) -> str:

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from decohist.cli import format_number, main
+from decohist.cli import build_parser, format_number, main
+from decohist.consistency import DEFAULT_ROBUSTNESS_SEED
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -329,3 +330,43 @@ class TestNumberFormat:
             "json",
         )
         assert "0.333333333333" in out
+
+
+class TestParserReuse:
+    """``main`` called repeatedly in one process shares one parser and
+    prints what a fresh process prints for each call."""
+
+    ROBUST = ["check", "--mode", "robust", "--states", "2", "--output", "json"]
+    CALLS = [
+        [*ROBUST, "--seed", "3", "--scenario", str(SCENARIOS / "same_basis.json")],
+        [*ROBUST, "--scenario", str(SCENARIOS / "same_basis.json")],
+        ["check", "--mode", "bogus", "--scenario", str(SCENARIOS / "minimal.json")],
+        ["probs", "--scenario", str(SCENARIOS / "z_then_x.json"), "--output", "csv"],
+        ["--help"],
+        ["validate", "--scenario", str(SCENARIOS / "minimal.json")],
+    ]
+
+    @staticmethod
+    def fresh_process(argv):
+        cmd = [sys.executable, "-m", "decohist", *argv]
+        run = subprocess.run(cmd, capture_output=True, text=True)
+        return run.returncode, run.stdout, run.stderr
+
+    def test_repeated_calls_match_fresh_processes(self, capsys, monkeypatch):
+        # the help text wraps at the terminal width, which COLUMNS fixes
+        monkeypatch.setenv("COLUMNS", "100")
+        expected = [self.fresh_process(argv) for argv in self.CALLS]
+        for _ in range(2):
+            got = [run_cli(capsys, *argv) for argv in self.CALLS]
+            assert got == expected
+        codes = [code for code, _, _ in got]
+        assert codes == [0, 0, 2, 0, 0, 0]
+
+    def test_a_dropped_option_falls_back_to_its_default(self, capsys):
+        seeded, default = (json.loads(run_cli(capsys, *argv)[1]) for argv in self.CALLS[:2])
+        assert seeded["seed"] == 3
+        assert default["seed"] == DEFAULT_ROBUSTNESS_SEED
+        assert json.loads(run_cli(capsys, *self.CALLS[0])[1]) == seeded
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()

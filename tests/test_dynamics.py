@@ -1,22 +1,30 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decohist import (
     DynamicsSpec,
+    HistoryFamily,
     TimeGrid,
     build_schedule,
+    from_basis,
     heisenberg_projector,
     heisenberg_resolution,
     make_projector,
+    make_state,
     propagator,
 )
+from decohist import linalg as linalg_module
 from decohist.errors import (
     CountMismatchError,
+    DimensionMismatchError,
     NotHermitianError,
+    NotIdempotentError,
     NotUnitaryError,
     SlotOutOfRangeError,
 )
-from decohist.sampling import random_unitary
+from decohist.sampling import random_family, random_unitary
 
 from conftest import P_XM, P_XP, PAULI_X, PAULI_Z, x_resolution
 
@@ -192,3 +200,59 @@ class TestHeisenbergLift:
             for b in range(a + 1, lifted.size):
                 product = lifted.projectors[a].matrix @ lifted.projectors[b].matrix
                 assert np.max(np.abs(product)) < 1e-9
+
+
+class TestLiftKernel:
+    """Every lift goes through one stacked kernel; it must give, bit for
+    bit, the per-projector product U^dagger P U."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 10),
+        n_slots=st.integers(1, 3),
+        size=st.integers(1, 10),
+    )
+    def test_lifted_stacks_are_the_per_projector_lift(self, seed, dim, n_slots, size):
+        # random resolutions group random orthonormal columns in blocks, so
+        # most carry degenerate (rank > 1) projectors
+        fam = random_family(np.random.default_rng(seed), dim, n_slots, size)
+        assert len(fam._lifted) == n_slots
+        for pos, (stack, res) in enumerate(zip(fam._lifted, fam.resolutions)):
+            u = fam.schedule.unitary(pos)
+            want = np.stack([u.conj().T @ p.matrix @ u for p in res.projectors])
+            assert stack.shape == want.shape
+            assert stack.tobytes() == want.tobytes()
+            assert not stack.flags.writeable
+            one_by_one = [heisenberg_projector(fam.schedule, pos, p) for p in res.projectors]
+            lifted = heisenberg_resolution(fam.schedule, pos, res).projectors
+            for got in (one_by_one, lifted):
+                assert np.stack([p.matrix for p in got]).tobytes() == want.tobytes()
+                assert [p.tol for p in got] == [max(p.tol, 1e-9) for p in res.projectors]
+
+    def test_dimension_mismatch(self):
+        sched = build_schedule(TimeGrid((0.0, 1.0), 0), DynamicsSpec.trivial(2))
+        with pytest.raises(DimensionMismatchError, match="projector dim 3"):
+            heisenberg_projector(sched, 1, make_projector(np.eye(3)))
+
+    def test_first_failing_projector_raises(self, monkeypatch):
+        """The whole slot is validated as one stack; the first failure, in
+        label order, is what the per-projector lift would have raised."""
+        checks = linalg_module._projector_errors
+
+        def poisoned(stack, tols):
+            out = checks(stack, tols)
+            if len(stack) > 1:
+                out[1] = NotIdempotentError(1.0)
+                out[2] = NotHermitianError(2.0)
+            return out
+
+        steps = [random_unitary(4, np.random.default_rng(3))]
+        sched = build_schedule(TimeGrid((0.0, 1.0), 0), DynamicsSpec.from_steps(steps))
+        res = from_basis(4, [[0], [1], [2], [3]])
+        monkeypatch.setattr(linalg_module, "_projector_errors", poisoned)
+        with pytest.raises(NotIdempotentError):
+            heisenberg_resolution(sched, 1, res)
+        fam = HistoryFamily(sched, (res, res), make_state(np.eye(4) / 4))
+        with pytest.raises(NotIdempotentError):
+            fam._lifted

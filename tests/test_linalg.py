@@ -22,7 +22,13 @@ from decohist.errors import (
     NotPositiveError,
     TraceNotOneError,
 )
-from decohist.linalg import TILE, DensityState, hermiticity_deviation
+from decohist.linalg import (
+    TILE,
+    DensityState,
+    Projector,
+    _projector_errors,
+    hermiticity_deviation,
+)
 
 from conftest import P_XP, P_Z0
 
@@ -323,3 +329,125 @@ class TestStackedStateValidation:
         for kind in ("good", "nan", "not_hermitian", "negative", "trace"):
             m = self.good(rng) if kind == "good" else self.poisoned(kind, rng)
             self.check([m], [self.TOL])
+
+
+def scalar_projector(matrix, tol):
+    """The projector checks one matrix at a time: finite entries, then
+    max |M - M^dagger|, then max |M^2 - M|; the Projector, or the error."""
+    a = np.array(matrix, dtype=complex)
+    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+        return ValueError("matrix entries must be finite (no NaN or infinity)")
+    dev = hermiticity_deviation(a)
+    if dev > tol:
+        return NotHermitianError(dev)
+    dev = float(np.max(np.abs(a @ a - a)))
+    if dev > tol:
+        return NotIdempotentError(dev)
+    return Projector(a, tol)
+
+
+def constructed_projector(matrix, tol):
+    try:
+        return Projector(matrix, tol)
+    except (ValueError, DecohistError) as err:
+        return err
+
+
+class TestStackedProjectorValidation:
+    """``_projector_errors`` and ``Projector._from_stack`` against the
+    constructor and the one-matrix-at-a-time checks, element by element."""
+
+    TOL = 1e-10
+
+    @staticmethod
+    def good(rng, dim=3, rank=None):
+        rank = int(rng.integers(1, dim)) if rank is None else rank
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        cols = np.linalg.qr(g)[0][:, :rank]
+        return cols @ cols.conj().T
+
+    @staticmethod
+    def poisoned(kind, rng, dim=3):
+        m = TestStackedProjectorValidation.good(rng, dim)
+        if kind == "nan":
+            m[0, 1] = np.nan
+        elif kind == "inf":
+            m[2, 2] = np.inf
+        elif kind == "not_hermitian":
+            m[0, 1] += 1e-6
+        elif kind == "not_idempotent":
+            m = (1 + 1e-6) * m
+        elif kind == "not_hermitian_and_not_idempotent":
+            m = 1.01 * m
+            m[0, 1] += 1e-6
+        return m
+
+    def check(self, stack, tols):
+        stack = np.array(stack)
+        errors = _projector_errors(stack, tols)
+        got = Projector._from_stack(stack.copy(), tols)
+        assert len(errors) == len(got) == len(stack)
+        for error, stacked, matrix, tol in zip(errors, got, stack, tols):
+            reference = scalar_projector(matrix, tol)
+            for outcome in (stacked, constructed_projector(matrix, tol)):
+                assert type(outcome) is type(reference)
+                if isinstance(reference, Projector):
+                    assert outcome.matrix.tobytes() == reference.matrix.tobytes()
+                    assert outcome.tol == reference.tol
+                    assert not outcome.matrix.flags.writeable
+                else:
+                    assert str(outcome) == str(reference)
+                    assert vars(outcome) == vars(reference)  # the measured deviation
+            if error is None:
+                assert isinstance(stacked, Projector)
+            else:
+                assert (type(error), vars(error)) == (type(stacked), vars(stacked))
+        return got
+
+    @pytest.mark.parametrize(
+        "kind", ["nan", "inf", "not_hermitian", "not_idempotent"]
+    )
+    @pytest.mark.parametrize("where", [0, 2, 3])
+    def test_one_poisoned_element(self, kind, where):
+        rng = np.random.default_rng(50)
+        stack = [self.good(rng) for _ in range(4)]
+        stack[where] = self.poisoned(kind, rng)
+        got = self.check(stack, [self.TOL] * 4)
+        assert [isinstance(p, Projector) for p in got] == [k != where for k in range(4)]
+
+    def test_two_bad_elements_keep_their_own_errors(self):
+        rng = np.random.default_rng(51)
+        stack = [
+            self.poisoned("not_idempotent", rng),
+            self.good(rng),
+            self.poisoned("not_hermitian_and_not_idempotent", rng),
+            self.poisoned("nan", rng),
+            self.poisoned("not_hermitian", rng),
+        ]
+        got = self.check(stack, [self.TOL] * 5)
+        # an element failing two checks reports the first, as the constructor does
+        assert [type(p) for p in got] == [
+            NotIdempotentError, Projector, NotHermitianError, ValueError, NotHermitianError
+        ]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_accepts_and_rejects_as_the_constructor_near_each_threshold(self, seed):
+        rng = np.random.default_rng(seed)
+        stack, tols = [], []
+        for scale in (0.3, 0.9, 1.1, 3.0):
+            tol = float(10.0 ** rng.uniform(-12, -9))
+            p = self.good(rng, dim=4)
+            e = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            stack += [p + scale * tol * e / np.abs(e).max(), (1 + scale * tol) * p]
+            tols += [tol] * 2
+        got = self.check(stack, tols)
+        assert any(isinstance(p, Projector) for p in got)
+        assert not all(isinstance(p, Projector) for p in got)
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 10])
+    def test_degenerate_and_full_rank_projectors_pass(self, dim):
+        rng = np.random.default_rng(dim)
+        stack = [self.good(rng, dim, rank) for rank in range(1, dim + 1)]
+        stack += [np.zeros((dim, dim), dtype=complex)]
+        got = self.check(stack, [self.TOL] * len(stack))
+        assert all(isinstance(p, Projector) for p in got)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from decohist import parse_scenario, run_query, serialize_scenario
+from decohist import scenario as scenario_module
 from decohist.errors import (
     ScenarioSyntaxError,
     ScenarioValidationError,
@@ -286,3 +288,42 @@ class TestCoarseGrain:
         coarse = parse_scenario(json.dumps(out["scenario"]))
         p = coarse.family.resolution_at(0).projectors[0].matrix
         assert np.allclose(p, np.eye(2))
+
+
+class TestDocumentOnDemand:
+    """Parsing keeps the validated matrices; the [re, im]-pair document is
+    rendered only when read, and reads as it always did."""
+
+    #: sha256 of ``serialize_scenario`` of each shipped scenario, as produced
+    #: when the document was rendered during parsing
+    SERIALIZED = {
+        "conserved_2qubit.json": "5905d49074cdc370e43e130a59304c20e127c61672e41a95e710975d64a64dbd",
+        "minimal.json": "50d97e8b75d652886449096875ddb921978905cd6211f41ecd3492339a4939ee",
+        "same_basis.json": "9e4b9288dd087ec2766925dc39b16b32852c5e2fcdf6dad352413f56cd3d0131",
+        "z_then_x.json": "e48d6d002d9c289ebb7e8b49feb420a7cdc70e6c47fadff401f04205969c3e31",
+    }
+
+    @pytest.mark.parametrize("name", sorted(SERIALIZED))
+    def test_parsing_renders_no_matrix(self, monkeypatch, name):
+        def refuse(m):
+            raise AssertionError("matrix_to_pairs called")
+
+        monkeypatch.setattr(scenario_module, "matrix_to_pairs", refuse)
+        s = parse_scenario(scenario_text(name))
+        assert result_validate(s)["ok"] is True
+        assert result_probs(s)["total"] == pytest.approx(1.0)
+        with pytest.raises(AssertionError, match="matrix_to_pairs called"):
+            s.document
+
+    @pytest.mark.parametrize("name", sorted(SERIALIZED))
+    def test_serialization_is_unchanged(self, name):
+        text = serialize_scenario(parse_scenario(scenario_text(name)))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.SERIALIZED[name]
+
+    def test_document_is_built_once_and_copied_out(self):
+        s = parse_scenario(scenario_text("z_then_x.json"))
+        assert s.document is s.document
+        doc = s.to_document()
+        assert doc == s.document and doc is not s.document
+        doc["resolutions"]["x"]["projectors"][0][0][0][0] = 9.0
+        assert s.to_document() != doc
