@@ -35,7 +35,7 @@ from .resolutions import Resolution
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing times with a designated present slot.
+    """Strictly increasing finite times with a designated present slot.
 
     ``present_index`` is the position of the present time within ``times``;
     slot offsets (negative = past, 0 = present, positive = future) are
@@ -49,6 +49,8 @@ class TimeGrid:
         times = tuple(float(t) for t in self.times)
         if len(times) < 1:
             raise ValueError("a time grid needs at least one slot")
+        if not np.isfinite(times).all():
+            raise ValueError(f"times must be finite, got {list(times)}")
         for a, b in zip(times, times[1:]):
             if not a < b:
                 raise ValueError(f"times must be strictly increasing, got {a} >= {b}")
@@ -119,15 +121,20 @@ def propagator(hamiltonian, dt: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     """exp(-i H dt) through the Hermitian eigendecomposition of H.
 
     Eigendecomposition (never series summation) keeps the result unitary to
-    round-off at these dimensions.
+    round-off at these dimensions.  Entries of H or H dt near the float range
+    overflow; the result is then not finite and raises ``ValueError``.
     """
     h = as_operator(hamiltonian)
     require_square(h)
     dev = hermiticity_deviation(h)
     if dev > tol:
         raise NotHermitianError(dev)
-    evals, evecs = np.linalg.eigh(0.5 * (h + h.conj().T))
-    return (evecs * np.exp(-1j * evals * dt)) @ evecs.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises below
+        evals, evecs = np.linalg.eigh(0.5 * (h + h.conj().T))
+        u = (evecs * np.exp(-1j * evals * dt)) @ evecs.conj().T
+    if not np.isfinite(u).all():
+        raise ValueError("propagator entries are not finite: H or a time step is too large")
+    return u
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,7 +30,7 @@ from .errors import (
     InvalidHistoryError,
     ZeroConditionProbabilityError,
 )
-from .linalg import DensityState, frozen, hermiticity_deviation
+from .linalg import DensityState, _summed, frozen, hermiticity_deviation
 from .linalg import _state_factor  # noqa: F401  (re-exported)
 from .resolutions import Outcome, Resolution, coarsen, outcome_intersection
 
@@ -231,12 +231,8 @@ def _require_same_family(family: HistoryFamily, h: History) -> None:
 
 def _lifted_outcome(family: HistoryFamily, pos: int, outcome: Outcome) -> np.ndarray:
     """Heisenberg-lifted outcome projector (sum of lifted fine projectors)."""
-    table = family._lifted[pos]
     res = family.resolutions[pos]
-    total = np.zeros((family.dim, family.dim), dtype=complex)
-    for idx in outcome.sorted_labels():
-        total = total + table[res.position(idx)]
-    return total
+    return _summed(family._lifted[pos], [res.position(idx) for idx in outcome.sorted_labels()])
 
 
 def chain_operator(family: HistoryFamily, history: History) -> np.ndarray:

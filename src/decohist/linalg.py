@@ -158,6 +158,15 @@ def _state_factor(state: DensityState) -> tuple[np.ndarray, np.ndarray]:
     return factor, delta
 
 
+def _summed(stack: np.ndarray, positions: Sequence[int]) -> np.ndarray:
+    """An outcome's projector: zero plus ``stack[p]`` for each of ``positions``
+    in the order given (from zero, so a lone -0.0 entry sums to +0.0)."""
+    total = np.zeros(stack.shape[1:], dtype=complex)
+    for p in positions:
+        total = total + stack[p]
+    return total
+
+
 def _finite_first(checks):
     """A stacked validator that gives a matrix with a non-finite entry the
     non-finite error and runs ``checks(stack, tols)`` on the rest only

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidHistoryError, ZeroConditionProbabilityError
-from .histories import History, HistoryFamily, ZERO_THRESHOLD
-from .linalg import DEFAULT_TOL, DensityState
+from .histories import History, HistoryFamily, ZERO_THRESHOLD, _combine
+from .linalg import DEFAULT_TOL, DensityState, _summed
 
 #: Steps with conditional probability at or below this are treated as
 #: impossible: the Lueders update is undefined on a zero state, and the
@@ -98,14 +98,11 @@ def _steps(
         step_u = u @ family.schedule.unitary(pos - 1).conj().T
     rho = step_u @ rho @ step_u.conj().T
 
-    # raw (Schroedinger-picture) outcome projectors, each summed from zero in
-    # sorted label order, as outcome_projector sums them
+    # raw (Schroedinger-picture) outcome projectors, each summed by _summed
+    # in sorted label order, as outcome_projector sums them
     res = family.resolutions[pos]
     orders = [[res.position(i) for i in sorted(labels)] for labels in label_sets]
-    p_out = np.zeros((len(orders), res.dim, res.dim), dtype=complex)
-    for k, order in enumerate(orders):
-        for p in order:
-            p_out[k] += res.projectors[p].matrix
+    p_out = np.array([_summed(res._stack, order) for order in orders])
     projected = p_out @ rho @ p_out
     probs = np.trace(projected, axis1=1, axis2=2).real.tolist()
     live = []
@@ -224,17 +221,6 @@ def sequential_probability(
     return cumulative, MeasurementTrace(tuple(steps), cumulative, truncated)
 
 
-def _combine_label_maps(family: HistoryFamily, a: History, b: History) -> History:
-    """Slotwise label-set intersection of two histories."""
-    spec = {}
-    for off in family.offsets():
-        labels = a.outcome_at(off).labels & b.outcome_at(off).labels
-        if not labels:
-            raise InvalidHistoryError("conditional parts select disjoint outcomes")
-        spec[off] = sorted(labels)
-    return family.history(spec)
-
-
 def conditional_via_oracle(
     family: HistoryFamily, target: History, given: History
 ) -> float:
@@ -262,6 +248,7 @@ def conditional_via_oracle(
     given_prob, _ = sequential_probability(family, given)
     if given_prob <= ZERO_THRESHOLD:
         raise ZeroConditionProbabilityError(given_prob, ZERO_THRESHOLD)
-    joint = _combine_label_maps(family, target, given)
+    # slotwise label-set intersection: set algebra, no shared numerics
+    joint = _combine(target, given)
     joint_prob, _ = sequential_probability(family, joint)
     return joint_prob / given_prob

@@ -23,7 +23,7 @@ from .errors import (
     ResolutionMismatchError,
     UnknownLabelError,
 )
-from .linalg import DEFAULT_TOL, Projector, basis_projector
+from .linalg import DEFAULT_TOL, Projector, _summed, as_operator, frozen, require_square
 
 
 @dataclass(frozen=True)
@@ -45,22 +45,29 @@ class SpectralLabel:
 class Resolution:
     """A labeled, pairwise-orthogonal, complete family of projectors.
 
-    Orthogonality (P_a P_b = 0 for a != b) and completeness (sum = identity)
-    are checked at construction within ``tol``.  Instances compare by
+    The projectors are one read-only ``(n, d, d)`` stack, validated in one
+    pass within ``tol`` (``Projector`` instances are kept as given): raw
+    matrices as projectors, orthogonality (P_a P_b = 0 for a != b),
+    completeness (sum = identity).  An input with several faults raises the
+    first of: a matrix that is not a finite square 2-D array, no entries, a
+    duplicate label, differing dimensions, a raw matrix that is not Hermitian
+    or else not idempotent, a non-orthogonal pair (row-major), incompleteness;
+    within one kind, the first in entry order.  Instances compare by
     identity; outcomes are tied to the resolution object they were built
     against.
     """
 
     def __init__(self, entries: Sequence[tuple], tol: float = DEFAULT_TOL):
         labels: list[SpectralLabel] = []
-        projectors: list[Projector] = []
+        projectors: list = []  # a raw matrix is replaced by its Projector below
         for pos, (label, proj) in enumerate(entries):
             if isinstance(label, str):
                 label = SpectralLabel(pos, label)
             elif not isinstance(label, SpectralLabel):
                 label = SpectralLabel(int(label))
             if not isinstance(proj, Projector):
-                proj = Projector(proj, tol)
+                proj = as_operator(proj)
+                require_square(proj)
             labels.append(label)
             projectors.append(proj)
         if not labels:
@@ -77,27 +84,36 @@ class Resolution:
                     raise DuplicateLabelError(lab.name)
                 by_name[lab.name] = k
 
-        dim = projectors[0].dim
-        for p in projectors:
-            if p.dim != dim:
+        raw = [k for k, p in enumerate(projectors) if not isinstance(p, Projector)]
+        matrices = [p.matrix if isinstance(p, Projector) else p for p in projectors]
+        dim = matrices[0].shape[0]
+        for m in matrices:
+            if m.shape[0] != dim:
                 raise DimensionMismatchError(
-                    f"projector dimensions differ: {p.dim} vs {dim}"
+                    f"projector dimensions differ: {m.shape[0]} vs {dim}"
                 )
 
-        for i in range(len(projectors)):
-            for j in range(i + 1, len(projectors)):
-                dev = float(np.max(np.abs(projectors[i].matrix @ projectors[j].matrix)))
+        stack = np.array(matrices)
+        if raw:
+            # when every entry is raw, the projectors are views of the stack
+            checked = stack if len(raw) == len(stack) else stack[raw]
+            for k, proj in zip(raw, Projector._from_stack(checked, [tol] * len(raw))):
+                if isinstance(proj, Exception):
+                    raise proj
+                projectors[k] = proj
+
+        for i in range(len(stack) - 1):
+            devs = np.abs(stack[i] @ stack[i + 1 :]).max(axis=(1, 2)).tolist()
+            for j, dev in enumerate(devs, i + 1):
                 if dev > tol:
-                    raise NotOrthogonalError(
-                        labels[i].display, labels[j].display, dev
-                    )
-        total = sum(p.matrix for p in projectors)
-        dev = float(np.max(np.abs(total - np.eye(dim))))
+                    raise NotOrthogonalError(labels[i].display, labels[j].display, dev)
+        dev = float(np.max(np.abs(stack.sum(axis=0) - np.eye(dim))))
         if dev > tol:
             raise NotCompleteError(dev)
 
         self._labels = tuple(labels)
         self._projectors = tuple(projectors)
+        self._stack = frozen(stack)
         self._dim = dim
         self._tol = tol
         self._by_index = by_index
@@ -182,7 +198,9 @@ def from_basis(
     entries = []
     for k, block in enumerate(blocks):
         name = names[k] if names is not None else None
-        entries.append((SpectralLabel(k, name), basis_projector(dim, block)))
+        p = np.zeros((dim, dim), dtype=complex)
+        p[block, block] = 1.0
+        entries.append((SpectralLabel(k, name), p))
     return Resolution(entries, tol)
 
 
@@ -196,9 +214,8 @@ class Outcome:
     def __post_init__(self):
         if not self.labels:
             raise ValueError("an outcome must contain at least one label")
-        known = {lab.index for lab in self.resolution.labels}
         for idx in self.labels:
-            if idx not in known:
+            if idx not in self.resolution._by_index:
                 raise UnknownLabelError(idx)
 
     @property
@@ -209,9 +226,8 @@ class Outcome:
         return sorted(self.labels)
 
     def display_labels(self) -> list[str]:
-        order = {lab.index: k for k, lab in enumerate(self.resolution.labels)}
-        idx = sorted(self.labels, key=lambda i: order[i])
-        return [self.resolution.labels[order[i]].display for i in idx]
+        labels = self.resolution.labels
+        return [labels[p].display for p in sorted(map(self.resolution.position, self.labels))]
 
     def __repr__(self) -> str:
         return f"Outcome({{{', '.join(self.display_labels())}}})"
@@ -221,11 +237,10 @@ def outcome_projector(resolution: Resolution, outcome: Outcome) -> Projector:
     """Sum of the projectors selected by an outcome (an orthogonal sum)."""
     if outcome.resolution is not resolution:
         raise ResolutionMismatchError("outcome was built for a different resolution")
-    total = np.zeros((resolution.dim, resolution.dim), dtype=complex)
-    for idx in outcome.sorted_labels():
-        total = total + resolution.projector_for(idx).matrix
+    positions = [resolution.position(idx) for idx in outcome.sorted_labels()]
+    total = _summed(resolution._stack, positions)
     # tolerance scales with the number of summed projectors
-    return Projector(total, resolution.tol * max(1, len(outcome.labels)))
+    return Projector(total, resolution.tol * max(1, len(positions)))
 
 
 def _require_same_resolution(a: Outcome, b: Outcome) -> None:
@@ -307,12 +322,16 @@ def coarsen(resolution: Resolution, partition, tol: float | None = None) -> Reso
     if tol is None:
         tol = resolution.tol
     normalized = normalize_partition(resolution, partition)
+    sums = np.array([
+        _summed(resolution._stack, [resolution.position(idx) for idx in members])
+        for _, members in normalized
+    ])
+    # each block's tolerance scales with the number of summed projectors
+    tols = [tol * max(1, len(members)) for _, members in normalized]
     entries = []
-    for k, (block_id, members) in enumerate(normalized):
-        total = np.zeros((resolution.dim, resolution.dim), dtype=complex)
-        for idx in members:
-            total = total + resolution.projector_for(idx).matrix
+    for k, ((block_id, _), proj) in enumerate(zip(normalized, Projector._from_stack(sums, tols))):
+        if isinstance(proj, Exception):
+            raise proj
         name = block_id if isinstance(block_id, str) else None
-        proj = Projector(total, tol * max(1, len(members)))
         entries.append((SpectralLabel(k, name), proj))
     return Resolution(entries, tol * max(1, resolution.size))

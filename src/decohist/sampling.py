@@ -13,7 +13,7 @@ import numpy as np
 
 from .dynamics import DynamicsSpec, TimeGrid, build_schedule
 from .histories import HistoryFamily
-from .linalg import DensityState, Projector
+from .linalg import DensityState
 from .resolutions import Resolution, SpectralLabel
 
 
@@ -71,7 +71,7 @@ def random_resolution(
     start = 0
     for k, size in enumerate(sizes):
         cols = v[:, start : start + size]
-        entries.append((SpectralLabel(k), Projector(cols @ cols.conj().T)))
+        entries.append((SpectralLabel(k), cols @ cols.conj().T))
         start += size
     return Resolution(entries)
 

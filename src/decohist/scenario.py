@@ -472,6 +472,8 @@ def parse_scenario(source) -> Scenario:
                     )
                 except DecohistError as exc:
                     col.add("slots", str(exc))
+                except ValueError as exc:  # a propagator too large to be finite
+                    col.add("dynamics", str(exc))
 
     histories: dict[str, History] = {}
     hist_norm: dict[str, dict] = {}
