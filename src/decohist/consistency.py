@@ -16,7 +16,8 @@ the witness achieving it:
 All four read one kernel: the Gram rows V_i = vec(C_i L) of the fine
 histories, where rho = L Delta L^dagger (``histories._gram_rows``).  Weak and
 medium scan D = (V w) V^dagger; additivity reads the fiber blocks of D from
-the rows of each fiber alone; robustness builds the rows once per state.
+the rows of each fiber alone; robustness builds the rows once per state and
+scans that state's strips of D (``histories._gram_strips``), never all of D.
 
 Reports are deterministic: identical inputs and seed give identical
 violations and witnesses (ties broken by enumeration order).
@@ -34,10 +35,12 @@ from .errors import DimensionMismatchError, FamilyTooLargeError
 from .histories import (
     DEFAULT_FAMILY_CAP,
     DecoherenceFunctional,
-    History,
     HistoryFamily,
-    _gram_dfunc,
+    _FineHistories,
+    _check_trace,
     _gram_rows,
+    _gram_strips,
+    _row_norms,
     coarsen_slot,
 )
 from .linalg import TILE, DensityState
@@ -76,40 +79,46 @@ def _pair_witness(i: int, j: int, first: dict, second: dict) -> dict:
     return {"kind": "pair", "indices": [int(i), int(j)], "first": first, "second": second}
 
 
-def _offdiag_scan(matrix: np.ndarray, magnitude) -> tuple[float, tuple[int, int] | None]:
-    """Largest ``magnitude`` of an entry above the diagonal and where it is.
+def _offdiag_scan(strips, mode: str) -> tuple[float, tuple[int, int] | None]:
+    """Largest ``_MAGNITUDE[mode]`` of an entry above the diagonal and where.
 
-    Only the strict upper triangle is read: 2 Re D covers both conjugate
-    traces of the defining sum because every D reaching here was checked to
-    be Hermitian.  It is scanned in strips of TILE rows, each taken right of
-    the diagonal; a later strip wins only with a strictly larger value, so
-    the position is the row-major first maximum of the whole triangle.
-    Fewer than two rows give (0.0, None).
+    ``strips`` yields ``(top, strip)``, the TILE rows from ``top`` of D or of
+    conj(D) (same magnitudes) on and right of the diagonal.  Only the strict
+    upper triangle is read, as D is Hermitian, into one reused TILE x (N - 1)
+    buffer; a later strip wins only with a strictly larger value, so the
+    position is the row-major first maximum.  Fewer than two rows give
+    (0.0, None).
     """
-    n = matrix.shape[0]
-    if n < 2:
-        return 0.0, None
-    worst, at = -1.0, None
-    for top in range(0, n - 1, TILE):
-        strip = magnitude(matrix[top : top + TILE, top + 1 :])
+    worst, at, buffer = -1.0, None, None
+    for top, strip in strips:
+        rows, width = strip.shape[0], strip.shape[1] - 1
+        if not width:  # a last strip of one row has nothing right of the diagonal
+            continue
+        if buffer is None:  # the first strip is the widest
+            buffer = np.empty(rows * width)
+        mag = _MAGNITUDE[mode](strip[:, 1:], buffer[: rows * width].reshape(rows, width))
         # the strip's entries on or below the diagonal fill its leading
         # corner's strict lower triangle
-        corner = strip[:, : strip.shape[0]]
+        corner = mag[:, :rows]
         corner[np.tri(*corner.shape, k=-1, dtype=bool)] = -1.0
-        flat = int(np.argmax(strip))
-        if strip.flat[flat] > worst:
-            worst = float(strip.flat[flat])
-            i, j = divmod(flat, strip.shape[1])
+        flat = int(np.argmax(mag))
+        if mag.flat[flat] > worst:
+            worst = float(mag.flat[flat])
+            i, j = divmod(flat, width)
             at = top + i, top + 1 + j
-    return worst, at
+    return (0.0, None) if at is None else (worst, at)
 
 
-#: The entry magnitude each off-diagonal check bounds, by mode.
-_MAGNITUDE = {"weak": lambda m: np.abs(2.0 * m.real), "medium": np.abs}
+#: The entry magnitude each off-diagonal check bounds, by mode, into ``out``.
+_MAGNITUDE = {
+    "weak": lambda m, out: np.abs(np.multiply(m.real, 2.0, out=out), out=out),
+    "medium": lambda m, out: np.abs(m, out=out),
+}
 
 
 def _offdiag_check(dfunc: DecoherenceFunctional, tol: float, mode: str) -> ConsistencyReport:
-    worst, at = _offdiag_scan(dfunc.matrix, _MAGNITUDE[mode])
+    m = dfunc.matrix
+    worst, at = _offdiag_scan(((t, m[t : t + TILE, t:]) for t in range(0, len(m), TILE)), mode)
     if at is None:
         return _report(mode, worst, None, tol)
     first, second = (dfunc.histories[k].labels_by_offset() for k in at)
@@ -149,11 +158,7 @@ def _fiber(family: HistoryFamily, gram, pos: int) -> np.ndarray:
 
 def _fine_labels(family: HistoryFamily, flat: int) -> dict[int, list[str]]:
     """Labels by offset of fine history ``flat`` in lexicographic order."""
-    index = np.unravel_index(flat, family.shape)
-    outcomes = tuple(
-        res.outcome(res.labels[k].index) for res, k in zip(family.resolutions, index)
-    )
-    return History(family, outcomes).labels_by_offset()
+    return _FineHistories(family)[flat].labels_by_offset()
 
 
 def _pairs_scope(family, gram, tol) -> ConsistencyReport:
@@ -298,7 +303,8 @@ def check_state_robustness(
     explicit states are given, ``count`` normalized Wishart states are drawn
     from ``seed``.  Each state's Gram rows are built once, from that state's
     factor as for the family's own state, and every inner mode reads them:
-    weak and medium through that state's D, additivity through its fibers.
+    weak and medium scan that state's strips of D and check its trace from
+    the row norms, additivity reads its fibers.
     """
     used_seed: int | None = None
     if states is None:
@@ -316,8 +322,6 @@ def check_state_robustness(
     if family.n_fine_histories > DEFAULT_FAMILY_CAP:
         raise FamilyTooLargeError(family.n_fine_histories, DEFAULT_FAMILY_CAP)
 
-    # only the weak and medium scans need D, which is validated against them
-    histories = None if mode == "additivity" else tuple(family.fine_histories())
     worst = -1.0
     best = None
     for idx, state in enumerate(states):
@@ -326,8 +330,8 @@ def check_state_robustness(
             inner = _additivity(family, gram, tol, scope, seed)
             violation, found = inner.worst_violation, inner.witness
         else:
-            dfunc = _gram_dfunc(gram, histories)
-            violation, found = _offdiag_scan(dfunc.matrix, _MAGNITUDE[mode])
+            _check_trace(float(np.sum(_row_norms(*gram))), DecoherenceFunctional.tol)
+            violation, found = _offdiag_scan(_gram_strips(*gram), mode)
         if violation > worst:
             worst, best = violation, (idx, found)
     idx, found = best

@@ -28,7 +28,6 @@ from .linalg import (
     frozen,
     hermiticity_deviation,
     require_square,
-    unitarity_deviation,
 )
 from .resolutions import Resolution
 
@@ -78,6 +77,33 @@ class TimeGrid:
         return position - self.present_index
 
 
+def _unitaries(matrices, tol: float, one_dim: bool = False) -> tuple[np.ndarray, ...]:
+    """``matrices`` as frozen arrays, checked as one stack to be unitary
+    (max |U^dagger U - I| <= ``tol``) and, with ``one_dim``, of one
+    dimension; the first failure in entry order raises what a check of one
+    matrix at a time would."""
+    mats, error = [], None
+    for m in matrices:
+        try:
+            a = as_operator(m)
+            if one_dim and mats and len(a) != len(mats[0]):
+                raise DimensionMismatchError("cumulative unitaries must share one dimension")
+            require_square(a)
+        except (DimensionMismatchError, TypeError, ValueError) as exc:
+            error = exc  # raised once every earlier matrix is checked
+            break
+        mats.append(a)
+    # steps of mixed dimensions (which build_schedule rejects) stack one by one
+    for stack in [np.stack(mats)] if len({a.shape for a in mats}) == 1 else [a[None] for a in mats]:
+        gram = stack.conj().swapaxes(1, 2) @ stack
+        for dev in np.abs(gram - np.eye(stack.shape[1])).max(axis=(1, 2)).tolist():
+            if dev > tol:
+                raise NotUnitaryError(dev)
+    if error is not None:
+        raise error
+    return tuple(frozen(a) for a in mats)
+
+
 class DynamicsSpec:
     """Dynamics given either as a Hamiltonian or as per-interval step unitaries."""
 
@@ -94,15 +120,8 @@ class DynamicsSpec:
             self.hamiltonian = frozen(h)
             self.step_unitaries = None
         else:
-            steps = []
-            for u in step_unitaries:
-                u = as_operator(u)
-                dev = unitarity_deviation(u)
-                if dev > tol:
-                    raise NotUnitaryError(dev)
-                steps.append(frozen(u))
             self.hamiltonian = None
-            self.step_unitaries = tuple(steps)
+            self.step_unitaries = _unitaries(step_unitaries, tol)
 
     @classmethod
     def from_hamiltonian(cls, h, tol: float = DEFAULT_TOL) -> "DynamicsSpec":
@@ -151,22 +170,11 @@ class DynamicsSchedule:
             raise SlotOutOfRangeError(self.reference_index, self.grid.n_slots)
         if len(self.cumulative) != self.grid.n_slots:
             raise CountMismatchError(self.grid.n_slots, len(self.cumulative))
-        mats = []
-        dim = None
-        for u in self.cumulative:
-            u = as_operator(u)
-            if dim is None:
-                dim = require_square(u)
-            elif u.shape[0] != dim:
-                raise DimensionMismatchError("cumulative unitaries must share one dimension")
-            dev = unitarity_deviation(u)
-            if dev > self.tol:
-                raise NotUnitaryError(dev)
-            mats.append(frozen(u))
-        ref_dev = float(np.max(np.abs(mats[self.reference_index] - np.eye(dim))))
+        mats = _unitaries(self.cumulative, self.tol, one_dim=True)
+        ref_dev = float(np.max(np.abs(mats[self.reference_index] - np.eye(len(mats[0])))))
         if ref_dev > self.tol:
             raise NotUnitaryError(ref_dev)
-        object.__setattr__(self, "cumulative", tuple(mats))
+        object.__setattr__(self, "cumulative", mats)
 
     @property
     def dim(self) -> int:

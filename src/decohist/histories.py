@@ -18,7 +18,7 @@ import itertools
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .errors import (
     InvalidHistoryError,
     ZeroConditionProbabilityError,
 )
-from .linalg import DensityState, _summed, frozen, hermiticity_deviation
+from .linalg import TILE, DensityState, _summed, frozen, hermiticity_deviation
 from .linalg import _state_factor  # noqa: F401  (re-exported)
 from .resolutions import Outcome, Resolution, coarsen, outcome_intersection
 
@@ -139,6 +139,11 @@ class HistoryFamily:
         rows, weights = _gram_rows(self, self.state)
         return frozen(rows), frozen(weights)
 
+    @cached_property
+    def _probabilities(self) -> np.ndarray:
+        """Read-only ``_row_norms`` of ``_gram``: the probabilities, diag(D)."""
+        return frozen(_row_norms(*self._gram))
+
     def history(self, spec: Mapping[int, object] | None = None) -> "History":
         """Build a History from a map of slot offset to labels.
 
@@ -224,6 +229,35 @@ class History:
         return f"History({parts})"
 
 
+class _FineHistories(Sequence):
+    """A family's fine histories, read-only and in lexicographic order, each
+    made on access from its decoded flat index; equal to their tuple."""
+
+    def __init__(self, family: HistoryFamily):
+        self._family = family
+
+    def __len__(self) -> int:
+        return self._family.n_fine_histories
+
+    def __getitem__(self, k):
+        picked = range(len(self))[k]  # indexes and slices as a tuple would
+        if isinstance(picked, range):
+            return tuple(map(self.__getitem__, picked))
+        fam = self._family
+        index = np.unravel_index(picked, fam.shape)
+        return History(fam, tuple(
+            res.outcome(res.labels[i].index) for res, i in zip(fam.resolutions, index)
+        ))
+
+    def __iter__(self) -> Iterator[History]:
+        return self._family.fine_histories()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, _FineHistories)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+
 def _require_same_family(family: HistoryFamily, h: History) -> None:
     if h.family is not family:
         raise FamilyMismatchError("history was built for a different family")
@@ -275,13 +309,41 @@ def _gram_rows(
     return rows.reshape(family.n_fine_histories, -1), np.tile(delta, family.dim)
 
 
+def _row_norms(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """D's diagonal from its Gram rows: D_ii = sum_k |V_ik|^2 w_k."""
+    squares = np.square(rows.real)
+    squares += np.square(rows.imag)
+    return squares @ weights
+
+
+def _gram_strips(rows: np.ndarray, weights: np.ndarray, out: np.ndarray | None = None):
+    """The strip kernel all D work goes through: ``(top, conj(D[I, top:]))``
+    for each block I of TILE rows, D = (V w) V^dagger, made as conj(V_I w)
+    V[top:]^T (a reused (TILE, d*r) buffer times a view) into ``out[I, top:]``
+    if given, else into one reused TILE x N buffer."""
+    n, k = rows.shape
+    left = np.empty((min(TILE, n), k), dtype=complex)
+    flat = np.empty(len(left) * n, dtype=complex) if out is None else None
+    for top in range(0, n, TILE):
+        lhs = np.multiply(rows[top : top + TILE], weights, out=left[: n - top])
+        np.conjugate(lhs, out=lhs)
+        t = len(lhs)
+        strip = out[top : top + t, top:] if flat is None else flat[: t * (n - top)].reshape(t, -1)
+        yield top, np.matmul(lhs, rows[top:].T, out=strip)
+
+
 def fine_probabilities(family: HistoryFamily) -> np.ndarray:
-    """Probabilities of all fine histories, lexicographic order (unclamped)."""
+    """Probabilities of all fine histories, lexicographic order (unclamped):
+    a fresh copy of the family's cached row norms, which are diag(D)."""
     n = family.n_fine_histories
     if n > DEFAULT_FAMILY_CAP:
         raise FamilyTooLargeError(n, DEFAULT_FAMILY_CAP)
-    rows, weights = family._gram
-    return (rows.real**2 + rows.imag**2) @ weights
+    return family._probabilities.copy()
+
+
+def _check_trace(trace: complex, tol: float) -> None:
+    if abs(trace - 1.0) > tol:
+        raise InvalidHistoryError(f"decoherence functional trace {trace} differs from 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,11 +353,12 @@ class DecoherenceFunctional:
     Hermitian, positive semidefinite, and unit trace within ``tol``; the
     diagonal holds the fine-history probabilities.  The engine builds D as
     the Gram form V Delta V^dagger from a factor of the state, which is PSD
-    by construction; only matrices passed to this constructor get the
-    eigenvalue check.
+    by construction and Hermitian bit for bit, with ``fine_probabilities``
+    as its diagonal; only matrices passed to this constructor get the
+    Hermiticity and eigenvalue checks.  The engine's ``histories`` is lazy.
     """
 
-    histories: tuple[History, ...]
+    histories: Sequence[History]
     matrix: np.ndarray
     tol: float = 1e-9
 
@@ -304,45 +367,43 @@ class DecoherenceFunctional:
         if not np.all(np.isfinite(m)):
             # NaN would pass every ``> tol`` check below
             raise InvalidHistoryError("decoherence functional entries must be finite")
-        self._settle(self.histories, m, psd=True)
+        self._settle(self.histories, m, built=False)
 
     @classmethod
     def _from_gram(cls, histories, matrix: np.ndarray, tol: float):
-        """Wrap an engine-built Gram matrix, skipping the eigenvalue check."""
+        """Wrap an engine-built D, skipping the checks it meets by construction."""
         dfunc = object.__new__(cls)
         object.__setattr__(dfunc, "tol", tol)
-        dfunc._settle(histories, matrix, psd=False)
+        dfunc._settle(histories, matrix, built=True)
         return dfunc
 
-    def _settle(self, histories, m: np.ndarray, psd: bool) -> None:
+    def _settle(self, histories, m: np.ndarray, built: bool) -> None:
         """Validate ``m``, which this instance now owns; freeze and store it."""
         n = len(histories)
         if m.shape != (n, n):
             raise DimensionMismatchError(
                 f"matrix shape {m.shape} does not match {n} histories"
             )
-        dev = hermiticity_deviation(m)
-        if dev > self.tol:
-            raise InvalidHistoryError(
-                f"decoherence functional is not Hermitian: deviation {dev:.3e}"
-            )
-        if psd:
+        if not built:
+            dev = hermiticity_deviation(m)
+            if dev > self.tol:
+                raise InvalidHistoryError(
+                    f"decoherence functional is not Hermitian: deviation {dev:.3e}"
+                )
             lo = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
             if lo < -self.tol:
                 raise InvalidHistoryError(
                     f"decoherence functional is not PSD: min eigenvalue {lo:.3e}"
                 )
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > self.tol:
-            raise InvalidHistoryError(
-                f"decoherence functional trace {tr} differs from 1"
-            )
+        _check_trace(complex(np.trace(m)), self.tol)
         d = np.diagonal(m)
         if float(np.max(np.abs(d.imag))) > self.tol or float(np.min(d.real)) < -self.tol:
             raise InvalidHistoryError("diagonal entries must be real and nonnegative")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "histories", tuple(histories))
+        if not isinstance(histories, _FineHistories):
+            histories = tuple(histories)
+        object.__setattr__(self, "histories", histories)
 
     @property
     def n(self) -> int:
@@ -358,22 +419,29 @@ def decoherence_functional(
     cap: int = DEFAULT_FAMILY_CAP,
     tol: float = 1e-9,
 ) -> DecoherenceFunctional:
-    """Full decoherence functional over the family's fine histories."""
+    """Full decoherence functional over the family's fine histories.
+
+    Each strip is conjugated in place in D's upper part and mirrored below
+    as its exact conjugate; the diagonal is the family's cached row norms.
+    """
     n = family.n_fine_histories
     if n > cap:
         raise FamilyTooLargeError(n, cap)
-    return _gram_dfunc(family._gram, tuple(family.fine_histories()), tol)
-
-
-def _gram_dfunc(
-    gram: tuple[np.ndarray, np.ndarray],
-    histories: tuple[History, ...],
-    tol: float = 1e-9,
-) -> DecoherenceFunctional:
-    """D = (V w) V^dagger from ``_gram_rows``' rows V and weights w."""
-    rows, weights = gram
-    matrix = (rows * weights) @ rows.conj().T
-    return DecoherenceFunctional._from_gram(histories, matrix, tol)
+    probabilities = family._probabilities  # its temporaries are freed before D
+    matrix = np.empty((n, n), dtype=complex)
+    for top, strip in _gram_strips(*family._gram, out=matrix):
+        t = len(strip)
+        # the strip holds conj(D), so its transpose is D's block column below
+        matrix[top + t :, top : top + t] = strip[:, t:].T
+        # conjugate as 0 - Im (np.conjugate turns a +0.0 imaginary part into
+        # -0.0, printed "-0"), then mirror the diagonal block's upper triangle
+        np.subtract(0.0, strip.imag, out=strip.imag)
+        corner, below = strip[:, :t], np.tri(t, k=-1, dtype=bool)
+        mirror = corner.T[below]
+        np.subtract(0.0, mirror.imag, out=mirror.imag)
+        corner[below] = mirror
+    matrix.reshape(-1)[:: n + 1] = probabilities
+    return DecoherenceFunctional._from_gram(_FineHistories(family), matrix, tol)
 
 
 # ---------------------------------------------------------------------------

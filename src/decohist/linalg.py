@@ -28,8 +28,8 @@ from .errors import (
 #: well below this.
 DEFAULT_TOL = 1e-10
 
-#: Rows per strip of the O(N^2) passes over a matrix (the Hermiticity, weak
-#: and medium checks).  Measured only on N = 512 matrices, on a 2-core Xeon:
+#: Rows per strip of the O(N^2) passes over a matrix (assembling D; the
+#: Hermiticity, weak and medium scans).  Measured on N = 512 scans, 2-core Xeon:
 #: strips of 32 to 128 rows cost within about 0.4 ms of each other per pass,
 #: 256 rows about 1.5x as much, and one 512-row strip (no tiling) 2 to 5x.
 TILE = 128
@@ -117,12 +117,6 @@ def hermiticity_deviation(a: np.ndarray) -> float:
 def _strip_deviation(a: np.ndarray, top: int) -> np.floating:
     rows = slice(top, top + TILE)
     return np.abs(a[rows, top:] - a[top:, rows].conj().T).max()
-
-
-def unitarity_deviation(a: np.ndarray) -> float:
-    """max |U^dagger U - I|, entrywise."""
-    n = require_square(a)
-    return float(np.max(np.abs(a.conj().T @ a - np.eye(n))))
 
 
 def _state_factor(state: DensityState) -> tuple[np.ndarray, np.ndarray]:

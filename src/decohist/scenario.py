@@ -50,7 +50,7 @@ from .histories import (
 )
 from .linalg import DensityState, matrix_from_pairs, matrix_to_pairs
 from .lueders import sequential_probability
-from .resolutions import Resolution, from_basis, make_resolution
+from .resolutions import Resolution, coarsen, from_basis, make_resolution
 
 SCHEMA_VERSION = 1
 
@@ -744,14 +744,10 @@ def result_coarse_grain(scenario: Scenario, offset: int, partition: dict) -> dic
             blocks[label_to_block[label]].extend(basis_block)
         coarse_norm = {"labels": block_names, "basis": [blocks[b] for b in block_names]}
     else:
-        mats = {b: None for b in block_names}
-        for label, pairs in zip(old_norm["labels"], old_norm["projectors"]):
-            m = matrix_from_pairs(pairs)
-            b = label_to_block[label]
-            mats[b] = m if mats[b] is None else mats[b] + m
+        # each block's projector is summed as the engine's coarse resolution's
         coarse_norm = {
             "labels": block_names,
-            "projectors": [matrix_to_pairs(mats[b]) for b in block_names],
+            "projectors": [matrix_to_pairs(p.matrix) for p in coarsen(res, partition).projectors],
         }
 
     # the coarsened slot may be the only user of the old resolution

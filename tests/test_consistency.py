@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from decohist import (
     make_resolution,
     make_state,
 )
+from decohist import histories as histories_module
 from decohist import linalg as linalg_module
 from decohist.consistency import (
     DEFAULT_ROBUSTNESS_COUNT,
@@ -36,11 +38,12 @@ from decohist.errors import FamilyTooLargeError, InvalidHistoryError
 from decohist.sampling import (
     random_density,
     random_family,
+    random_resolution,
     random_unitary,
     robustness_states,
 )
 
-from conftest import P_Z0, random_rank_state, z_resolution
+from conftest import P_XP, P_Z0, random_rank_state, z_resolution
 
 
 def make_dfunc(family, matrix):
@@ -245,6 +248,140 @@ class TestStripScan:
         fam = next(f for f in families if f.n_fine_histories > TILE)
         d = decoherence_functional(fam)
         self.assert_matches_reference(np.array(d.matrix))
+
+
+def exact_size_shape(n):
+    """Two slots of sizes a x n/a for the least factor a > 1 of n, or one
+    slot of n outcomes when n is prime."""
+    a = next((f for f in range(2, int(n**0.5) + 1) if n % f == 0), n)
+    return (a, n // a) if a < n else (n,)
+
+
+def padded_resolution(rng, dim, size):
+    """``size`` projectors in shuffled order: a random resolution of dim
+    ``dim`` into at most four blocks (degenerate wherever a block has rank
+    > 1), the rest zero."""
+    blocks = [p.matrix for p in random_resolution(dim, rng, min(size, 4)).projectors]
+    mats = blocks + [np.zeros((dim, dim), dtype=complex)] * (size - len(blocks))
+    return make_resolution([(str(k), mats[i]) for k, i in enumerate(rng.permutation(size))])
+
+
+def exact_size_family(rng, n, dim, rank):
+    """A random family of exactly ``n`` fine histories with a rank-``rank`` state."""
+    shape = exact_size_shape(n)
+    base = random_family(rng, dim, len(shape))
+    resolutions = tuple(padded_resolution(rng, dim, size) for size in shape)
+    return HistoryFamily(base.schedule, resolutions, random_rank_state(rng, dim, rank))
+
+
+MAGNITUDES = {"weak": lambda m: np.abs(2.0 * m.real), "medium": np.abs}
+OFFDIAG_CHECKS = {"weak": check_weak_consistency, "medium": check_medium_decoherence}
+
+
+def reference_robust(family, states, mode):
+    """The first state with the largest dense first maximum of its own D."""
+    refs = [
+        reference_offdiag(np.array(decoherence_functional(family.with_state(s)).matrix),
+                          MAGNITUDES[mode])
+        for s in states
+    ]
+    best = max(range(len(refs)), key=lambda k: refs[k][0])  # the first of equals
+    return best, refs[best]
+
+
+class TestStripKernel:
+    """D from the strip kernel against the dense Gram product, and every
+    off-diagonal witness against a dense row-major first maximum."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([TILE - 1, TILE, TILE + 1, 2 * TILE + 3]),
+        dim=st.integers(2, 5),
+    )
+    def test_matches_dense_references(self, seed, n, dim):
+        rng = np.random.default_rng(seed)
+        fam = exact_size_family(rng, n, dim, int(rng.integers(1, dim + 1)))
+        d = decoherence_functional(fam)
+        m = np.array(d.matrix)
+        assert m.shape == (n, n)
+        assert np.array_equal(m, m.conj().T)
+        assert np.array_equal(m.diagonal().real, fine_probabilities(fam))
+        rows, weights = histories_module._gram_rows(fam, fam.state)
+        assert np.max(np.abs(m - (rows * weights) @ rows.conj().T)) <= 1e-15
+
+        states = [random_rank_state(rng, dim, rank) for rank in (1, dim, max(1, dim - 1))]
+        for mode, check in OFFDIAG_CHECKS.items():
+            report = check(d)
+            worst, indices = reference_offdiag(m, MAGNITUDES[mode])
+            assert report.worst_violation == worst  # bit for bit
+            assert report.witness["indices"] == indices
+
+            robust = check_state_robustness(fam, states=states, mode=mode)
+            best, (worst, indices) = reference_robust(fam, states, mode)
+            assert robust.worst_violation == worst
+            assert robust.witness["state_index"] == best
+            assert robust.witness["inner"]["indices"] == indices
+
+    @staticmethod
+    def planted_tie_family():
+        """A z then an x measurement on |+>, exactly dyadic, whose only two
+        interfering pairs tie at |D| = 1/4 in rows TILE - 1 and TILE, the
+        two sides of the first strip boundary; zero projectors pad the x
+        slot to TILE + 1 outcomes."""
+        grid = TimeGrid((0.0, 1.0), 1)
+        sched = build_schedule(grid, DynamicsSpec.from_steps([np.eye(2)]))
+        x_slot = [np.zeros((2, 2), dtype=complex)] * (TILE + 1)
+        x_slot[TILE - 1], x_slot[TILE] = P_XP, np.eye(2) - P_XP
+        x_res = make_resolution([(str(k), m) for k, m in enumerate(x_slot)])
+        return HistoryFamily(sched, (z_resolution(), x_res), make_state(P_XP))
+
+    @pytest.mark.parametrize("mode", ["weak", "medium"])
+    def test_planted_tie_across_a_strip_boundary(self, mode):
+        fam = self.planted_tie_family()
+        d = decoherence_functional(fam)
+        m = np.array(d.matrix)
+        first = [TILE - 1, 2 * TILE]  # (z0, x+) with (z1, x+)
+        assert MAGNITUDES[mode](m[TILE - 1, 2 * TILE]) == MAGNITUDES[mode](m[TILE, 2 * TILE + 1])
+        assert reference_offdiag(m, MAGNITUDES[mode])[1] == first
+        assert OFFDIAG_CHECKS[mode](d).witness["indices"] == first
+        # a later state wins only with a strictly larger violation
+        robust = check_state_robustness(fam, states=[fam.state, fam.state], mode=mode)
+        assert robust.witness["state_index"] == 0
+        assert robust.witness["inner"]["indices"] == first
+
+    def test_assembly_allocates_d_and_two_strips(self):
+        # 8 x 8 x 8 histories in dim 16 with a full-rank state, rows cached
+        rng = np.random.default_rng(50)
+        base = random_family(rng, 16, 3)
+        resolutions = tuple(padded_resolution(rng, 16, 8) for _ in range(3))
+        fam = HistoryFamily(base.schedule, resolutions, base.state)
+        fam._gram
+        n = fam.n_fine_histories
+        strip = 16 * TILE * n  # TILE rows of complex D
+        tracemalloc.start()
+        try:
+            decoherence_functional(fam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * n * n + 2 * strip + 256 * 1024
+
+    def test_robustness_allocates_no_n_by_n_matrix(self):
+        rng = np.random.default_rng(51)
+        base = random_family(rng, 4, 3)
+        resolutions = tuple(padded_resolution(rng, 4, 8) for _ in range(3))
+        fam = HistoryFamily(base.schedule, resolutions, base.state)
+        n = fam.n_fine_histories
+        assert n > TILE
+        states = [random_density(4, rng) for _ in range(3)]
+        tracemalloc.start()
+        try:
+            check_state_robustness(fam, states=states, mode="weak")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n * n
 
 
 class TestAdditivity:

@@ -16,6 +16,7 @@ from decohist import (
     propagator,
 )
 from decohist import linalg as linalg_module
+from decohist.dynamics import DynamicsSchedule
 from decohist.errors import (
     CountMismatchError,
     DimensionMismatchError,
@@ -136,6 +137,54 @@ class TestBuildSchedule:
     def test_spec_requires_exactly_one_form(self):
         with pytest.raises(ValueError):
             DynamicsSpec(hamiltonian=np.eye(2), step_unitaries=[np.eye(2)])
+
+
+class TestStackedUnitarity:
+    """Step and cumulative unitaries are checked as one stack; the first
+    failure in entry order raises what a one-at-a-time check would."""
+
+    @staticmethod
+    def deviation(u):
+        return float(np.max(np.abs(u.conj().T @ u - np.eye(len(u)))))
+
+    def test_first_failure_in_entry_order(self):
+        rng = np.random.default_rng(21)
+        u, v = random_unitary(3, rng), random_unitary(3, rng)
+        bad, worse = 1.001 * u, 1.01 * v
+        nan = u.copy()
+        nan[0, 0] = np.nan
+        with pytest.raises(NotUnitaryError) as err:
+            DynamicsSpec.from_steps([u, bad, worse, u[:, :2]])
+        assert err.value.deviation == self.deviation(bad)
+        with pytest.raises(DimensionMismatchError, match="square"):
+            DynamicsSpec.from_steps([u, u[:, :2], bad])
+        with pytest.raises(ValueError, match="finite"):
+            DynamicsSpec.from_steps([v, nan, bad])
+        grid = TimeGrid((0.0, 1.0, 2.0), 0)
+        with pytest.raises(NotUnitaryError) as err:
+            DynamicsSchedule(grid, 0, (np.eye(3), worse, np.eye(2)))
+        assert err.value.deviation == self.deviation(worse)
+        with pytest.raises(DimensionMismatchError, match="share one dimension"):
+            DynamicsSchedule(grid, 0, (np.eye(3), np.eye(2), worse))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 6), count=st.integers(1, 5))
+    def test_deviations_match_one_at_a_time(self, seed, dim, count):
+        rng = np.random.default_rng(seed)
+        steps = [
+            random_unitary(dim, rng) * (1.0 + rng.choice([0.0, 1e-12, 1e-9, 1e-6]))
+            for _ in range(count)
+        ]
+        devs = [self.deviation(u) for u in steps]
+        failing = [dev for dev in devs if dev > 1e-10]
+        if failing:
+            with pytest.raises(NotUnitaryError) as err:
+                DynamicsSpec.from_steps(steps)
+            assert err.value.deviation == failing[0]
+        else:
+            spec = DynamicsSpec.from_steps(steps)
+            for got, u in zip(spec.step_unitaries, steps):
+                assert np.array_equal(got, u) and not got.flags.writeable
 
 
 class TestHeisenbergLift:

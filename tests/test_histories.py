@@ -270,12 +270,14 @@ class TestSharedGramRows:
 
     @staticmethod
     def assert_same_as_unshared(fam, d, probs):
-        """Bit for bit what separately built rows give; the probabilities sum
-        in another order than the gemm, so they meet diag(D) to round-off."""
+        """What separately built rows give: the probabilities bit for bit,
+        D to round-off of the dense product; D is exactly Hermitian and its
+        diagonal is the probabilities bit for bit."""
         rows, weights = histories_module._gram_rows(fam, fam.state)
-        assert np.array_equal(d.matrix, (rows * weights) @ rows.conj().T)
         assert np.array_equal(probs, (rows.real**2 + rows.imag**2) @ weights)
-        assert np.max(np.abs(probs - d.matrix.diagonal().real)) < 1e-15
+        assert np.max(np.abs(d.matrix - (rows * weights) @ rows.conj().T)) <= 1e-15
+        assert np.array_equal(d.matrix, d.matrix.conj().T)
+        assert np.array_equal(d.matrix.diagonal().real, probs)
 
     def test_additivity_scopes_share_the_rows(self, monkeypatch):
         calls = self.count_row_builds(monkeypatch)
@@ -300,6 +302,41 @@ class TestSharedGramRows:
         check_state_robustness(fam, states=states, mode="weak")
         assert calls == states
         assert "_gram" not in vars(fam)
+
+
+class TestLazyHistories:
+    def test_a_read_only_sequence_equal_to_the_tuple(self):
+        fam = random_family(np.random.default_rng(13), 3, 3)
+        fine = tuple(fam.fine_histories())
+        d = decoherence_functional(fam)
+        lazy = d.histories
+        assert lazy == fine and fine == lazy and lazy != fine[:-1]
+        assert len(lazy) == d.n == len(fine)
+        assert list(lazy) == list(fine)
+        assert [lazy[k] for k in range(-len(fine), len(fine))] == [*fine, *fine]
+        assert lazy[np.int64(2)] == fine[2]
+        assert lazy[1:7:2] == fine[1:7:2]
+        with pytest.raises(IndexError):
+            lazy[len(fine)]
+        with pytest.raises(TypeError):
+            lazy[0] = fine[0]
+        # the public constructor keeps it, and makes a tuple of anything else
+        assert DecoherenceFunctional(lazy, d.matrix).histories is lazy
+        assert isinstance(DecoherenceFunctional(list(fine), d.matrix).histories, tuple)
+
+    def test_histories_are_made_on_access_only(self, monkeypatch):
+        fam = random_family(np.random.default_rng(14), 3, 3)
+        made = []
+        check = histories_module.History.__post_init__
+
+        def counted(self):
+            made.append(self)
+            check(self)
+
+        monkeypatch.setattr(histories_module.History, "__post_init__", counted)
+        d = decoherence_functional(fam)
+        assert made == []
+        assert d.histories[5] == d.histories[5] and len(made) == 2
 
 
 class TestConstructorValidation:
