@@ -28,6 +28,7 @@ from .linalg import (
     frozen,
     hermiticity_deviation,
     require_square,
+    unitarity_deviation,
 )
 from .resolutions import Resolution
 
@@ -77,35 +78,23 @@ class TimeGrid:
         return position - self.present_index
 
 
-def _unitaries(matrices, tol: float, one_dim: bool = False) -> tuple[np.ndarray, ...]:
-    """``matrices`` as frozen arrays, checked as one stack to be unitary
-    (max |U^dagger U - I| <= ``tol``) and, with ``one_dim``, of one
-    dimension; the first failure in entry order raises what a check of one
-    matrix at a time would."""
-    mats, error = [], None
+def _unitaries(matrices, tol: float) -> tuple[np.ndarray, ...]:
+    """``matrices`` as frozen arrays of one dimension, each checked in entry
+    order to be unitary (max |U^dagger U - I| <= ``tol``)."""
+    mats = []
     for m in matrices:
-        try:
-            a = as_operator(m)
-            if one_dim and mats and len(a) != len(mats[0]):
-                raise DimensionMismatchError("cumulative unitaries must share one dimension")
-            require_square(a)
-        except (DimensionMismatchError, TypeError, ValueError) as exc:
-            error = exc  # raised once every earlier matrix is checked
-            break
-        mats.append(a)
-    # steps of mixed dimensions (which build_schedule rejects) stack one by one
-    for stack in [np.stack(mats)] if len({a.shape for a in mats}) == 1 else [a[None] for a in mats]:
-        gram = stack.conj().swapaxes(1, 2) @ stack
-        for dev in np.abs(gram - np.eye(stack.shape[1])).max(axis=(1, 2)).tolist():
-            if dev > tol:
-                raise NotUnitaryError(dev)
-    if error is not None:
-        raise error
-    return tuple(frozen(a) for a in mats)
+        u = as_operator(m)
+        if mats and len(u) != len(mats[0]):
+            raise DimensionMismatchError("unitaries must share one dimension")
+        dev = unitarity_deviation(u)
+        if dev > tol:
+            raise NotUnitaryError(dev)
+        mats.append(frozen(u))
+    return tuple(mats)
 
 
 class DynamicsSpec:
-    """Dynamics given either as a Hamiltonian or as per-interval step unitaries."""
+    """Dynamics as a Hamiltonian or as per-interval step unitaries of one dimension."""
 
     def __init__(self, hamiltonian=None, step_unitaries=None, tol: float = DEFAULT_TOL):
         if (hamiltonian is None) == (step_unitaries is None):
@@ -170,7 +159,7 @@ class DynamicsSchedule:
             raise SlotOutOfRangeError(self.reference_index, self.grid.n_slots)
         if len(self.cumulative) != self.grid.n_slots:
             raise CountMismatchError(self.grid.n_slots, len(self.cumulative))
-        mats = _unitaries(self.cumulative, self.tol, one_dim=True)
+        mats = _unitaries(self.cumulative, self.tol)
         ref_dev = float(np.max(np.abs(mats[self.reference_index] - np.eye(len(mats[0])))))
         if ref_dev > self.tol:
             raise NotUnitaryError(ref_dev)

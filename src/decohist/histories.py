@@ -163,13 +163,16 @@ class HistoryFamily:
                 outcomes.append(res.full_outcome())
         return History(self, tuple(outcomes))
 
+    @cached_property
+    def _fine_outcomes(self) -> tuple[tuple[Outcome, ...], ...]:
+        """Each slot's one-label outcomes in label order, earliest slot first."""
+        return tuple(
+            tuple(res.outcome(lab.index) for lab in res.labels) for res in self.resolutions
+        )
+
     def fine_histories(self) -> Iterator["History"]:
         """All fine-grained histories in lexicographic order."""
-        label_lists = [
-            [res.outcome(lab.index) for lab in res.labels] for res in self.resolutions
-        ]
-        for combo in itertools.product(*label_lists):
-            yield History(self, tuple(combo))
+        return iter(_FineHistories(self))
 
     def with_state(self, state: DensityState) -> "HistoryFamily":
         return HistoryFamily(self.schedule, self.resolutions, state)
@@ -230,8 +233,8 @@ class History:
 
 
 class _FineHistories(Sequence):
-    """A family's fine histories, read-only and in lexicographic order, each
-    made on access from its decoded flat index; equal to their tuple."""
+    """A family's fine histories in lexicographic order, made on access from a
+    flat index; a read-only ``Sequence`` equal to, and hashed as, their tuple."""
 
     def __init__(self, family: HistoryFamily):
         self._family = family
@@ -245,17 +248,19 @@ class _FineHistories(Sequence):
             return tuple(map(self.__getitem__, picked))
         fam = self._family
         index = np.unravel_index(picked, fam.shape)
-        return History(fam, tuple(
-            res.outcome(res.labels[i].index) for res, i in zip(fam.resolutions, index)
-        ))
+        return History(fam, tuple(slot[i] for slot, i in zip(fam._fine_outcomes, index)))
 
     def __iter__(self) -> Iterator[History]:
-        return self._family.fine_histories()
+        fam = self._family  # __getitem__'s order, without decoding each index
+        return (History(fam, combo) for combo in itertools.product(*fam._fine_outcomes))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (tuple, _FineHistories)):
             return NotImplemented
         return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
 
 
 def _require_same_family(family: HistoryFamily, h: History) -> None:

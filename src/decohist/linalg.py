@@ -119,6 +119,12 @@ def _strip_deviation(a: np.ndarray, top: int) -> np.floating:
     return np.abs(a[rows, top:] - a[top:, rows].conj().T).max()
 
 
+def unitarity_deviation(a: np.ndarray) -> float:
+    """max |U^dagger U - I|, entrywise."""
+    n = require_square(a)
+    return float(np.max(np.abs(a.conj().T @ a - np.eye(n))))
+
+
 def _state_factor(state: DensityState) -> tuple[np.ndarray, np.ndarray]:
     """Pivoted LDL^dagger of a state: rho = L diag(delta) L^dagger.
 

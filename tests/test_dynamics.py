@@ -139,9 +139,9 @@ class TestBuildSchedule:
             DynamicsSpec(hamiltonian=np.eye(2), step_unitaries=[np.eye(2)])
 
 
-class TestStackedUnitarity:
-    """Step and cumulative unitaries are checked as one stack; the first
-    failure in entry order raises what a one-at-a-time check would."""
+class TestUnitarityChecks:
+    """Step and cumulative unitaries are checked in entry order, all of one
+    dimension; the first failure raises."""
 
     @staticmethod
     def deviation(u):
@@ -160,6 +160,8 @@ class TestStackedUnitarity:
             DynamicsSpec.from_steps([u, u[:, :2], bad])
         with pytest.raises(ValueError, match="finite"):
             DynamicsSpec.from_steps([v, nan, bad])
+        with pytest.raises(DimensionMismatchError, match="share one dimension"):
+            DynamicsSpec.from_steps([np.eye(2), np.eye(3), bad])
         grid = TimeGrid((0.0, 1.0, 2.0), 0)
         with pytest.raises(NotUnitaryError) as err:
             DynamicsSchedule(grid, 0, (np.eye(3), worse, np.eye(2)))

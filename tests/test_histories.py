@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -313,6 +315,14 @@ class TestLazyHistories:
         assert lazy == fine and fine == lazy and lazy != fine[:-1]
         assert len(lazy) == d.n == len(fine)
         assert list(lazy) == list(fine)
+        assert hash(lazy) == hash(fine) and {fine: 1}[lazy] == 1
+        by_product = itertools.product(*(range(res.size) for res in fam.resolutions))
+        assert [
+            tuple(min(o.labels) for o in h.outcomes) for h in lazy
+        ] == [
+            tuple(res.labels[i].index for res, i in zip(fam.resolutions, combo))
+            for combo in by_product
+        ]
         assert [lazy[k] for k in range(-len(fine), len(fine))] == [*fine, *fine]
         assert lazy[np.int64(2)] == fine[2]
         assert lazy[1:7:2] == fine[1:7:2]
