@@ -19,6 +19,16 @@ medium scan D = (V w) V^dagger; additivity reads the fiber blocks of D from
 the rows of each fiber alone; robustness builds the rows once per state and
 scans that state's strips of D (``histories._gram_strips``), never all of D.
 
+Histories that differ at the last slot never interfere: their chain
+operators end in orthogonal projectors of a validated resolution, which is
+treated as exactly orthogonal (``histories`` bounds what that drops).  So
+the engine's D is zero outside the blocks D[a::s, a::s] of an s-outcome last
+slot; weak, medium and robustness scan only those blocks, and both
+additivity scopes count the last slot's candidates as exact zeros, in
+enumeration order, without building its fiber.  With s > 1 and no nonzero
+entry, the witness is the first pair (0, 1).  A matrix given to the
+``DecoherenceFunctional`` constructor is one block and is scanned in full.
+
 Reports are deterministic: identical inputs and seed give identical
 violations and witnesses (ties broken by enumeration order).
 """
@@ -37,13 +47,16 @@ from .histories import (
     DecoherenceFunctional,
     HistoryFamily,
     _FineHistories,
+    _block_rows,
+    _block_view,
     _check_trace,
     _gram_rows,
     _gram_strips,
     _row_norms,
+    _strip_ranges,
     coarsen_slot,
 )
-from .linalg import TILE, DensityState
+from .linalg import DensityState
 from .sampling import robustness_states
 
 DEFAULT_CHECK_TOL = 1e-9
@@ -79,33 +92,44 @@ def _pair_witness(i: int, j: int, first: dict, second: dict) -> dict:
     return {"kind": "pair", "indices": [int(i), int(j)], "first": first, "second": second}
 
 
-def _offdiag_scan(strips, mode: str) -> tuple[float, tuple[int, int] | None]:
+def _offdiag_scan(strips, mode: str, s: int) -> tuple[float, tuple[int, int] | None]:
     """Largest ``_MAGNITUDE[mode]`` of an entry above the diagonal and where.
 
-    ``strips`` yields ``(top, strip)``, the TILE rows from ``top`` of D or of
-    conj(D) (same magnitudes) on and right of the diagonal.  Only the strict
-    upper triangle is read, as D is Hermitian, into one reused TILE x (N - 1)
-    buffer; a later strip wins only with a strictly larger value, so the
-    position is the row-major first maximum.  Fewer than two rows give
-    (0.0, None).
+    ``strips`` yields ``(b, top, strip)`` as ``histories._gram_strips`` does:
+    rows ``top:`` of last-slot blocks ``b:`` of D or of conj(D) (same
+    magnitudes) on and right of the block diagonal, where block a of ``s``
+    holds D[a::s, a::s] and D is zero outside the blocks.  Only each block's
+    strict upper triangle is read, as D is Hermitian, into one reused buffer
+    the size of the first strip; a maximum wins a tie only from an earlier
+    row-major position of D, so the position is D's row-major first
+    maximum.  Fewer than two rows give (0.0, None); with s > 1, no nonzero
+    entry gives (0.0, (0, 1)), the first entry above the diagonal.
     """
     worst, at, buffer = -1.0, None, None
-    for top, strip in strips:
-        rows, width = strip.shape[0], strip.shape[1] - 1
+    for b, top, strip in strips:
+        h, rows, width = strip.shape[0], strip.shape[1], strip.shape[2] - 1
         if not width:  # a last strip of one row has nothing right of the diagonal
             continue
-        if buffer is None:  # the first strip is the widest
-            buffer = np.empty(rows * width)
-        mag = _MAGNITUDE[mode](strip[:, 1:], buffer[: rows * width].reshape(rows, width))
+        if buffer is None:  # the first strip is the largest
+            buffer = np.empty(h * rows * width)
+        mag = _MAGNITUDE[mode](strip[:, :, 1:], buffer[: h * rows * width].reshape(h, rows, width))
         # the strip's entries on or below the diagonal fill its leading
         # corner's strict lower triangle
-        corner = mag[:, :rows]
-        corner[np.tri(*corner.shape, k=-1, dtype=bool)] = -1.0
-        flat = int(np.argmax(mag))
-        if mag.flat[flat] > worst:
-            worst = float(mag.flat[flat])
-            i, j = divmod(flat, width)
-            at = top + i, top + 1 + j
+        corner = mag[:, :, :rows]
+        corner[:, np.tri(*corner.shape[1:], k=-1, dtype=bool)] = -1.0
+        # each block's first maximum, at its row and column in D
+        flat = mag.reshape(h, -1)
+        first = np.argmax(flat, axis=1)
+        peaks = flat[np.arange(h), first]
+        i, j = np.divmod(first, width)
+        i, j = (top + i) * s + b + np.arange(h), (top + 1 + j) * s + b + np.arange(h)
+        # blocks hold distinct rows, so the first of equal peaks has the least row
+        tied = np.flatnonzero(peaks == peaks.max())
+        k = tied[np.argmin(i[tied])]
+        if peaks[k] > worst or (peaks[k] == worst and (i[k], j[k]) < at):
+            worst, at = float(peaks[k]), (int(i[k]), int(j[k]))
+    if s > 1 and worst <= 0.0:
+        return 0.0, (0, 1)
     return (0.0, None) if at is None else (worst, at)
 
 
@@ -118,7 +142,13 @@ _MAGNITUDE = {
 
 def _offdiag_check(dfunc: DecoherenceFunctional, tol: float, mode: str) -> ConsistencyReport:
     m = dfunc.matrix
-    worst, at = _offdiag_scan(((t, m[t : t + TILE, t:]) for t in range(0, len(m), TILE)), mode)
+    s = getattr(dfunc, "_blocks", 1)  # 1 for any duck-typed matrix holder
+    blocks = _block_view(m, s)
+    strips = (
+        (b, top, blocks[b : b + h, top : top + t, top:])
+        for b, h, top, t in _strip_ranges(s, len(m) // s)
+    )
+    worst, at = _offdiag_scan(strips, mode, s)
     if at is None:
         return _report(mode, worst, None, tol)
     first, second = (dfunc.histories[k].labels_by_offset() for k in at)
@@ -169,11 +199,15 @@ def _pairs_scope(family, gram, tol) -> ConsistencyReport:
         if size < 2:
             continue
         a, b = np.triu_indices(size, k=1)
-        # rows in label-pair order, columns over the other slots' labels
-        viol = np.abs(2.0 * _fiber(family, gram, pos)[:, a, b].real.T)
-        pair, r = divmod(int(np.argmax(viol)), viol.shape[1])
-        if viol[pair, r] > worst:
-            worst = float(viol[pair, r])
+        if pos == family.n_slots - 1:  # last-slot labels never interfere
+            pair, r, value = 0, 0, 0.0
+        else:
+            # rows in label-pair order, columns over the other slots' labels
+            viol = np.abs(2.0 * _fiber(family, gram, pos)[:, a, b].real.T)
+            pair, r = divmod(int(np.argmax(viol)), viol.shape[1])
+            value = float(viol[pair, r])
+        if value > worst:
+            worst = value
             i, j = np.moveaxis(index, pos, -1).reshape(-1, size)[r, [a[pair], b[pair]]]
             witness = {
                 "kind": "pair",
@@ -214,25 +248,28 @@ def _partitions_scope(family, gram, tol, seed) -> ConsistencyReport:
             rng = np.random.default_rng(used_seed)
             take = min(PARTITION_SAMPLE_SIZE, count)
             picks = np.sort(rng.choice(count, size=take, replace=False))
-        candidates = [_candidate_partition(size, int(k)) for k in picks]
-        masks = np.zeros((len(candidates), 2, size))
-        for k, blocks in enumerate(candidates):
-            for c, block in enumerate(blocks):
-                masks[k, c, list(block)] = 1.0
-        # coarse minus summed fine probability of each block, per coarse
-        # history: the block's off-diagonal Re G entries
-        off = _fiber(family, gram, pos).real * (1.0 - np.eye(size))
-        before = math.prod(family.shape[:pos])
-        diff = np.abs(np.einsum("kca,rab,kcb->krc", masks, off, masks))
-        diff = diff.reshape(len(candidates), before, -1, 2).transpose(0, 1, 3, 2)
-        # candidate-major, then coarse flat order; a full merge's empty second
-        # block is all zero, so its first maximum is in its first block
-        k, bf, c, af = np.unravel_index(int(np.argmax(diff)), diff.shape)
-        if diff[k, bf, c, af] > worst:
-            worst = float(diff[k, bf, c, af])
-            blocks = candidates[k]
+        if pos == family.n_slots - 1:  # last-slot labels never interfere
+            value, blocks, flat = 0.0, _candidate_partition(size, int(picks[0])), 0
+        else:
+            candidates = [_candidate_partition(size, int(k)) for k in picks]
+            masks = np.zeros((len(candidates), 2, size))
+            for k, blocks in enumerate(candidates):
+                for c, block in enumerate(blocks):
+                    masks[k, c, list(block)] = 1.0
+            # coarse minus summed fine probability of each block, per coarse
+            # history: the block's off-diagonal Re G entries
+            off = _fiber(family, gram, pos).real * (1.0 - np.eye(size))
+            before = math.prod(family.shape[:pos])
+            diff = np.abs(np.einsum("kca,rab,kcb->krc", masks, off, masks))
+            diff = diff.reshape(len(candidates), before, -1, 2).transpose(0, 1, 3, 2)
+            # candidate-major, then coarse flat order; a full merge's empty
+            # second block is all zero, so its first maximum is in its first
+            # block
+            k, bf, c, af = np.unravel_index(int(np.argmax(diff)), diff.shape)
+            value, blocks = float(diff[k, bf, c, af]), candidates[k]
             flat = (bf * len(blocks) + c) * diff.shape[3] + af
-            best = pos, blocks, int(flat)
+        if value > worst:
+            worst, best = value, (pos, blocks, int(flat))
     if best is None:
         return _report("additivity", 0.0, None, tol, seed=used_seed)
     pos, blocks, flat = best
@@ -322,6 +359,7 @@ def check_state_robustness(
     if family.n_fine_histories > DEFAULT_FAMILY_CAP:
         raise FamilyTooLargeError(family.n_fine_histories, DEFAULT_FAMILY_CAP)
 
+    s = family.shape[-1]
     worst = -1.0
     best = None
     for idx, state in enumerate(states):
@@ -331,7 +369,8 @@ def check_state_robustness(
             violation, found = inner.worst_violation, inner.witness
         else:
             _check_trace(float(np.sum(_row_norms(*gram))), DecoherenceFunctional.tol)
-            violation, found = _offdiag_scan(_gram_strips(*gram), mode)
+            rows, weights = gram
+            violation, found = _offdiag_scan(_gram_strips(_block_rows(rows, s), weights), mode, s)
         if violation > worst:
             worst, best = violation, (idx, found)
     idx, found = best

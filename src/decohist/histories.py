@@ -10,6 +10,19 @@ probability is Tr(C rho C^dagger).
 Fine-grained histories (one label per slot) are enumerated lexicographically
 with the earliest slot most significant and labels in resolution order; the
 decoherence functional and every witness index refer to that order.
+
+The decoherence functional D_ij = Tr(C_i rho C_j^dagger) is built as a Gram
+form from rows V_i = vec(C_i L) of a factor rho = L Delta L^dagger.  The
+last slot's projector is outermost in every chain operator, and a validated
+resolution is treated as exactly orthogonal, so D_ij = 0 whenever histories
+i and j end in different labels: by cyclicity of the trace the two
+projectors meet as P_b P_a = 0.  With an s-outcome last slot the engine
+therefore builds only the s interleaved blocks D[a::s, a::s] and stores
+exact zeros elsewhere.  The entries it drops are bounded by the
+orthogonality the resolution was validated to: each is at most about
+||P_b P_a|| <= d * max_kl |(P_a P_b)_kl| <= d * tol, for the last slot's
+resolution tolerance tol (1e-10 by default; ``coarsen`` multiplies it by
+the fine resolution's size).
 """
 
 from __future__ import annotations
@@ -305,36 +318,81 @@ def _gram_rows(
     row, so D_ij = Tr(C_i rho C_j^dagger) = sum_k V_ik w_k conj(V_jk).
     """
     factor, delta = state._factor
+    d, r = factor.shape
     # slot by slot, latest slot leftmost: histories sharing a prefix share
-    # its product C L, so the build costs O(N d^2 r)
+    # its product C L, so the build costs O(N d^2 r).  Each slot is one
+    # product per prefix with the slot's projectors stacked as (size*d, d);
+    # its (size*d, r) result lists the labels in order, so the rows stay
+    # lexicographic.
     first, *later = family._lifted
     rows = first @ factor
     for table in later:
-        rows = table @ rows[..., None, :, :]
+        rows = np.matmul(table.reshape(-1, d), rows.reshape(-1, d, r))
     return rows.reshape(family.n_fine_histories, -1), np.tile(delta, family.dim)
 
 
 def _row_norms(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """D's diagonal from its Gram rows: D_ii = sum_k |V_ik|^2 w_k."""
+    """D's diagonal from its Gram rows: D_ii = sum_k |V_ik|^2 w_k.
+
+    The squared real parts are the one full-size temporary; the squared
+    imaginary parts are added into them TILE rows at a time from a reused
+    buffer, and one product with ``weights`` reduces every row.
+    """
     squares = np.square(rows.real)
-    squares += np.square(rows.imag)
+    buffer = np.empty((min(TILE, len(rows)), rows.shape[1]))
+    for top in range(0, len(rows), TILE):
+        part = squares[top : top + TILE]
+        part += np.square(rows.imag[top : top + TILE], out=buffer[: len(part)])
     return squares @ weights
 
 
+def _block_rows(rows: np.ndarray, s: int) -> np.ndarray:
+    """``rows`` as the ``(s, M, k)`` stack whose block a holds the rows of
+    the histories ending in label a of an ``s``-outcome last slot (a view)."""
+    return rows.reshape(-1, s, rows.shape[1]).transpose(1, 0, 2)
+
+
+def _block_view(matrix: np.ndarray, s: int) -> np.ndarray:
+    """The blocks G_a = D[a::s, a::s] of an N x N ``matrix`` as one
+    ``(s, M, M)`` view, N = M s, writable if ``matrix`` is."""
+    m, (row, col) = len(matrix) // s, matrix.strides
+    return np.lib.stride_tricks.as_strided(matrix, (s, m, m), (row + col, s * row, s * col))
+
+
+def _strip_ranges(s: int, m: int) -> Iterator[tuple[int, int, int, int]]:
+    """``(b, h, top, t)``: rows ``top:top + t`` of blocks ``b:b + h``, over
+    ``s`` blocks of ``m`` rows.  A strip stacks at most TILE // m blocks (at
+    least one), so it holds at most TILE rows."""
+    g = min(s, max(1, TILE // min(TILE, m)))
+    for b in range(0, s, g):
+        for top in range(0, m, TILE):
+            yield b, min(g, s - b), top, min(TILE, m - top)
+
+
 def _gram_strips(rows: np.ndarray, weights: np.ndarray, out: np.ndarray | None = None):
-    """The strip kernel all D work goes through: ``(top, conj(D[I, top:]))``
-    for each block I of TILE rows, D = (V w) V^dagger, made as conj(V_I w)
-    V[top:]^T (a reused (TILE, d*r) buffer times a view) into ``out[I, top:]``
-    if given, else into one reused TILE x N buffer."""
-    n, k = rows.shape
-    left = np.empty((min(TILE, n), k), dtype=complex)
-    flat = np.empty(len(left) * n, dtype=complex) if out is None else None
-    for top in range(0, n, TILE):
-        lhs = np.multiply(rows[top : top + TILE], weights, out=left[: n - top])
+    """The strip kernel all D work goes through, over ``(s, M, k)`` block
+    rows (``_block_rows``; s = 1 is all of D).
+
+    Yields ``(b, top, conj(G[b:b + h, top:top + t, top:]))`` for each
+    ``_strip_ranges`` strip, G_a = (V_a w) V_a^dagger, made as conj(V_a w)
+    V_a[top:]^T (a reused buffer of at most TILE x k times a view) into the
+    same slice of ``out`` if given, else into one reused buffer of at most
+    TILE x M.
+    """
+    s, m, k = rows.shape
+    left = None
+    for b, h, top, t in _strip_ranges(s, m):
+        if left is None:  # the first strip is the largest
+            left = np.empty((h, t, k), dtype=complex)
+            flat = np.empty(h * t * m, dtype=complex) if out is None else None
+        lhs = np.multiply(rows[b : b + h, top : top + t], weights, out=left[:h, :t])
         np.conjugate(lhs, out=lhs)
-        t = len(lhs)
-        strip = out[top : top + t, top:] if flat is None else flat[: t * (n - top)].reshape(t, -1)
-        yield top, np.matmul(lhs, rows[top:].T, out=strip)
+        strip = (
+            out[b : b + h, top : top + t, top:]
+            if flat is None
+            else flat[: h * t * (m - top)].reshape(h, t, -1)
+        )
+        yield b, top, np.matmul(lhs, rows[b : b + h, top:].transpose(0, 2, 1), out=strip)
 
 
 def fine_probabilities(family: HistoryFamily) -> np.ndarray:
@@ -361,11 +419,21 @@ class DecoherenceFunctional:
     by construction and Hermitian bit for bit, with ``fine_probabilities``
     as its diagonal; only matrices passed to this constructor get the
     Hermiticity and eigenvalue checks.  The engine's ``histories`` is lazy.
+
+    The engine treats a validated resolution as exactly orthogonal: D is
+    zero between histories whose last-slot labels differ (the outcome
+    projectors P_a P_b = 0 meet under the trace), so it builds and the
+    weak and medium checks scan only the blocks D[a::s, a::s] of an
+    ``s``-outcome last slot.  A matrix given to this constructor is one
+    block, scanned in full.
     """
 
     histories: Sequence[History]
     matrix: np.ndarray
     tol: float = 1e-9
+
+    #: number of last-slot blocks D[a::s, a::s] outside which D is zero
+    _blocks = 1
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
@@ -375,10 +443,12 @@ class DecoherenceFunctional:
         self._settle(self.histories, m, built=False)
 
     @classmethod
-    def _from_gram(cls, histories, matrix: np.ndarray, tol: float):
-        """Wrap an engine-built D, skipping the checks it meets by construction."""
+    def _from_gram(cls, histories, matrix: np.ndarray, tol: float, blocks: int):
+        """Wrap an engine-built D, zero outside its ``blocks`` last-slot
+        blocks, skipping the checks it meets by construction."""
         dfunc = object.__new__(cls)
         object.__setattr__(dfunc, "tol", tol)
+        object.__setattr__(dfunc, "_blocks", blocks)
         dfunc._settle(histories, matrix, built=True)
         return dfunc
 
@@ -426,27 +496,33 @@ def decoherence_functional(
 ) -> DecoherenceFunctional:
     """Full decoherence functional over the family's fine histories.
 
-    Each strip is conjugated in place in D's upper part and mirrored below
-    as its exact conjugate; the diagonal is the family's cached row norms.
+    D is zero except in the blocks G_a = D[a::s, a::s] of the histories
+    ending in label a of the s-outcome last slot, which the strip kernel
+    writes through one ``(s, M, M)`` view of D.  Each strip is conjugated
+    in place in its block's upper part and mirrored below as its exact
+    conjugate; the diagonal is the family's cached row norms.
     """
     n = family.n_fine_histories
     if n > cap:
         raise FamilyTooLargeError(n, cap)
     probabilities = family._probabilities  # its temporaries are freed before D
-    matrix = np.empty((n, n), dtype=complex)
-    for top, strip in _gram_strips(*family._gram, out=matrix):
-        t = len(strip)
-        # the strip holds conj(D), so its transpose is D's block column below
-        matrix[top + t :, top : top + t] = strip[:, t:].T
+    s = family.shape[-1]
+    rows, weights = family._gram
+    matrix = np.zeros((n, n), dtype=complex)
+    blocks = _block_view(matrix, s)
+    for b, top, strip in _gram_strips(_block_rows(rows, s), weights, out=blocks):
+        h, t = strip.shape[:2]
+        # the strip holds conj(G), so its transpose is G's block column below
+        blocks[b : b + h, top + t :, top : top + t] = strip[:, :, t:].transpose(0, 2, 1)
         # conjugate as 0 - Im (np.conjugate turns a +0.0 imaginary part into
         # -0.0, printed "-0"), then mirror the diagonal block's upper triangle
         np.subtract(0.0, strip.imag, out=strip.imag)
-        corner, below = strip[:, :t], np.tri(t, k=-1, dtype=bool)
-        mirror = corner.T[below]
+        corner, below = strip[:, :, :t], np.tri(t, k=-1, dtype=bool)
+        mirror = corner.transpose(0, 2, 1)[:, below]
         np.subtract(0.0, mirror.imag, out=mirror.imag)
-        corner[below] = mirror
+        corner[:, below] = mirror
     matrix.reshape(-1)[:: n + 1] = probabilities
-    return DecoherenceFunctional._from_gram(_FineHistories(family), matrix, tol)
+    return DecoherenceFunctional._from_gram(_FineHistories(family), matrix, tol, s)
 
 
 # ---------------------------------------------------------------------------
