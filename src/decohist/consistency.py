@@ -17,7 +17,9 @@ All four read one kernel: the Gram rows V_i = vec(C_i L) of the fine
 histories, where rho = L Delta L^dagger (``histories._gram_rows``).  Weak and
 medium scan D = (V w) V^dagger; additivity reads the fiber blocks of D from
 the rows of each fiber alone; robustness builds the rows once per state and
-scans that state's strips of D (``histories._gram_strips``), never all of D.
+takes the peak of that state's strips of D (``histories._gram_strips``),
+never all of D, then scans the first worst state's strips again for where
+its peak lies.
 
 Histories that differ at the last slot never interfere: their chain
 operators end in orthogonal projectors of a validated resolution, which is
@@ -92,20 +94,18 @@ def _pair_witness(i: int, j: int, first: dict, second: dict) -> dict:
     return {"kind": "pair", "indices": [int(i), int(j)], "first": first, "second": second}
 
 
-def _offdiag_scan(strips, mode: str, s: int) -> tuple[float, tuple[int, int] | None]:
-    """Largest ``_MAGNITUDE[mode]`` of an entry above the diagonal and where.
+def _magnitudes(strips, mode: str):
+    """Each strip's ``_MAGNITUDE[mode]`` right of the block diagonal.
 
     ``strips`` yields ``(b, top, strip)`` as ``histories._gram_strips`` does:
     rows ``top:`` of last-slot blocks ``b:`` of D or of conj(D) (same
-    magnitudes) on and right of the block diagonal, where block a of ``s``
-    holds D[a::s, a::s] and D is zero outside the blocks.  Only each block's
-    strict upper triangle is read, as D is Hermitian, into one reused buffer
-    the size of the first strip; a maximum wins a tie only from an earlier
-    row-major position of D, so the position is D's row-major first
-    maximum.  Fewer than two rows give (0.0, None); with s > 1, no nonzero
-    entry gives (0.0, (0, 1)), the first entry above the diagonal.
+    magnitudes) on and right of the block diagonal.  Yields ``(b, top, mag)``
+    with ``mag[:, i, j]`` the magnitude at row ``top + i``, column
+    ``top + 1 + j`` of each block, and -1 on or below its diagonal: only each
+    block's strict upper triangle is read, as D is Hermitian.  ``mag`` is one
+    reused buffer the size of the first strip, overwritten by the next.
     """
-    worst, at, buffer = -1.0, None, None
+    buffer = None
     for b, top, strip in strips:
         h, rows, width = strip.shape[0], strip.shape[1], strip.shape[2] - 1
         if not width:  # a last strip of one row has nothing right of the diagonal
@@ -117,7 +117,29 @@ def _offdiag_scan(strips, mode: str, s: int) -> tuple[float, tuple[int, int] | N
         # corner's strict lower triangle
         corner = mag[:, :, :rows]
         corner[:, np.tri(*corner.shape[1:], k=-1, dtype=bool)] = -1.0
+        yield b, top, mag
+
+
+def _offdiag_peak(strips, mode: str) -> float:
+    """The largest ``_MAGNITUDE[mode]`` of an entry above the diagonal, 0.0
+    for fewer than two rows: ``_offdiag_scan``'s value without its place."""
+    return max((float(mag.max()) for _, _, mag in _magnitudes(strips, mode)), default=0.0)
+
+
+def _offdiag_scan(strips, mode: str, s: int) -> tuple[float, tuple[int, int] | None]:
+    """Largest ``_MAGNITUDE[mode]`` of an entry above the diagonal and where.
+
+    ``strips`` are as for ``_magnitudes``, where block a of ``s`` holds
+    D[a::s, a::s] and D is zero outside the blocks.  A maximum wins a tie
+    only from an earlier row-major position of D, so the position is D's
+    row-major first maximum.  Fewer than two rows give (0.0, None); with
+    s > 1, no nonzero entry gives (0.0, (0, 1)), the first entry above the
+    diagonal.
+    """
+    worst, at = -1.0, None
+    for b, top, mag in _magnitudes(strips, mode):
         # each block's first maximum, at its row and column in D
+        h, width = mag.shape[0], mag.shape[2]
         flat = mag.reshape(h, -1)
         first = np.argmax(flat, axis=1)
         peaks = flat[np.arange(h), first]
@@ -141,12 +163,12 @@ _MAGNITUDE = {
 
 
 def _offdiag_check(dfunc: DecoherenceFunctional, tol: float, mode: str) -> ConsistencyReport:
-    m = dfunc.matrix
-    s = getattr(dfunc, "_blocks", 1)  # 1 for any duck-typed matrix holder
-    blocks = _block_view(m, s)
+    blocks = getattr(dfunc, "_stack", None)
+    if blocks is None:  # any duck-typed matrix holder is one block
+        blocks = _block_view(dfunc.matrix, 1)
+    s, m = blocks.shape[:2]
     strips = (
-        (b, top, blocks[b : b + h, top : top + t, top:])
-        for b, h, top, t in _strip_ranges(s, len(m) // s)
+        (b, top, blocks[b : b + h, top : top + t, top:]) for b, h, top, t in _strip_ranges(s, m)
     )
     worst, at = _offdiag_scan(strips, mode, s)
     if at is None:
@@ -338,10 +360,11 @@ def check_state_robustness(
     Passes only if every state passes; the witness names the state index
     achieving the worst violation together with the inner witness.  When no
     explicit states are given, ``count`` normalized Wishart states are drawn
-    from ``seed``.  Each state's Gram rows are built once, from that state's
+    from ``seed``.  Each state's Gram rows are built from that state's
     factor as for the family's own state, and every inner mode reads them:
-    weak and medium scan that state's strips of D and check its trace from
-    the row norms, additivity reads its fibers.
+    weak and medium take the peak of that state's strips of D and check its
+    trace from the row norms, additivity reads its fibers.  Weak and medium
+    build the first worst state's rows once more, to find its witness.
     """
     used_seed: int | None = None
     if states is None:
@@ -360,22 +383,27 @@ def check_state_robustness(
         raise FamilyTooLargeError(family.n_fine_histories, DEFAULT_FAMILY_CAP)
 
     s = family.shape[-1]
+
+    def strips(state):
+        rows, weights = _gram_rows(family, state)
+        _check_trace(float(np.sum(_row_norms(rows, weights))), DecoherenceFunctional.tol)
+        return _gram_strips(_block_rows(rows, s), weights)
+
     worst = -1.0
     best = None
     for idx, state in enumerate(states):
-        gram = _gram_rows(family, state)
         if mode == "additivity":
-            inner = _additivity(family, gram, tol, scope, seed)
+            inner = _additivity(family, _gram_rows(family, state), tol, scope, seed)
             violation, found = inner.worst_violation, inner.witness
-        else:
-            _check_trace(float(np.sum(_row_norms(*gram))), DecoherenceFunctional.tol)
-            rows, weights = gram
-            violation, found = _offdiag_scan(_gram_strips(_block_rows(rows, s), weights), mode, s)
+        else:  # the place of the worst state's maximum is found below
+            violation, found = _offdiag_peak(strips(state), mode), None
         if violation > worst:
             worst, best = violation, (idx, found)
     idx, found = best
-    if mode != "additivity" and found is not None:
-        # a scan gives the pair's indices; only the worst state's is labelled
-        found = _pair_witness(*found, *(_fine_labels(family, k) for k in found))
+    if mode != "additivity":
+        # rebuild the first worst state's strips to find where its maximum is
+        at = _offdiag_scan(strips(states[idx]), mode, s)[1]
+        if at is not None:
+            found = _pair_witness(*at, *(_fine_labels(family, k) for k in at))
     witness = {"kind": "state", "state_index": idx, "inner_mode": mode, "inner": found}
     return _report("robustness", worst, witness, tol, seed=used_seed)

@@ -17,18 +17,20 @@ last slot's projector is outermost in every chain operator, and a validated
 resolution is treated as exactly orthogonal, so D_ij = 0 whenever histories
 i and j end in different labels: by cyclicity of the trace the two
 projectors meet as P_b P_a = 0.  With an s-outcome last slot the engine
-therefore builds only the s interleaved blocks D[a::s, a::s] and stores
-exact zeros elsewhere.  The entries it drops are bounded by the
-orthogonality the resolution was validated to: each is at most about
-||P_b P_a|| <= d * max_kl |(P_a P_b)_kl| <= d * tol, for the last slot's
-resolution tolerance tol (1e-10 by default; ``coarsen`` multiplies it by
-the fine resolution's size).
+therefore builds and keeps only the s interleaved blocks D[a::s, a::s], as
+one ``(s, N/s, N/s)`` stack; the dense N x N ``matrix``, with exact zeros
+outside the blocks, is made on its first read.  The entries it drops are
+bounded by the orthogonality the resolution was validated to: each is at
+most about ||P_b P_a|| <= d * max_kl |(P_a P_b)_kl| <= d * tol, for the
+last slot's resolution tolerance tol (1e-10 by default; ``coarsen``
+multiplies it by the fine resolution's size).
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
@@ -404,6 +406,10 @@ def fine_probabilities(family: HistoryFamily) -> np.ndarray:
     return family._probabilities.copy()
 
 
+#: Held while an engine D makes its dense matrix on first read.
+_FIRST_READ = threading.Lock()
+
+
 def _check_trace(trace: complex, tol: float) -> None:
     if abs(trace - 1.0) > tol:
         raise InvalidHistoryError(f"decoherence functional trace {trace} differs from 1")
@@ -422,63 +428,83 @@ class DecoherenceFunctional:
 
     The engine treats a validated resolution as exactly orthogonal: D is
     zero between histories whose last-slot labels differ (the outcome
-    projectors P_a P_b = 0 meet under the trace), so it builds and the
-    weak and medium checks scan only the blocks D[a::s, a::s] of an
-    ``s``-outcome last slot.  A matrix given to this constructor is one
-    block, scanned in full.
+    projectors P_a P_b = 0 meet under the trace).  So an engine D holds only
+    the blocks D[a::s, a::s] of an ``s``-outcome last slot, as one read-only
+    ``(s, M, M)`` stack that the weak and medium checks scan; ``matrix`` is
+    made from it on first read, and the stack is a view of ``matrix`` from
+    then on.  A matrix given to this constructor is one block, scanned in
+    full.
     """
 
     histories: Sequence[History]
     matrix: np.ndarray
     tol: float = 1e-9
 
-    #: number of last-slot blocks D[a::s, a::s] outside which D is zero
-    _blocks = 1
-
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
         if not np.all(np.isfinite(m)):
             # NaN would pass every ``> tol`` check below
             raise InvalidHistoryError("decoherence functional entries must be finite")
-        self._settle(self.histories, m, built=False)
+        _check_shape(m, len(self.histories))
+        dev = hermiticity_deviation(m)
+        if dev > self.tol:
+            raise InvalidHistoryError(
+                f"decoherence functional is not Hermitian: deviation {dev:.3e}"
+            )
+        lo = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
+        if lo < -self.tol:
+            raise InvalidHistoryError(
+                f"decoherence functional is not PSD: min eigenvalue {lo:.3e}"
+            )
+        self._settle(self.histories, m, 1)
 
     @classmethod
     def _from_gram(cls, histories, matrix: np.ndarray, tol: float, blocks: int):
         """Wrap an engine-built D, zero outside its ``blocks`` last-slot
-        blocks, skipping the checks it meets by construction."""
+        blocks, skipping the checks it meets by construction.  ``matrix`` is
+        D itself or, with three axes, the ``(blocks, M, M)`` stack of the
+        blocks alone, held until ``matrix`` is read."""
+        if matrix.ndim == 2:
+            _check_shape(matrix, len(histories))
         dfunc = object.__new__(cls)
         object.__setattr__(dfunc, "tol", tol)
-        object.__setattr__(dfunc, "_blocks", blocks)
-        dfunc._settle(histories, matrix, built=True)
-        return dfunc
+        return dfunc._settle(histories, matrix, blocks)
 
-    def _settle(self, histories, m: np.ndarray, built: bool) -> None:
-        """Validate ``m``, which this instance now owns; freeze and store it."""
-        n = len(histories)
-        if m.shape != (n, n):
-            raise DimensionMismatchError(
-                f"matrix shape {m.shape} does not match {n} histories"
-            )
-        if not built:
-            dev = hermiticity_deviation(m)
-            if dev > self.tol:
-                raise InvalidHistoryError(
-                    f"decoherence functional is not Hermitian: deviation {dev:.3e}"
-                )
-            lo = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
-            if lo < -self.tol:
-                raise InvalidHistoryError(
-                    f"decoherence functional is not PSD: min eigenvalue {lo:.3e}"
-                )
-        _check_trace(complex(np.trace(m)), self.tol)
-        d = np.diagonal(m)
+    def _settle(self, histories, held: np.ndarray, blocks: int):
+        """Check the trace and diagonal of ``held``, D or its block stack,
+        which this instance now owns; freeze and store it."""
+        # D is zero outside its last-slot blocks D[a::s, a::s], s = blocks
+        object.__setattr__(self, "_blocks", blocks)
+        object.__setattr__(self, "matrix" if held.ndim == 2 else "_stack", held)
+        d = np.diagonal(self._stack, axis1=1, axis2=2)
+        _check_trace(complex(np.sum(d)), self.tol)
         if float(np.max(np.abs(d.imag))) > self.tol or float(np.min(d.real)) < -self.tol:
             raise InvalidHistoryError("diagonal entries must be real and nonnegative")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        held.setflags(write=False)
         if not isinstance(histories, _FineHistories):
             histories = tuple(histories)
         object.__setattr__(self, "histories", histories)
+        return self
+
+    def __getattr__(self, name):
+        # only names the instance lacks get here: an engine D's ``matrix``
+        # before its first read, and ``_stack`` after it
+        state = self.__dict__
+        if name == "matrix":
+            with _FIRST_READ:  # threads reading at once get one matrix
+                if "_stack" in state:
+                    stack = state["_stack"]
+                    n = stack.shape[0] * stack.shape[1]
+                    matrix = np.zeros((n, n), dtype=complex)
+                    _block_view(matrix, len(stack))[...] = stack
+                    matrix.setflags(write=False)
+                    state["matrix"] = matrix
+                    del state["_stack"]  # the blocks live on only as a view of it
+            if "matrix" in state:
+                return state["matrix"]
+        elif name == "_stack" and "matrix" in state:
+            return _block_view(state["matrix"], self._blocks)
+        raise AttributeError(name)
 
     @property
     def n(self) -> int:
@@ -486,21 +512,26 @@ class DecoherenceFunctional:
 
     @property
     def diagonal(self) -> np.ndarray:
-        return self.matrix.diagonal().real
+        return np.diagonal(self._stack, axis1=1, axis2=2).real.T.reshape(-1)
+
+
+def _check_shape(matrix: np.ndarray, n: int) -> None:
+    if matrix.shape != (n, n):
+        raise DimensionMismatchError(f"matrix shape {matrix.shape} does not match {n} histories")
 
 
 def decoherence_functional(
     family: HistoryFamily,
     cap: int = DEFAULT_FAMILY_CAP,
-    tol: float = 1e-9,
+    tol: float = DecoherenceFunctional.tol,
 ) -> DecoherenceFunctional:
     """Full decoherence functional over the family's fine histories.
 
     D is zero except in the blocks G_a = D[a::s, a::s] of the histories
     ending in label a of the s-outcome last slot, which the strip kernel
-    writes through one ``(s, M, M)`` view of D.  Each strip is conjugated
-    in place in its block's upper part and mirrored below as its exact
-    conjugate; the diagonal is the family's cached row norms.
+    writes into one ``(s, M, M)`` stack, the D returned holds.  Each strip
+    is conjugated in place in its block's upper part and mirrored below as
+    its exact conjugate; the diagonal is the family's cached row norms.
     """
     n = family.n_fine_histories
     if n > cap:
@@ -508,8 +539,7 @@ def decoherence_functional(
     probabilities = family._probabilities  # its temporaries are freed before D
     s = family.shape[-1]
     rows, weights = family._gram
-    matrix = np.zeros((n, n), dtype=complex)
-    blocks = _block_view(matrix, s)
+    blocks = np.empty((s, n // s, n // s), dtype=complex)  # every entry is written
     for b, top, strip in _gram_strips(_block_rows(rows, s), weights, out=blocks):
         h, t = strip.shape[:2]
         # the strip holds conj(G), so its transpose is G's block column below
@@ -521,8 +551,8 @@ def decoherence_functional(
         mirror = corner.transpose(0, 2, 1)[:, below]
         np.subtract(0.0, mirror.imag, out=mirror.imag)
         corner[:, below] = mirror
-    matrix.reshape(-1)[:: n + 1] = probabilities
-    return DecoherenceFunctional._from_gram(_FineHistories(family), matrix, tol, s)
+    blocks.reshape(s, -1)[:, :: n // s + 1] = probabilities.reshape(-1, s).T
+    return DecoherenceFunctional._from_gram(_FineHistories(family), blocks, tol, s)
 
 
 # ---------------------------------------------------------------------------

@@ -301,8 +301,9 @@ class TestSharedGramRows:
         calls = self.count_row_builds(monkeypatch)
         fam = random_family(np.random.default_rng(11), 3, 2)
         states = [random_rank_state(np.random.default_rng(k), 3, 2) for k in range(3)]
-        check_state_robustness(fam, states=states, mode="weak")
-        assert calls == states
+        report = check_state_robustness(fam, states=states, mode="weak")
+        # once per state for its peak, then once more for the worst state's witness
+        assert calls == [*states, states[report.witness["state_index"]]]
         assert "_gram" not in vars(fam)
 
 
