@@ -17,9 +17,8 @@ All four read one kernel: the Gram rows V_i = vec(C_i L) of the fine
 histories, where rho = L Delta L^dagger (``histories._gram_rows``).  Weak and
 medium scan D = (V w) V^dagger; additivity reads the fiber blocks of D from
 the rows of each fiber alone; robustness builds the rows once per state and
-takes the peak of that state's strips of D (``histories._gram_strips``),
-never all of D, then scans the first worst state's strips again for where
-its peak lies.
+makes one scan of that state's strips of D (``histories._gram_strips``),
+never all of D, for both its worst value and where it lies.
 
 Histories that differ at the last slot never interfere: their chain
 operators end in orthogonal projectors of a validated resolution, which is
@@ -56,7 +55,6 @@ from .histories import (
     _gram_strips,
     _row_norms,
     _strip_ranges,
-    coarsen_slot,
 )
 from .linalg import DensityState
 from .sampling import robustness_states
@@ -94,62 +92,39 @@ def _pair_witness(i: int, j: int, first: dict, second: dict) -> dict:
     return {"kind": "pair", "indices": [int(i), int(j)], "first": first, "second": second}
 
 
-def _magnitudes(strips, mode: str):
-    """Each strip's ``_MAGNITUDE[mode]`` right of the block diagonal.
+def _offdiag_scan(strips, mode: str, s: int) -> tuple[float, tuple[int, int] | None]:
+    """Largest ``_MAGNITUDE[mode]`` of an entry above the diagonal and where.
 
     ``strips`` yields ``(b, top, strip)`` as ``histories._gram_strips`` does:
     rows ``top:`` of last-slot blocks ``b:`` of D or of conj(D) (same
-    magnitudes) on and right of the block diagonal.  Yields ``(b, top, mag)``
-    with ``mag[:, i, j]`` the magnitude at row ``top + i``, column
-    ``top + 1 + j`` of each block, and -1 on or below its diagonal: only each
-    block's strict upper triangle is read, as D is Hermitian.  ``mag`` is one
-    reused buffer the size of the first strip, overwritten by the next.
+    magnitudes) on and right of the block diagonal, where block a of ``s``
+    holds D[a::s, a::s] and D is zero outside the blocks.  Only each block's
+    strict upper triangle is read, as D is Hermitian; the magnitudes go into
+    one reused buffer the size of the first strip.  A maximum wins a tie only
+    from an earlier row-major position of D, so the position is D's row-major
+    first maximum.  Fewer than two rows give (0.0, None); with s > 1, no
+    nonzero entry gives (0.0, (0, 1)), the first entry above the diagonal.
     """
-    buffer = None
+    worst, at, buffer = -1.0, None, None
     for b, top, strip in strips:
         h, rows, width = strip.shape[0], strip.shape[1], strip.shape[2] - 1
         if not width:  # a last strip of one row has nothing right of the diagonal
             continue
         if buffer is None:  # the first strip is the largest
             buffer = np.empty(h * rows * width)
+        # mag[:, i, j] is at row top + i, column top + 1 + j of each block
         mag = _MAGNITUDE[mode](strip[:, :, 1:], buffer[: h * rows * width].reshape(h, rows, width))
         # the strip's entries on or below the diagonal fill its leading
-        # corner's strict lower triangle
+        # corner's strict lower triangle; -1 never wins
         corner = mag[:, :, :rows]
         corner[:, np.tri(*corner.shape[1:], k=-1, dtype=bool)] = -1.0
-        yield b, top, mag
-
-
-def _offdiag_peak(strips, mode: str) -> float:
-    """The largest ``_MAGNITUDE[mode]`` of an entry above the diagonal, 0.0
-    for fewer than two rows: ``_offdiag_scan``'s value without its place."""
-    return max((float(mag.max()) for _, _, mag in _magnitudes(strips, mode)), default=0.0)
-
-
-def _offdiag_scan(strips, mode: str, s: int) -> tuple[float, tuple[int, int] | None]:
-    """Largest ``_MAGNITUDE[mode]`` of an entry above the diagonal and where.
-
-    ``strips`` are as for ``_magnitudes``, where block a of ``s`` holds
-    D[a::s, a::s] and D is zero outside the blocks.  A maximum wins a tie
-    only from an earlier row-major position of D, so the position is D's
-    row-major first maximum.  Fewer than two rows give (0.0, None); with
-    s > 1, no nonzero entry gives (0.0, (0, 1)), the first entry above the
-    diagonal.
-    """
-    worst, at = -1.0, None
-    for b, top, mag in _magnitudes(strips, mode):
-        # each block's first maximum, at its row and column in D
-        h, width = mag.shape[0], mag.shape[2]
-        flat = mag.reshape(h, -1)
-        first = np.argmax(flat, axis=1)
-        peaks = flat[np.arange(h), first]
-        i, j = np.divmod(first, width)
-        i, j = (top + i) * s + b + np.arange(h), (top + 1 + j) * s + b + np.arange(h)
-        # blocks hold distinct rows, so the first of equal peaks has the least row
-        tied = np.flatnonzero(peaks == peaks.max())
-        k = tied[np.argmin(i[tied])]
-        if peaks[k] > worst or (peaks[k] == worst and (i[k], j[k]) < at):
-            worst, at = float(peaks[k]), (int(i[k]), int(j[k]))
+        # the strip's first maximum in D's row-major order: row top + r of
+        # block b + o is row (top + r) s + b + o of D, so rows go by (r, o)
+        r, k = divmod(int(np.argmax(mag.transpose(1, 0, 2))), h * width)
+        o, c = divmod(k, width)
+        peak, i, j = float(mag[o, r, c]), (top + r) * s + b + o, (top + 1 + c) * s + b + o
+        if peak > worst or (peak == worst and (i, j) < at):
+            worst, at = peak, (i, j)
     if s > 1 and worst <= 0.0:
         return 0.0, (0, 1)
     return (0.0, None) if at is None else (worst, at)
@@ -296,18 +271,24 @@ def _partitions_scope(family, gram, tol, seed) -> ConsistencyReport:
         return _report("additivity", 0.0, None, tol, seed=used_seed)
     pos, blocks, flat = best
     res = family.resolutions[pos]
-    label_blocks: dict[str, list[int]] = {}
+    names: list[str] = []  # the labels ``coarsen_slot`` would give the blocks
     for block in blocks:
         name = "+".join(res.labels[p].display for p in block)
-        while name in label_blocks:  # label names may themselves contain '+'
+        while name in names:  # label names may themselves contain '+'
             name += "'"
-        label_blocks[name] = [res.labels[p].index for p in block]
-    coarse = coarsen_slot(family, family.offset_of(pos), label_blocks)
+        names.append(name)
+    # coarse history ``flat`` of the family with slot ``pos`` coarsened
+    shape = (*family.shape[:pos], len(blocks), *family.shape[pos + 1 :])
+    index = np.unravel_index(flat, shape)
+    coarse_history = {
+        family.offset_of(q): [names[i] if q == pos else r.labels[i].display]
+        for q, (r, i) in enumerate(zip(family.resolutions, index))
+    }
     witness = {
         "kind": "partition",
         "slot": family.offset_of(pos),
         "blocks": [[res.labels[p].display for p in block] for block in blocks],
-        "coarse_history": _fine_labels(coarse, flat),
+        "coarse_history": coarse_history,
     }
     return _report("additivity", worst, witness, tol, seed=used_seed)
 
@@ -361,10 +342,10 @@ def check_state_robustness(
     achieving the worst violation together with the inner witness.  When no
     explicit states are given, ``count`` normalized Wishart states are drawn
     from ``seed``.  Each state's Gram rows are built from that state's
-    factor as for the family's own state, and every inner mode reads them:
-    weak and medium take the peak of that state's strips of D and check its
-    trace from the row norms, additivity reads its fibers.  Weak and medium
-    build the first worst state's rows once more, to find its witness.
+    factor as for the family's own state, once per state, and every inner
+    mode reads them: weak and medium check D's trace from the row norms and
+    make one scan of that state's strips of D for its worst value and where
+    it lies, additivity reads its fibers.
     """
     used_seed: int | None = None
     if states is None:
@@ -384,26 +365,24 @@ def check_state_robustness(
 
     s = family.shape[-1]
 
-    def strips(state):
+    def scan(state):
+        # the worst value and inner witness (weak and medium: where, labelled
+        # below for the worst state only); the rows die before the next state's
         rows, weights = _gram_rows(family, state)
+        if mode == "additivity":
+            inner = _additivity(family, (rows, weights), tol, scope, seed)
+            return inner.worst_violation, inner.witness
         _check_trace(float(np.sum(_row_norms(rows, weights))), DecoherenceFunctional.tol)
-        return _gram_strips(_block_rows(rows, s), weights)
+        return _offdiag_scan(_gram_strips(_block_rows(rows, s), weights), mode, s)
 
     worst = -1.0
     best = None
     for idx, state in enumerate(states):
-        if mode == "additivity":
-            inner = _additivity(family, _gram_rows(family, state), tol, scope, seed)
-            violation, found = inner.worst_violation, inner.witness
-        else:  # the place of the worst state's maximum is found below
-            violation, found = _offdiag_peak(strips(state), mode), None
+        violation, found = scan(state)
         if violation > worst:
             worst, best = violation, (idx, found)
     idx, found = best
-    if mode != "additivity":
-        # rebuild the first worst state's strips to find where its maximum is
-        at = _offdiag_scan(strips(states[idx]), mode, s)[1]
-        if at is not None:
-            found = _pair_witness(*at, *(_fine_labels(family, k) for k in at))
+    if mode != "additivity" and found is not None:
+        found = _pair_witness(*found, *(_fine_labels(family, k) for k in found))
     witness = {"kind": "state", "state_index": idx, "inner_mode": mode, "inner": found}
     return _report("robustness", worst, witness, tol, seed=used_seed)

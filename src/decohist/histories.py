@@ -45,7 +45,7 @@ from .errors import (
     InvalidHistoryError,
     ZeroConditionProbabilityError,
 )
-from .linalg import TILE, DensityState, _summed, frozen, hermiticity_deviation
+from .linalg import TILE, DensityState, _summed, frozen
 from .linalg import _state_factor  # noqa: F401  (re-exported)
 from .resolutions import Outcome, Resolution, coarsen, outcome_intersection
 
@@ -446,12 +446,15 @@ class DecoherenceFunctional:
             # NaN would pass every ``> tol`` check below
             raise InvalidHistoryError("decoherence functional entries must be finite")
         _check_shape(m, len(self.histories))
-        dev = hermiticity_deviation(m)
+        # one conjugate transpose serves the Hermiticity check and the
+        # Hermitian part whose eigenvalues are checked
+        adjoint = m.conj().T
+        dev = float(np.max(np.abs(m - adjoint)))
         if dev > self.tol:
             raise InvalidHistoryError(
                 f"decoherence functional is not Hermitian: deviation {dev:.3e}"
             )
-        lo = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
+        lo = float(np.linalg.eigvalsh(0.5 * (m + adjoint))[0])
         if lo < -self.tol:
             raise InvalidHistoryError(
                 f"decoherence functional is not PSD: min eigenvalue {lo:.3e}"
@@ -621,10 +624,11 @@ def retrodictive_normalized(
     """Retrodictive probability with the summed denominator.
 
     The denominator is the sum, over all fine-grained pasts, of the joint
-    probability with the present outcome; over fine pasts the values lie in
-    [0, 1] and sum to 1 with no consistency assumption.  A coarse ``past``
-    keeps the chain-operator numerator and may exceed 1 for inconsistent
-    families.
+    probability with the present outcome, computed as the present's
+    probability once each past slot has dephased the state; over fine pasts
+    the values lie in [0, 1] and sum to 1 with no consistency assumption.
+    A coarse ``past`` keeps the chain-operator numerator and may exceed 1
+    for inconsistent families.
     """
     joint, _, present = _retrodiction(family, past, present)
     den = _summed_past_denominator(family, present)
@@ -648,17 +652,20 @@ def _retrodiction(family: HistoryFamily, past: History, present) -> tuple:
 
 
 def _summed_past_denominator(family: HistoryFamily, present: Outcome) -> float:
-    """Sum of joint probabilities over every fine-grained past."""
-    past_offsets = [off for off in family.offsets() if off < 0]
-    label_lists = [
-        [lab.index for lab in family.resolution_at(off).labels] for off in past_offsets
-    ]
-    total = 0.0
-    for combo in itertools.product(*label_lists):
-        spec: dict[int, object] = {0: present.sorted_labels()}
-        spec.update({off: idx for off, idx in zip(past_offsets, combo)})
-        total += history_probability(family, family.history(spec), clamp=False)
-    return total
+    """Sum of joint probabilities over every fine-grained past.
+
+    Summing Tr(P_S C_p rho C_p^dagger P_S) over the fine pasts p is the
+    present's probability Tr(P_S rho' P_S) after each past slot dephases the
+    state, rho -> sum_a P_a rho P_a^dagger (a non-selective Lueders
+    measurement), earliest slot first; slots after the present drop out by
+    cyclicity of the trace.  The cost is linear in the number of past slots.
+    """
+    pos = family.position(0)
+    rho = family.state.matrix
+    for table in family._lifted[:pos]:
+        rho = sum(table @ rho @ table.conj().transpose(0, 2, 1))
+    projector = _lifted_outcome(family, pos, present)
+    return float(np.sum((projector @ rho) * projector.conj()).real)
 
 
 # ---------------------------------------------------------------------------

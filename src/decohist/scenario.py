@@ -644,7 +644,7 @@ def result_check(
     if bad:
         raise ScenarioValidationError(bad)
     family = scenario.family
-    tol = DEFAULT_CHECK_TOL if tol is None else float(tol)
+    tol = DEFAULT_CHECK_TOL if tol is None else float(tol) + 0.0  # -0.0 prints "-0"
     if mode == "weak":
         report = check_weak_consistency(decoherence_functional(family), tol)
     elif mode == "medium":

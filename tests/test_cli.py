@@ -332,6 +332,41 @@ class TestNumberFormat:
         assert "0.333333333333" in out
 
 
+class TestNegativeZeroTolerance:
+    """A tolerance of -0.0 is a valid zero and prints as 0, never "-0"."""
+
+    EXPECTED = {"table": "tol: 0\n", "json": '"tol": 0,', "csv": "# tol=0\n"}
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_check_flag(self, capsys, fmt):
+        code, out, err = run_cli(
+            capsys,
+            "check",
+            "--scenario",
+            str(SCENARIOS / "z_then_x.json"),
+            "--mode",
+            "weak",
+            "--tol",
+            "-0.0",
+            "--output",
+            fmt,
+        )
+        assert code == 1 and err == ""  # the canonical witness fails at tol 0
+        assert self.EXPECTED[fmt] in out
+        assert "-0" not in out.replace("-1", "")
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_scenario_query(self, capsys, tmp_path, fmt):
+        doc = json.loads((SCENARIOS / "z_then_x.json").read_text())
+        doc["queries"]["weak"]["tol"] = -0.0
+        path = tmp_path / "z_then_x.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "query", "weak", "--scenario", str(path), "--output", fmt)
+        assert code == 1 and err == ""
+        assert self.EXPECTED[fmt] in out
+        assert "-0" not in out.replace("-1", "")
+
+
 class TestParserReuse:
     """``main`` called repeatedly in one process shares one parser and
     prints what a fresh process prints for each call."""

@@ -302,8 +302,9 @@ class TestSharedGramRows:
         fam = random_family(np.random.default_rng(11), 3, 2)
         states = [random_rank_state(np.random.default_rng(k), 3, 2) for k in range(3)]
         report = check_state_robustness(fam, states=states, mode="weak")
-        # once per state for its peak, then once more for the worst state's witness
-        assert calls == [*states, states[report.witness["state_index"]]]
+        # once per state: one scan gives its worst value and the witness
+        assert calls == states
+        assert report.witness["inner"]["kind"] == "pair"
         assert "_gram" not in vars(fam)
 
 
