@@ -47,6 +47,7 @@ from .histories import (
     DEFAULT_FAMILY_CAP,
     DecoherenceFunctional,
     HistoryFamily,
+    _BELOW,
     _FineHistories,
     _block_rows,
     _block_view,
@@ -117,7 +118,7 @@ def _offdiag_scan(strips, mode: str, s: int) -> tuple[float, tuple[int, int] | N
         # the strip's entries on or below the diagonal fill its leading
         # corner's strict lower triangle; -1 never wins
         corner = mag[:, :, :rows]
-        corner[:, np.tri(*corner.shape[1:], k=-1, dtype=bool)] = -1.0
+        np.copyto(corner, -1.0, where=_BELOW[:rows, : corner.shape[2]])
         # the strip's first maximum in D's row-major order: row top + r of
         # block b + o is row (top + r) s + b + o of D, so rows go by (r, o)
         r, k = divmod(int(np.argmax(mag.transpose(1, 0, 2))), h * width)
@@ -347,6 +348,8 @@ def check_state_robustness(
     make one scan of that state's strips of D for its worst value and where
     it lies, additivity reads its fibers.
     """
+    if family.n_fine_histories > DEFAULT_FAMILY_CAP:
+        raise FamilyTooLargeError(family.n_fine_histories, DEFAULT_FAMILY_CAP)
     used_seed: int | None = None
     if states is None:
         states = robustness_states(family.dim, count, seed)
@@ -360,8 +363,6 @@ def check_state_robustness(
             raise DimensionMismatchError(
                 f"state has dim {state.dim}, schedule has {family.dim}"
             )
-    if family.n_fine_histories > DEFAULT_FAMILY_CAP:
-        raise FamilyTooLargeError(family.n_fine_histories, DEFAULT_FAMILY_CAP)
 
     s = family.shape[-1]
 

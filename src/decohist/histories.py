@@ -361,6 +361,11 @@ def _block_view(matrix: np.ndarray, s: int) -> np.ndarray:
     return np.lib.stride_tricks.as_strided(matrix, (s, m, m), (row + col, s * row, s * col))
 
 
+#: The strict lower triangle of the largest strip corner.  Every strip and
+#: corner has at most TILE rows, so each masks with a top-left slice.
+_BELOW = frozen(np.tri(TILE, k=-1, dtype=bool))
+
+
 def _strip_ranges(s: int, m: int) -> Iterator[tuple[int, int, int, int]]:
     """``(b, h, top, t)``: rows ``top:top + t`` of blocks ``b:b + h``, over
     ``s`` blocks of ``m`` rows.  A strip stacks at most TILE // m blocks (at
@@ -550,10 +555,9 @@ def decoherence_functional(
         # conjugate as 0 - Im (np.conjugate turns a +0.0 imaginary part into
         # -0.0, printed "-0"), then mirror the diagonal block's upper triangle
         np.subtract(0.0, strip.imag, out=strip.imag)
-        corner, below = strip[:, :, :t], np.tri(t, k=-1, dtype=bool)
-        mirror = corner.transpose(0, 2, 1)[:, below]
-        np.subtract(0.0, mirror.imag, out=mirror.imag)
-        corner[:, below] = mirror
+        corner, below = strip[:, :, :t], _BELOW[:t, :t]
+        np.copyto(corner.real, corner.real.transpose(0, 2, 1), where=below)
+        np.subtract(0.0, corner.imag.transpose(0, 2, 1), out=corner.imag, where=below)
     blocks.reshape(s, -1)[:, :: n // s + 1] = probabilities.reshape(-1, s).T
     return DecoherenceFunctional._from_gram(_FineHistories(family), blocks, tol, s)
 

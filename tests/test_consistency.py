@@ -25,6 +25,7 @@ from decohist import (
     make_resolution,
     make_state,
 )
+from decohist import consistency as consistency_module
 from decohist import histories as histories_module
 from decohist import linalg as linalg_module
 from decohist.consistency import (
@@ -683,6 +684,19 @@ class TestStateRobustness:
             with pytest.raises(InvalidHistoryError, match="misses the state"):
                 check_state_robustness(z_then_x_family, states=[state])
         assert "_factor" not in vars(state)
+
+    @pytest.mark.parametrize("mode", ["weak", "additivity"])
+    def test_cap_is_checked_before_states_are_drawn(self, monkeypatch, mode):
+        from test_histories import over_cap_family
+
+        def refuse(*args):
+            raise AssertionError("states drawn for an over-cap family")
+
+        monkeypatch.setattr(consistency_module, "robustness_states", refuse)
+        fam = over_cap_family()
+        with pytest.raises(FamilyTooLargeError):
+            check_state_robustness(fam, mode=mode)
+        assert "_lifted" not in vars(fam)  # refused before lifting anything
 
 
 class TestReportInvariant:
