@@ -350,14 +350,14 @@ def check_state_robustness(
     """
     if family.n_fine_histories > DEFAULT_FAMILY_CAP:
         raise FamilyTooLargeError(family.n_fine_histories, DEFAULT_FAMILY_CAP)
+    if mode not in (*_MAGNITUDE, "additivity"):
+        raise ValueError(f"unknown inner mode {mode!r}")
     used_seed: int | None = None
     if states is None:
         states = robustness_states(family.dim, count, seed)
         used_seed = seed
     if not states:
         raise ValueError("robustness needs at least one state")
-    if mode not in (*_MAGNITUDE, "additivity"):
-        raise ValueError(f"unknown inner mode {mode!r}")
     for state in states:
         if state.dim != family.dim:
             raise DimensionMismatchError(

@@ -46,9 +46,7 @@ class Resolution:
     """A labeled, pairwise-orthogonal, complete family of projectors.
 
     The projectors are one read-only ``(n, d, d)`` stack, validated in one
-    pass within ``tol`` (``Projector`` instances are kept as given, and when
-    they are the consecutive views of one read-only ``(n, d, d)`` array, as
-    a lift or a coarsening makes them, that array is the stack): raw
+    pass within ``tol`` (``Projector`` instances are kept as given): raw
     matrices as projectors, orthogonality (P_a P_b = 0 for a != b),
     completeness (sum = identity).  An input with several faults raises the
     first of: a matrix that is not a finite square 2-D array, no entries, a
@@ -95,9 +93,7 @@ class Resolution:
                     f"projector dimensions differ: {m.shape[0]} vs {dim}"
                 )
 
-        stack = None if raw else _shared_stack(matrices)
-        if stack is None:
-            stack = np.array(matrices)
+        stack = np.array(matrices)
         if raw:
             # when every entry is raw, the projectors are views of the stack
             checked = stack if len(raw) == len(stack) else stack[raw]
@@ -177,21 +173,6 @@ class Resolution:
     def full_outcome(self) -> "Outcome":
         """The trivial outcome containing every label."""
         return Outcome(self, frozenset(lab.index for lab in self._labels))
-
-
-def _shared_stack(matrices: Sequence[np.ndarray]) -> np.ndarray | None:
-    """The read-only ``(n, d, d)`` array whose entries ``k`` are the views
-    ``matrices[k]`` (same memory, strides and dtype), if there is one."""
-    base = matrices[0].base
-    if (
-        isinstance(base, np.ndarray)
-        and base.ndim == 3
-        and len(base) == len(matrices)
-        and not base.flags.writeable
-        and all(m.__array_interface__ == v.__array_interface__ for m, v in zip(matrices, base))
-    ):
-        return base
-    return None
 
 
 def make_resolution(entries: Sequence[tuple], tol: float = DEFAULT_TOL) -> Resolution:

@@ -685,16 +685,25 @@ class TestStateRobustness:
                 check_state_robustness(z_then_x_family, states=[state])
         assert "_factor" not in vars(state)
 
-    @pytest.mark.parametrize("mode", ["weak", "additivity"])
-    def test_cap_is_checked_before_states_are_drawn(self, monkeypatch, mode):
+    @pytest.mark.parametrize(
+        "over_cap, mode, error",
+        [
+            (True, "weak", FamilyTooLargeError),
+            (True, "additivity", FamilyTooLargeError),
+            (False, "bogus", ValueError),
+        ],
+    )
+    def test_cap_and_mode_are_checked_before_states_are_drawn(
+        self, monkeypatch, over_cap, mode, error
+    ):
         from test_histories import over_cap_family
 
         def refuse(*args):
-            raise AssertionError("states drawn for an over-cap family")
+            raise AssertionError("states drawn for a refused check")
 
         monkeypatch.setattr(consistency_module, "robustness_states", refuse)
-        fam = over_cap_family()
-        with pytest.raises(FamilyTooLargeError):
+        fam = over_cap_family() if over_cap else random_family(np.random.default_rng(3), 3, 2)
+        with pytest.raises(error):
             check_state_robustness(fam, mode=mode)
         assert "_lifted" not in vars(fam)  # refused before lifting anything
 

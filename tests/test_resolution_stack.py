@@ -9,7 +9,7 @@ fault the stacked construction must raise exactly what the reference raises.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decohist import (
@@ -20,7 +20,7 @@ from decohist import (
     from_basis,
     make_resolution,
 )
-from decohist import heisenberg_resolution, linalg
+from decohist import linalg
 from decohist.errors import (
     DimensionMismatchError,
     DuplicateLabelError,
@@ -32,7 +32,7 @@ from decohist.errors import (
 )
 from decohist.linalg import DEFAULT_TOL, _summed
 from decohist.resolutions import SpectralLabel, coarsen, outcome_projector
-from decohist.sampling import random_family, random_unitary
+from decohist.sampling import random_unitary
 
 from conftest import P_XM, P_XP, P_Z0, P_Z1
 
@@ -205,69 +205,6 @@ class TestStackedValidation:
         coarse = coarsen(res, [[0, 1, 2], [3]])
         assert calls == [[3 * DEFAULT_TOL, DEFAULT_TOL]]
         assert [p.tol for p in coarse.projectors] == [3 * DEFAULT_TOL, DEFAULT_TOL]
-
-
-def views_of_one_stack(mats) -> list[Projector]:
-    """Projectors that are the consecutive views of one read-only stack,
-    as the lift kernel and ``coarsen`` make them."""
-    views = Projector._from_stack(np.array(mats), [DEFAULT_TOL] * len(mats))
-    assert not any(isinstance(p, Exception) for p in views)
-    return views
-
-
-class TestAdoptedStack:
-    """Projectors that are the consecutive views of one read-only
-    ``(n, d, d)`` array give a resolution that adopts that array as its
-    stack instead of copying it."""
-
-    def test_lifted_and_coarsened_resolutions_share_one_stack(self):
-        fam = random_family(np.random.default_rng(5), 4, 3)
-        res = fam.resolutions[0]
-        for made in (
-            heisenberg_resolution(fam.schedule, 2, res),
-            coarsen(from_basis(4, [[0], [1], [2], [3]]), [[0, 2], [1], [3]]),
-        ):
-            assert not made._stack.flags.writeable
-            for k, p in enumerate(made.projectors):
-                assert p.matrix.base is made._stack
-                assert p.matrix.tobytes() == made._stack[k].tobytes()
-
-    @pytest.mark.parametrize(
-        "pick",
-        [
-            lambda views: views[::-1],  # not in order
-            lambda views: views[:2],  # not every entry of the array
-        ],
-    )
-    def test_other_views_are_copied(self, pick):
-        views = views_of_one_stack([P_Z0, P_Z1, np.zeros((2, 2), dtype=complex)])
-        picked = pick(views)
-        res = Resolution([(f"l{k}", p) for k, p in enumerate(picked)])
-        assert not any(np.shares_memory(res._stack, p.matrix) for p in picked)
-        assert res._stack.tobytes() == np.array([p.matrix for p in picked]).tobytes()
-
-    def test_a_writable_array_is_copied(self):
-        stack = np.array([P_Z0, P_Z1])
-        views = Projector._from_stack(stack, [DEFAULT_TOL] * 2)
-        stack.flags.writeable = True  # its owner may write to it again
-        res = Resolution([("a", views[0]), ("b", views[1])])
-        assert not np.shares_memory(res._stack, stack)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        mats=projector_lists(),
-        fault=st.sampled_from(["none", "non-orthogonal", "incomplete"]),
-        data=st.data(),
-    )
-    def test_an_adopted_stack_raises_what_one_at_a_time_raises(self, mats, fault, data):
-        assume(fault == "none" or len(mats) > 1)  # a fault must leave projectors
-        k = data.draw(st.integers(0, len(mats) - 1))
-        views = views_of_one_stack(FAULTS[fault](mats, k))
-        entries = [(f"l{j}", p) for j, p in enumerate(views)]
-        expected = outcome(reference_projectors, entries)
-        assert outcome(stacked_projectors, entries) == expected
-        if fault == "none":
-            assert Resolution(entries)._stack is views[0].matrix.base
 
 
 def old_sum(stack, positions):
