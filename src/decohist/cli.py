@@ -14,8 +14,10 @@ import functools
 import json
 import sys
 
+from .consistency import SCOPES, _INNER_MODES
 from .errors import DecohistError, ScenarioValidationError
 from .scenario import (
+    CHECKS,
     parse_scenario,
     result_check,
     result_coarse_grain,
@@ -172,16 +174,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("check", parents=[common], help="consistency / additivity checks")
-    p.add_argument("--mode", choices=["weak", "medium", "additivity", "robust"], required=True)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--states", type=int, default=None, help="random state count for robust")
-    p.add_argument("--scope", choices=["pairs", "partitions"], default=None)
+    p.add_argument("--mode", choices=list(CHECKS), required=True)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--states", type=int, help="random state count for robust")
+    p.add_argument("--scope", choices=list(SCOPES))
     p.add_argument(
-        "--inner",
-        choices=["weak", "medium", "additivity"],
-        default=None,
-        help="inner check for robust mode (default weak)",
+        "--inner", choices=_INNER_MODES, help="inner check for robust mode (default weak)"
     )
 
     p = sub.add_parser("oracle", parents=[common], help="sequential-measurement oracle")

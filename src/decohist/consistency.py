@@ -137,6 +137,9 @@ _MAGNITUDE = {
     "medium": lambda m, out: np.abs(m, out=out),
 }
 
+#: The checks ``check_state_robustness`` can run with each state.
+_INNER_MODES = (*_MAGNITUDE, "additivity")
+
 
 def _offdiag_check(dfunc: DecoherenceFunctional, tol: float, mode: str) -> ConsistencyReport:
     blocks = getattr(dfunc, "_stack", None)
@@ -189,7 +192,7 @@ def _fine_labels(family: HistoryFamily, flat: int) -> dict[int, list[str]]:
     return _FineHistories(family)[flat].labels_by_offset()
 
 
-def _pairs_scope(family, gram, tol) -> ConsistencyReport:
+def _pairs_scope(family, gram, tol, seed) -> ConsistencyReport:
     index = np.arange(family.n_fine_histories).reshape(family.shape)
     worst = -1.0
     witness = None
@@ -294,12 +297,14 @@ def _partitions_scope(family, gram, tol, seed) -> ConsistencyReport:
     return _report("additivity", worst, witness, tol, seed=used_seed)
 
 
-def _additivity(family, gram, tol, scope, seed) -> ConsistencyReport:
-    if scope == "pairs":
-        return _pairs_scope(family, gram, tol)
-    if scope == "partitions":
-        return _partitions_scope(family, gram, tol, seed)
-    raise ValueError(f"unknown additivity scope {scope!r}")
+#: Additivity scope -> its check of (family, Gram rows, tol, seed).
+SCOPES = {"pairs": _pairs_scope, "partitions": _partitions_scope}
+
+
+def _scope(scope: str):
+    if not isinstance(scope, str) or scope not in SCOPES:
+        raise ValueError(f"unknown additivity scope {scope!r}")
+    return SCOPES[scope]
 
 
 def check_additivity(
@@ -321,7 +326,8 @@ def check_additivity(
     """
     if family.n_fine_histories > cap:
         raise FamilyTooLargeError(family.n_fine_histories, cap)
-    return _additivity(family, family._gram, tol, scope, seed)
+    additivity = _scope(scope)  # before the rows are built
+    return additivity(family, family._gram, tol, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +356,9 @@ def check_state_robustness(
     """
     if family.n_fine_histories > DEFAULT_FAMILY_CAP:
         raise FamilyTooLargeError(family.n_fine_histories, DEFAULT_FAMILY_CAP)
-    if mode not in (*_MAGNITUDE, "additivity"):
+    if mode not in _INNER_MODES:
         raise ValueError(f"unknown inner mode {mode!r}")
+    additivity = _scope(scope)
     used_seed: int | None = None
     if states is None:
         states = robustness_states(family.dim, count, seed)
@@ -371,7 +378,7 @@ def check_state_robustness(
         # below for the worst state only); the rows die before the next state's
         rows, weights = _gram_rows(family, state)
         if mode == "additivity":
-            inner = _additivity(family, (rows, weights), tol, scope, seed)
+            inner = additivity(family, (rows, weights), tol, seed)
             return inner.worst_violation, inner.witness
         _check_trace(float(np.sum(_row_norms(rows, weights))), DecoherenceFunctional.tol)
         return _offdiag_scan(_gram_strips(_block_rows(rows, s), weights), mode, s)

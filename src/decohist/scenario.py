@@ -17,14 +17,14 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral, Real
 from typing import Mapping
 
 import numpy as np
 
 from .consistency import (
-    DEFAULT_CHECK_TOL,
-    DEFAULT_ROBUSTNESS_COUNT,
-    DEFAULT_ROBUSTNESS_SEED,
+    SCOPES,
+    _INNER_MODES,
     check_additivity,
     check_medium_decoherence,
     check_state_robustness,
@@ -68,20 +68,32 @@ _TOP_KEYS = {
     "queries",
 }
 
-_CHECK_MODES = {"weak", "medium", "additivity", "robust"}
+#: The arguments of a check, in the order a check query keeps them.
+_CHECK_ARGS = ("mode", "tol", "seed", "states", "scope", "inner")
 
 
-def _bad_check_args(tol, seed, states) -> list[tuple[str, str]]:
-    """A check's numeric arguments that break the one rule for them:
-    ``tol`` finite and >= 0, ``seed`` >= 0, ``states`` >= 1 (None is the
-    default and always fine)."""
+def _bad_check_args(args: Mapping) -> list[tuple[str, str]]:
+    """The given check arguments that break the one rule for them: ``mode``
+    in ``CHECKS``, ``tol`` finite and >= 0, integers ``seed`` >= 0 and ``states``
+    >= 1, ``scope`` in ``SCOPES``, ``inner`` in ``_INNER_MODES``."""
     bad = []
-    if tol is not None and not 0 <= tol < math.inf:
-        bad.append(("tol", f"must be finite and >= 0, got {tol!r}"))
-    if seed is not None and seed < 0:
-        bad.append(("seed", f"must be >= 0, got {seed!r}"))
-    if states is not None and states < 1:
-        bad.append(("states", f"must be >= 1, got {states!r}"))
+    mode = args.get("mode")
+    if not isinstance(mode, str) or mode not in CHECKS:
+        bad.append(("mode", f"unknown check mode {mode!r}"))
+    for key, typ, least in (("tol", Real, 0), ("seed", Integral, 0), ("states", Integral, 1)):
+        if key not in args:
+            continue
+        value = args[key]
+        # booleans satisfy isinstance(., Integral) but are never a number here
+        if not isinstance(value, typ) or isinstance(value, bool):
+            bad.append((key, "expected a number"))
+        elif not least <= value < math.inf:
+            rule = "finite and >= 0" if key == "tol" else f">= {least}"
+            bad.append((key, f"must be {rule}, got {value!r}"))
+    if "scope" in args and not (isinstance(args["scope"], str) and args["scope"] in SCOPES):
+        bad.append(("scope", "expected 'pairs' or 'partitions'"))
+    if "inner" in args and args["inner"] not in _INNER_MODES:
+        bad.append(("inner", "expected 'weak', 'medium' or 'additivity'"))
     return bad
 
 
@@ -138,10 +150,9 @@ class _Collector:
             raise ScenarioValidationError(self.errors)
 
 
-def _want(obj: Mapping, key: str, path: str, col: _Collector, typ=None, required=True):
+def _want(obj: Mapping, key: str, path: str, col: _Collector, typ=None):
     if key not in obj:
-        if required:
-            col.add(f"{path}.{key}" if path else key, "missing required key")
+        col.add(f"{path}.{key}" if path else key, "missing required key")
         return None
     val = obj[key]
     # booleans satisfy isinstance(., int) but are never a valid field here
@@ -316,32 +327,13 @@ def _parse_query(
                 return None
         out["present"] = present
     elif kind == "check":
-        mode = spec.get("mode")
-        if mode not in _CHECK_MODES:
-            col.add(f"{path}.mode", f"unknown check mode {mode!r}")
-            return None
-        out["mode"] = mode
-        for key, typ in (("tol", (int, float)), ("seed", int), ("states", int)):
-            if key in spec:
-                if not isinstance(spec[key], typ) or isinstance(spec[key], bool):
-                    col.add(f"{path}.{key}", f"expected a number")
-                    return None
-                out[key] = spec[key]
-        bad = _bad_check_args(out.get("tol"), out.get("seed"), out.get("states"))
+        args = {key: spec[key] for key in _CHECK_ARGS if key in spec}
+        bad = _bad_check_args(args)
         for key, message in bad:
             col.add(f"{path}.{key}", message)
         if bad:
             return None
-        if "scope" in spec:
-            if spec["scope"] not in ("pairs", "partitions"):
-                col.add(f"{path}.scope", "expected 'pairs' or 'partitions'")
-                return None
-            out["scope"] = spec["scope"]
-        if "inner" in spec:
-            if spec["inner"] not in ("weak", "medium", "additivity"):
-                col.add(f"{path}.inner", "expected 'weak', 'medium' or 'additivity'")
-                return None
-            out["inner"] = spec["inner"]
+        out.update(args)
     return out
 
 
@@ -631,6 +623,23 @@ def result_retrodict(
     }
 
 
+def _on_dfunc(check):
+    return lambda family, **args: check(decoherence_functional(family), **args)
+
+
+#: Check mode -> (library check of the family, {argument: the check's name
+#: for it}) for each argument the mode reads; it ignores the others.
+CHECKS = {
+    "weak": (_on_dfunc(check_weak_consistency), {"tol": "tol"}),
+    "medium": (_on_dfunc(check_medium_decoherence), {"tol": "tol"}),
+    "additivity": (check_additivity, {"tol": "tol", "scope": "scope", "seed": "seed"}),
+    "robust": (
+        check_state_robustness,
+        {"tol": "tol", "scope": "scope", "seed": "seed", "states": "count", "inner": "mode"},
+    ),
+}
+
+
 def result_check(
     scenario: Scenario,
     mode: str,
@@ -640,37 +649,21 @@ def result_check(
     states: int | None = None,
     inner: str | None = None,
 ) -> dict:
-    bad = _bad_check_args(tol, seed, states)
+    """Run check ``mode``; an argument left None keeps the check's default."""
+    given = dict(mode=mode, tol=tol, seed=seed, states=states, scope=scope, inner=inner)
+    args = {key: value for key, value in given.items() if value is not None}
+    bad = _bad_check_args(args)
     if bad:
         raise ScenarioValidationError(bad)
-    family = scenario.family
-    tol = DEFAULT_CHECK_TOL if tol is None else float(tol) + 0.0  # -0.0 prints "-0"
-    if mode == "weak":
-        report = check_weak_consistency(decoherence_functional(family), tol)
-    elif mode == "medium":
-        report = check_medium_decoherence(decoherence_functional(family), tol)
-    elif mode == "additivity":
-        report = check_additivity(
-            family, tol, scope=scope or "partitions", seed=seed
-        )
-    elif mode == "robust":
-        report = check_state_robustness(
-            family,
-            count=DEFAULT_ROBUSTNESS_COUNT if states is None else states,
-            seed=DEFAULT_ROBUSTNESS_SEED if seed is None else seed,
-            mode=inner or "weak",
-            tol=tol,
-            scope=scope or "partitions",
-        )
-    else:
-        raise UnknownQueryError(f"check mode {mode}")
+    check, names = CHECKS[mode]
+    report = check(scenario.family, **{names[k]: v for k, v in args.items() if k in names})
     return {
         "query": "check",
         **_meta(scenario),
         "mode": report.mode,
         "passed": report.passed,
         "worst_violation": report.worst_violation,
-        "tol": report.tolerance,
+        "tol": report.tolerance + 0.0,  # -0.0 prints "-0"
         "seed": report.seed,
         "witness": report.witness,
     }
@@ -789,7 +782,7 @@ _QUERIES = {
     "conditional": (result_condition, {}, {"future", "given"}),
     "retrodict": (result_retrodict, {"normalized": False}, {"past", "present"}),
     "retrodict-normalized": (result_retrodict, {"normalized": True}, {"past", "present"}),
-    "check": (result_check, {}, {"mode", "tol", "scope", "seed", "states", "inner"}),
+    "check": (result_check, {}, set(_CHECK_ARGS)),
     "oracle": (result_oracle, {}, {"history", "trace"}),
 }
 

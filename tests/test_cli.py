@@ -102,6 +102,18 @@ class TestExitCodes:
         assert "missing required key" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("mode", [["weak"], {}])
+    def test_unhashable_check_mode_exits_two(self, capsys, tmp_path, mode):
+        doc = json.loads((SCENARIOS / "minimal.json").read_text())
+        doc["queries"] = {"q": {"kind": "check", "mode": mode}}
+        path = tmp_path / "bad_mode.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "validate", "--scenario", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: queries.q.mode: unknown check mode {mode!r}\n"
+        assert "Traceback" not in err
+
     def test_probs_over_family_cap_exits_two(self, capsys, tmp_path):
         # 13 qubit slots give 8192 fine histories, above the 4096 cap
         doc = json.loads((SCENARIOS / "minimal.json").read_text())

@@ -707,6 +707,30 @@ class TestStateRobustness:
             check_state_robustness(fam, mode=mode)
         assert "_lifted" not in vars(fam)  # refused before lifting anything
 
+    @pytest.mark.parametrize("scope", ["bogus", ["pairs"], None])
+    @pytest.mark.parametrize("mode", ["weak", "medium", "additivity"])
+    def test_scope_is_checked_before_states_are_drawn(self, monkeypatch, mode, scope):
+        # every inner mode refuses an unknown scope, not only additivity
+        from test_histories import over_cap_family
+
+        def refuse(*args):
+            raise AssertionError("states drawn for a refused check")
+
+        monkeypatch.setattr(consistency_module, "robustness_states", refuse)
+        fam = random_family(np.random.default_rng(3), 3, 2)
+        with pytest.raises(ValueError, match="unknown additivity scope"):
+            check_state_robustness(fam, mode=mode, scope=scope)
+        assert "_lifted" not in vars(fam)
+        with pytest.raises(FamilyTooLargeError):  # the cap is checked first
+            check_state_robustness(over_cap_family(), mode=mode, scope=scope)
+
+    @pytest.mark.parametrize("scope", ["bogus", ["pairs"], None])
+    def test_additivity_scope_is_checked_before_rows_are_built(self, scope):
+        fam = random_family(np.random.default_rng(3), 3, 2)
+        with pytest.raises(ValueError, match="unknown additivity scope"):
+            check_additivity(fam, scope=scope)
+        assert "_gram" not in vars(fam) and "_lifted" not in vars(fam)
+
 
 class TestReportInvariant:
     def test_passed_must_match_violation(self):

@@ -131,7 +131,19 @@ class TestParsing:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("states", 0), ("states", -2), ("seed", -1), ("tol", float("nan")), ("tol", -1.0)],
+        [
+            ("states", 0),
+            ("states", -2),
+            ("seed", -1),
+            ("tol", float("nan")),
+            ("tol", -1.0),
+            ("mode", ["weak"]),
+            ("mode", {}),
+            ("scope", "bogus"),
+            ("scope", ["pairs"]),
+            ("inner", "bogus"),
+            ("inner", ["weak"]),
+        ],
     )
     def test_check_query_arguments_located(self, field, value):
         # the same rule as the CLI's check arguments; json reads NaN as well
@@ -140,6 +152,20 @@ class TestParsing:
         with pytest.raises(ScenarioValidationError) as err:
             parse_scenario(json.dumps(bad))
         assert errors_of(err) == {f"queries.q.{field}"}
+
+    def test_check_query_faults_are_each_listed(self):
+        bad = json.loads(json.dumps(MINIMAL))
+        bad["queries"] = {
+            "q": {"kind": "check", "mode": [], "tol": "x", "states": 0, "scope": None}
+        }
+        with pytest.raises(ScenarioValidationError) as err:
+            parse_scenario(json.dumps(bad))
+        assert err.value.errors == [
+            ("queries.q.mode", "unknown check mode []"),
+            ("queries.q.tol", "expected a number"),
+            ("queries.q.states", "must be >= 1, got 0"),
+            ("queries.q.scope", "expected 'pairs' or 'partitions'"),
+        ]
 
     def test_check_query_argument_bounds_accepted(self):
         good = json.loads(json.dumps(MINIMAL))
@@ -226,6 +252,23 @@ class TestQueries:
         s = parse_scenario(scenario_text("minimal.json"))
         with pytest.raises(UnknownQueryError):
             run_query(s, "nope")
+
+    @pytest.mark.parametrize(
+        "overrides, errors",
+        [
+            ({"mode": "bogus"}, [("mode", "unknown check mode 'bogus'")]),
+            ({"inner": "bogus"}, [("inner", "expected 'weak', 'medium' or 'additivity'")]),
+            ({"scope": 3}, [("scope", "expected 'pairs' or 'partitions'")]),
+            ({"tol": "x"}, [("tol", "expected a number")]),
+            ({"seed": True}, [("seed", "expected a number")]),
+        ],
+    )
+    def test_check_overrides_raise_the_parsers_errors(self, overrides, errors):
+        # overrides reach result_check, which shares the parser's validator
+        s = parse_scenario(scenario_text("z_then_x.json"))
+        with pytest.raises(ScenarioValidationError) as err:
+            run_query(s, "weak", **overrides)
+        assert err.value.errors == errors
 
     def test_query_overrides(self):
         s = parse_scenario(scenario_text("z_then_x.json"))
