@@ -54,19 +54,28 @@ from .resolutions import Resolution, coarsen, from_basis, make_resolution
 
 SCHEMA_VERSION = 1
 
-_TOP_KEYS = {
-    "schema_version",
-    "dimension",
-    "times",
-    "present_index",
-    "reference_index",
-    "dynamics",
-    "state",
-    "resolutions",
-    "slots",
-    "histories",
-    "queries",
+#: Top-level key -> (its type, None for any value; and for an optional key,
+#: the message when it is mistyped and the value it takes when absent).
+_FIELDS = {
+    "schema_version": (int,),
+    "dimension": (int,),
+    "times": (list,),
+    "present_index": (int,),
+    "reference_index": (int, "expected an integer", 0),
+    "dynamics": (dict,),
+    "state": (None,),
+    "resolutions": (dict,),
+    "slots": (list,),
+    "histories": (dict, "expected an object", {}),
+    "queries": (dict, "expected an object", {}),
 }
+
+
+def _is_a(value, typ) -> bool:
+    """``isinstance(value, typ)``, but a boolean, which satisfies
+    ``isinstance(., int)``, is never a number or a field here."""
+    return isinstance(value, typ) and not isinstance(value, bool)
+
 
 #: The arguments of a check, in the order a check query keeps them.
 _CHECK_ARGS = ("mode", "tol", "seed", "states", "scope", "inner")
@@ -84,8 +93,7 @@ def _bad_check_args(args: Mapping) -> list[tuple[str, str]]:
         if key not in args:
             continue
         value = args[key]
-        # booleans satisfy isinstance(., Integral) but are never a number here
-        if not isinstance(value, typ) or isinstance(value, bool):
+        if not _is_a(value, typ):
             bad.append((key, "expected a number"))
         elif not least <= value < math.inf:
             rule = "finite and >= 0" if key == "tol" else f">= {least}"
@@ -140,38 +148,44 @@ class _Collector:
     def add(self, path: str, message: str) -> None:
         self.errors.append((path, message))
 
-    def check_keys(self, obj: Mapping, allowed: set, path: str) -> None:
+    def build(self, path: str, make, *args, errors=DecohistError):
+        """``make(*args)``, or None with the ``errors`` it raises recorded at ``path``."""
+        try:
+            return make(*args)
+        except errors as exc:
+            self.add(path, str(exc))
+            return None
+
+    def check_keys(self, obj: Mapping, allowed, path: str) -> None:
         for key in obj:
             if key not in allowed:
                 self.add(f"{path}.{key}" if path else key, "unknown key")
 
-    def raise_if_any(self) -> None:
-        if self.errors:
-            raise ScenarioValidationError(self.errors)
+
+def _read_fields(doc: Mapping, col: _Collector) -> dict:
+    """Each key of ``_FIELDS`` -> its value in ``doc``; a missing or mistyped value
+    is recorded and read as None, or as an optional key's (never mutated) default."""
+    col.check_keys(doc, _FIELDS, "")
+    fields = {}
+    for key, (typ, *optional) in _FIELDS.items():
+        mistyped, fields[key] = optional or (None, None)
+        if key not in doc:
+            if not optional:
+                col.add(key, "missing required key")
+        elif typ is None or _is_a(doc[key], typ):
+            fields[key] = doc[key]
+        else:
+            col.add(key, mistyped or f"expected {typ.__name__}, got {type(doc[key]).__name__}")
+    return fields
 
 
-def _want(obj: Mapping, key: str, path: str, col: _Collector, typ=None):
-    if key not in obj:
-        col.add(f"{path}.{key}" if path else key, "missing required key")
-        return None
-    val = obj[key]
-    # booleans satisfy isinstance(., int) but are never a valid field here
-    if typ is not None and (not isinstance(val, typ) or isinstance(val, bool)):
-        col.add(
-            f"{path}.{key}" if path else key,
-            f"expected {getattr(typ, '__name__', typ)}, got {type(val).__name__}",
-        )
-        return None
-    return val
+def _is_label_list(value) -> bool:
+    return isinstance(value, list) and bool(value) and all(isinstance(l, str) for l in value)
 
 
-def _parse_matrix(data, dim: int | None, path: str, col: _Collector):
-    try:
-        m = matrix_from_pairs(data)
-    except (DecohistError, ValueError, TypeError) as exc:
-        col.add(path, str(exc))
-        return None
-    if dim is not None and m.shape != (dim, dim):
+def _parse_matrix(data, dim: int, path: str, col: _Collector):
+    m = col.build(path, matrix_from_pairs, data, errors=(DecohistError, ValueError, TypeError))
+    if m is not None and m.shape != (dim, dim):
         col.add(path, f"expected a {dim}x{dim} matrix, got {m.shape[0]}x{m.shape[1]}")
         return None
     return m
@@ -184,17 +198,14 @@ def _parse_resolution(name: str, spec, dim: int, col: _Collector):
         return None, None
     col.check_keys(spec, {"basis", "projectors", "labels"}, path)
     has_basis = "basis" in spec
-    has_proj = "projectors" in spec
-    if has_basis == has_proj:
+    if has_basis == ("projectors" in spec):
         col.add(path, "give exactly one of 'basis' or 'projectors'")
         return None, None
 
     if has_basis:
         blocks = spec["basis"]
         if not isinstance(blocks, list) or not all(
-            isinstance(b, list)
-            and all(isinstance(i, int) and not isinstance(i, bool) for i in b)
-            for b in blocks
+            isinstance(b, list) and all(_is_a(i, int) for i in b) for b in blocks
         ):
             col.add(f"{path}.basis", "expected a list of integer lists")
             return None, None
@@ -206,31 +217,25 @@ def _parse_resolution(name: str, spec, dim: int, col: _Collector):
         n = len(spec["projectors"])
 
     labels = spec.get("labels", [str(k) for k in range(n)])
-    if (
-        not isinstance(labels, list)
-        or len(labels) != n
-        or not all(isinstance(l, str) for l in labels)
+    if not isinstance(labels, list) or len(labels) != n or not all(
+        isinstance(l, str) for l in labels
     ):
         col.add(f"{path}.labels", f"expected a list of {n} strings")
         return None, None
 
-    try:
-        if has_basis:
-            res = from_basis(dim, blocks, names=labels)
-            norm = {"labels": labels, "basis": [[int(i) for i in b] for b in blocks]}
-        else:
-            mats = []
-            for k, m in enumerate(spec["projectors"]):
-                mat = _parse_matrix(m, dim, f"{path}.projectors[{k}]", col)
-                if mat is None:
-                    return None, None
-                mats.append(mat)
-            res = make_resolution(list(zip(labels, mats)))
-            norm = {"labels": labels, "projectors": mats}
-    except DecohistError as exc:
-        col.add(path, str(exc))
-        return None, None
-    return res, norm
+    if has_basis:
+        res = col.build(path, from_basis, dim, blocks, labels)
+        norm = {"labels": labels, "basis": [[int(i) for i in b] for b in blocks]}
+    else:
+        mats = []
+        for k, m in enumerate(spec["projectors"]):
+            mat = _parse_matrix(m, dim, f"{path}.projectors[{k}]", col)
+            if mat is None:
+                return None, None
+            mats.append(mat)
+        res = col.build(path, make_resolution, list(zip(labels, mats)))
+        norm = {"labels": labels, "projectors": mats}
+    return (None, None) if res is None else (res, norm)
 
 
 def _parse_history_map(
@@ -241,10 +246,10 @@ def _parse_history_map(
         return None, None
     errors_before = len(col.errors)
     offsets = {}
+    keys = {}  # slot offset -> the key that named it
     grid = family.schedule.grid
     for key, labels in spec.items():
         kpath = f"{path}.{key}"
-        off = None
         try:
             off = int(key)
         except ValueError:
@@ -253,39 +258,33 @@ def _parse_history_map(
             except ValueError:
                 col.add(kpath, "slot key must be an offset or a time value")
                 continue
-            matches = [k for k, tv in enumerate(grid.times) if tv == t]
-            if not matches:
+            if t not in grid.times:
                 col.add(kpath, f"time {t} is not on the grid")
                 continue
-            off = grid.offset_of(matches[0])
+            off = grid.offset_of(grid.times.index(t))
         if off not in set(family.offsets()):
             col.add(kpath, f"slot offset {off} out of range")
             continue
-        if (
-            not isinstance(labels, list)
-            or not labels
-            or not all(isinstance(l, str) for l in labels)
-        ):
+        if off in keys:
+            col.add(kpath, f"slot offset {off} already given by key {keys[off]!r}")
+            continue
+        keys[off] = key
+        if not _is_label_list(labels):
             col.add(kpath, "expected a non-empty list of label names")
             continue
         offsets[off] = labels
     if len(col.errors) > errors_before:
         return None, None
-    try:
-        history = family.history(offsets)
-    except DecohistError as exc:
-        col.add(path, str(exc))
+    history = col.build(path, family.history, offsets)
+    if history is None:
         return None, None
-    norm = {
-        str(off): history.outcome_at(off).display_labels()
-        for off in sorted(offsets)
-    }
-    return history, norm
+    return history, {str(off): history.outcome_at(off).display_labels() for off in sorted(offsets)}
 
 
 def _parse_query(
-    name: str, spec, histories: dict, family: HistoryFamily | None, col: _Collector
+    name: str, spec, hist_specs: Mapping, family: HistoryFamily | None, col: _Collector
 ) -> dict | None:
+    """``hist_specs`` holds the histories the document declares, parsed or not."""
     path = f"queries.{name}"
     if not isinstance(spec, dict):
         col.add(path, "expected an object")
@@ -301,7 +300,7 @@ def _parse_query(
         if key not in _QUERIES[kind][2]:
             continue
         hname = spec.get(key)
-        if not isinstance(hname, str) or hname not in histories:
+        if not isinstance(hname, str) or hname not in hist_specs:
             col.add(f"{path}.{key}", f"unresolved history reference {hname!r}")
             return None
         out[key] = hname
@@ -312,19 +311,13 @@ def _parse_query(
         out["trace"] = spec["trace"]
     elif kind in ("retrodict", "retrodict-normalized"):
         present = spec.get("present")
-        if (
-            not isinstance(present, list)
-            or not present
-            or not all(isinstance(l, str) for l in present)
-        ):
+        if not _is_label_list(present):
             col.add(f"{path}.present", "expected a non-empty list of label names")
             return None
-        if family is not None:
-            try:
-                family.resolution_at(0).outcome(present)
-            except DecohistError as exc:
-                col.add(f"{path}.present", str(exc))
-                return None
+        if family is not None and (
+            col.build(f"{path}.present", family.resolution_at(0).outcome, present) is None
+        ):
+            return None
         out["present"] = present
     elif kind == "check":
         args = {key: spec[key] for key in _CHECK_ARGS if key in spec}
@@ -342,6 +335,8 @@ def parse_scenario(source) -> Scenario:
 
     Raises ScenarioSyntaxError for malformed JSON and
     ScenarioValidationError carrying every located failure otherwise.
+    A reference is unresolved only when the document declares no such name;
+    one it declares but that fails to parse is reported at its declaration.
     """
     if isinstance(source, str):
         try:
@@ -356,52 +351,42 @@ def parse_scenario(source) -> Scenario:
         raise ScenarioValidationError([("", "scenario must be a JSON object")])
 
     col = _Collector()
-    col.check_keys(doc, _TOP_KEYS, "")
+    fields = _read_fields(doc, col)
 
-    version = _want(doc, "schema_version", "", col, int)
+    version = fields["schema_version"]
     if version is not None and version != SCHEMA_VERSION:
         col.add("schema_version", f"unsupported version {version}")
 
-    dim = _want(doc, "dimension", "", col, int)
+    dim = fields["dimension"]
     if dim is not None and dim < 1:
         col.add("dimension", "must be a positive integer")
         dim = None
 
-    times = _want(doc, "times", "", col, list)
-    present_index = _want(doc, "present_index", "", col, int)
-    reference_index = doc.get("reference_index", 0)
-    if not isinstance(reference_index, int) or isinstance(reference_index, bool):
-        col.add("reference_index", "expected an integer")
-        reference_index = 0
-
+    times = fields["times"]
+    present_index = fields["present_index"]
+    reference_index = fields["reference_index"]
     grid = None
     if times is not None and present_index is not None:
-        if not all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in times):
+        if not all(_is_a(t, (int, float)) for t in times):
             col.add("times", "expected a list of numbers")
         else:
-            try:
-                grid = TimeGrid(tuple(float(t) for t in times), present_index)
-            except (DecohistError, ValueError) as exc:
-                col.add("times", str(exc))
+            grid = col.build(
+                "times", TimeGrid, times, present_index, errors=(DecohistError, ValueError)
+            )
     if grid is not None and not 0 <= reference_index < grid.n_slots:
         col.add("reference_index", f"slot {reference_index} out of range")
         grid = None
 
-    dynamics = _want(doc, "dynamics", "", col, dict)
+    dynamics = fields["dynamics"]
     spec = None
     if dynamics is not None and dim is not None and grid is not None:
         col.check_keys(dynamics, {"hamiltonian", "steps"}, "dynamics")
-        has_h = "hamiltonian" in dynamics
-        has_s = "steps" in dynamics
-        if has_h == has_s:
+        if ("hamiltonian" in dynamics) == ("steps" in dynamics):
             col.add("dynamics", "give exactly one of 'hamiltonian' or 'steps'")
-        elif has_h:
+        elif "hamiltonian" in dynamics:
             h = _parse_matrix(dynamics["hamiltonian"], dim, "dynamics.hamiltonian", col)
             if h is not None:
-                try:
-                    spec = DynamicsSpec.from_hamiltonian(h)
-                except DecohistError as exc:
-                    col.add("dynamics.hamiltonian", str(exc))
+                spec = col.build("dynamics.hamiltonian", DynamicsSpec.from_hamiltonian, h)
         else:
             steps = dynamics["steps"]
             if not isinstance(steps, list) or len(steps) != grid.n_slots - 1:
@@ -412,22 +397,15 @@ def parse_scenario(source) -> Scenario:
                     for k, s in enumerate(steps)
                 ]
                 if all(m is not None for m in mats):
-                    try:
-                        spec = DynamicsSpec.from_steps(mats)
-                    except DecohistError as exc:
-                        col.add("dynamics.steps", str(exc))
+                    spec = col.build("dynamics.steps", DynamicsSpec.from_steps, mats)
 
     state = None
-    state_data = _want(doc, "state", "", col)
-    if state_data is not None and dim is not None:
-        m = _parse_matrix(state_data, dim, "state", col)
+    if fields["state"] is not None and dim is not None:
+        m = _parse_matrix(fields["state"], dim, "state", col)
         if m is not None:
-            try:
-                state = DensityState(m)
-            except DecohistError as exc:
-                col.add("state", str(exc))
+            state = col.build("state", DensityState, m)
 
-    res_specs = _want(doc, "resolutions", "", col, dict)
+    res_specs = fields["resolutions"]
     resolutions: dict[str, Resolution] = {}
     res_norm: dict[str, dict] = {}
     if res_specs is not None and dim is not None:
@@ -437,7 +415,7 @@ def parse_scenario(source) -> Scenario:
                 resolutions[name] = res
                 res_norm[name] = norm
 
-    slot_names = _want(doc, "slots", "", col, list)
+    slot_names = fields["slots"]
     family = None
     if (
         slot_names is not None
@@ -449,12 +427,10 @@ def parse_scenario(source) -> Scenario:
         if len(slot_names) != grid.n_slots:
             col.add("slots", f"expected {grid.n_slots} entries, one per time")
         else:
-            ok = True
             for k, name in enumerate(slot_names):
-                if not isinstance(name, str) or name not in resolutions:
+                if not isinstance(name, str) or name not in res_specs:
                     col.add(f"slots[{k}]", f"unresolved resolution reference {name!r}")
-                    ok = False
-            if ok:
+            if all(isinstance(name, str) and name in resolutions for name in slot_names):
                 try:
                     schedule = build_schedule(grid, spec, reference_index, dim=dim)
                     family = HistoryFamily(
@@ -469,35 +445,28 @@ def parse_scenario(source) -> Scenario:
 
     histories: dict[str, History] = {}
     hist_norm: dict[str, dict] = {}
-    hist_specs = doc.get("histories", {})
-    if not isinstance(hist_specs, dict):
-        col.add("histories", "expected an object")
-        hist_specs = {}
     if family is not None:
-        for name, hspec in hist_specs.items():
+        for name, hspec in fields["histories"].items():
             h, norm = _parse_history_map(hspec, family, f"histories.{name}", col)
             if h is not None:
                 histories[name] = h
                 hist_norm[name] = norm
 
     queries: dict[str, dict] = {}
-    query_specs = doc.get("queries", {})
-    if not isinstance(query_specs, dict):
-        col.add("queries", "expected an object")
-        query_specs = {}
-    for name, qspec in query_specs.items():
-        q = _parse_query(name, qspec, histories, family, col)
+    for name, qspec in fields["queries"].items():
+        q = _parse_query(name, qspec, fields["histories"], family, col)
         if q is not None:
             queries[name] = q
 
-    col.raise_if_any()
+    if col.errors:
+        raise ScenarioValidationError(col.errors)
     if family is None:  # every path that leaves it unset records an error
         raise ScenarioValidationError([("slots", "no history family was built")])
 
     inputs = {
         "schema_version": SCHEMA_VERSION,
         "dimension": dim,
-        "times": [float(t) for t in grid.times],
+        "times": list(grid.times),
         "present_index": grid.present_index,
         "reference_index": reference_index,
         "dynamics": (
@@ -516,7 +485,7 @@ def parse_scenario(source) -> Scenario:
 
 def serialize_scenario(scenario: Scenario) -> str:
     """Canonical JSON text for a scenario (exact floats, stable layout)."""
-    return json.dumps(scenario.to_document(), indent=2) + "\n"
+    return json.dumps(scenario.document, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -789,9 +758,13 @@ _QUERIES = {
 
 def run_query(scenario: Scenario, name: str, **overrides) -> dict:
     """Execute a named query from the scenario; ``overrides`` replace any of
-    the keys its kind allows."""
+    the keys its kind allows, and any other key is refused."""
     if name not in scenario.queries:
         raise UnknownQueryError(name)
-    args = {**scenario.queries[name], **overrides}
-    build, fixed, _ = _QUERIES[args.pop("kind")]
-    return build(scenario, **fixed, **args)
+    args = dict(scenario.queries[name])
+    kind = args.pop("kind")
+    build, fixed, keys = _QUERIES[kind]
+    refused = [(key, f"not a key of a {kind!r} query") for key in overrides if key not in keys]
+    if refused:
+        raise ScenarioValidationError(refused)
+    return build(scenario, **fixed, **{**args, **overrides})

@@ -370,3 +370,134 @@ class TestDocumentOnDemand:
         assert doc == s.document and doc is not s.document
         doc["resolutions"]["x"]["projectors"][0][0][0][0] = 9.0
         assert s.to_document() != doc
+
+
+def _planted(path, value):
+    """``z_then_x.json`` with the value at ``path`` (a tuple of keys) replaced."""
+    doc = json.loads(scenario_text("z_then_x.json"))
+    node = doc
+    for part in path[:-1]:
+        node = node[part]
+    node[path[-1]] = value
+    return doc
+
+
+_P0 = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]  # the projector onto |0>, as [re, im] pairs
+
+
+#: One planted fault per site that builds an engine object, as (path of the
+#: replaced value, new value, the located error it must give).
+ENGINE_FAULTS = [
+    (("state",), [1, 2], ("state", "matrix literal must be a nested array of [re, im] pairs")),
+    (("times",), [1.0, 0.0], ("times", "times must be strictly increasing, got 1.0 >= 0.0")),
+    (
+        ("dynamics",),
+        {"hamiltonian": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]},
+        ("dynamics.hamiltonian", "matrix is not Hermitian: max |M - M^dagger| = 1.000e+00"),
+    ),
+    (
+        ("dynamics",),
+        {"steps": [[[[2, 0], [0, 0]], [[0, 0], [2, 0]]]]},
+        ("dynamics.steps", "matrix is not unitary: max |U^dagger U - I| = 3.000e+00"),
+    ),
+    (
+        ("state",),
+        [[[0.6, 0], [0, 0]], [[0, 0], [0.6, 0]]],
+        ("state", "trace differs from 1 by 2.000e-01"),
+    ),
+    (
+        ("resolutions", "z"),
+        {"basis": [[0]], "labels": ["z0"]},
+        ("resolutions.z", "partition does not cover labels [1]"),
+    ),
+    (
+        ("resolutions", "x", "projectors"),
+        [_P0, _P0],
+        (
+            "resolutions.x",
+            "projectors for labels 'x+' and 'x-' are not orthogonal: max |P_a P_b| = 1.000e+00",
+        ),
+    ),
+    (("histories", "zpxp", "-1"), ["nope"], ("histories.zpxp", "label 'nope' not in resolution")),
+    (
+        ("queries", "retro_z0", "present"),
+        ["nope"],
+        ("queries.retro_z0.present", "label 'nope' not in resolution"),
+    ),
+]
+
+
+class TestEngineErrorSites:
+    """Each site that builds an engine object records the engine's own
+    message at its path; one planted fault per site pins both."""
+
+    @pytest.mark.parametrize("path, value, first", ENGINE_FAULTS)
+    def test_first_error_is_the_engines(self, path, value, first):
+        with pytest.raises(ScenarioValidationError) as err:
+            parse_scenario(_planted(path, value))
+        assert err.value.errors[0] == first
+
+    @pytest.mark.parametrize("path, value, error", ENGINE_FAULTS)
+    def test_one_error_per_fault(self, path, value, error):
+        # a slot or query naming a declared resolution or history that failed
+        # to parse is not also reported as an unresolved reference
+        with pytest.raises(ScenarioValidationError) as err:
+            parse_scenario(_planted(path, value))
+        assert err.value.errors == [error]
+
+    def test_undeclared_names_are_still_unresolved(self):
+        doc = _planted(("slots",), ["z", "y"])
+        doc["queries"]["p_joint"]["history"] = "missing"
+        with pytest.raises(ScenarioValidationError) as err:
+            parse_scenario(doc)
+        assert err.value.errors == [
+            ("slots[1]", "unresolved resolution reference 'y'"),
+            ("queries.p_joint.history", "unresolved history reference 'missing'"),
+        ]
+
+
+class TestHistoryMapSlots:
+    @pytest.mark.parametrize("again", ["1.0", "-0"])
+    def test_slot_named_twice_is_refused_at_the_later_key(self, again):
+        # "1.0" is the grid time of offset 0, and "-0" reads as offset 0
+        doc = _planted(("histories", "zpxp"), {"0": ["x+"], again: ["x-"]})
+        with pytest.raises(ScenarioValidationError) as err:
+            parse_scenario(doc)
+        assert err.value.errors == [
+            (f"histories.zpxp.{again}", "slot offset 0 already given by key '0'")
+        ]
+
+    def test_offset_and_time_keys_for_different_slots_are_accepted(self):
+        s = parse_scenario(_planted(("histories", "zpxp"), {"0.0": ["z1"], "0": ["x-"]}))
+        assert s.histories["zpxp"].labels_by_offset() == {-1: ["z1"], 0: ["x-"]}
+
+
+class TestRunQueryOverrides:
+    @pytest.mark.parametrize(
+        "name, overrides, errors",
+        [
+            ("weak", {"bogus": 1}, [("bogus", "not a key of a 'check' query")]),
+            ("p_joint", {"bogus": 1}, [("bogus", "not a key of a 'probability' query")]),
+            ("d", {"kind": "check"}, [("kind", "not a key of a 'dfunc' query")]),
+            (
+                "p_joint",
+                {"history": "zpxp", "mode": "weak", "seed": 1},
+                [
+                    ("mode", "not a key of a 'probability' query"),
+                    ("seed", "not a key of a 'probability' query"),
+                ],
+            ),
+        ],
+    )
+    def test_keys_the_kind_does_not_take_are_refused(self, monkeypatch, name, overrides, errors):
+        s = parse_scenario(scenario_text("z_then_x.json"))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a result builder ran")
+
+        # the keys are refused before any builder runs
+        for kind, (_, fixed, keys) in list(scenario_module._QUERIES.items()):
+            monkeypatch.setitem(scenario_module._QUERIES, kind, (refuse, fixed, keys))
+        with pytest.raises(ScenarioValidationError) as err:
+            run_query(s, name, **overrides)
+        assert err.value.errors == errors
