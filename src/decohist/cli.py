@@ -36,18 +36,23 @@ def format_number(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _render_json_value(value, indent: int) -> str:
-    pad = "  " * indent
+def _scalar(value, null: str, string) -> str | None:
+    """A leaf's text: ``null`` for None, a bool as true or false, a float with
+    12 significant digits, an int, a str through ``string``; None otherwise."""
+    if value is None:
+        return null
     if isinstance(value, bool):
         return "true" if value else "false"
-    if value is None:
-        return "null"
-    if isinstance(value, float):
-        return format_number(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return json.dumps(value)
+    if isinstance(value, (float, int)):
+        return format_number(value) if isinstance(value, float) else str(value)
+    return string(value) if isinstance(value, str) else None
+
+
+def _render_json_value(value, indent: int) -> str:
+    pad = "  " * indent
+    leaf = _scalar(value, "null", json.dumps)
+    if leaf is not None:
+        return leaf
     if isinstance(value, dict):
         brackets = "{}"
         items = [
@@ -71,16 +76,9 @@ def render_json(doc: dict) -> str:
 
 def _compact(value) -> str:
     """One-line cell rendering for tables and CSV."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return format_number(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return value
+    leaf = _scalar(value, "", str)
+    if leaf is not None:
+        return leaf
     if isinstance(value, dict):
         return "{" + ", ".join(f"{k}: {_compact(v)}" for k, v in value.items()) + "}"
     if isinstance(value, (list, tuple)):

@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, FamilyTooLargeError
+from .errors import DimensionMismatchError
 from .histories import (
     DEFAULT_FAMILY_CAP,
     DecoherenceFunctional,
@@ -54,6 +54,7 @@ from .histories import (
     _check_trace,
     _gram_rows,
     _gram_strips,
+    _require_cap,
     _row_norms,
     _strip_ranges,
 )
@@ -324,8 +325,7 @@ def check_additivity(
     cached Gram rows, which ``decoherence_functional`` and
     ``fine_probabilities`` on the same family object reuse.
     """
-    if family.n_fine_histories > cap:
-        raise FamilyTooLargeError(family.n_fine_histories, cap)
+    _require_cap(family, cap)
     additivity = _scope(scope)  # before the rows are built
     return additivity(family, family._gram, tol, seed)
 
@@ -354,8 +354,7 @@ def check_state_robustness(
     make one scan of that state's strips of D for its worst value and where
     it lies, additivity reads its fibers.
     """
-    if family.n_fine_histories > DEFAULT_FAMILY_CAP:
-        raise FamilyTooLargeError(family.n_fine_histories, DEFAULT_FAMILY_CAP)
+    _require_cap(family)
     if mode not in _INNER_MODES:
         raise ValueError(f"unknown inner mode {mode!r}")
     additivity = _scope(scope)

@@ -89,7 +89,9 @@ class UnknownLabelError(DecohistError):
 class PartitionNotTotalError(DecohistError):
     def __init__(self, missing):
         self.missing = missing
-        super().__init__(f"partition does not cover labels {sorted(missing)!r}")
+        labels = sorted(missing)  # the first ten are named, the rest counted
+        more = f" and {len(labels) - 10} more" if len(labels) > 10 else ""
+        super().__init__(f"partition does not cover labels {labels[:10]!r}{more}")
 
 
 class ResolutionMismatchError(DecohistError):

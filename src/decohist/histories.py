@@ -5,7 +5,9 @@ A history family couples a dynamics schedule, one resolution per time slot,
 and a state given at the schedule's reference slot.  A history assigns one
 outcome per slot; its chain operator is the ordered product of
 Heisenberg-lifted outcome projectors with the latest slot leftmost, and its
-probability is Tr(C rho C^dagger).
+probability is Tr(C rho C^dagger).  A full outcome, such as the one outcome
+of a one-outcome slot, is a validated resolution's sum, the identity; the
+engine takes it as exactly I and skips it wherever it would multiply.
 
 Fine-grained histories (one label per slot) are enumerated lexicographically
 with the earliest slot most significant and labels in resolution order; the
@@ -62,12 +64,12 @@ ZERO_THRESHOLD = 1e-12
 DEFAULT_FAMILY_CAP = 4096
 
 
-def _clamp_unit(value: float, tol: float = CLAMP_TOL) -> float:
-    """Snap values within ``tol`` outside [0, 1] back onto the bound."""
-    if -tol <= value < 0.0:
+def _clamp_unit(value: float) -> float:
+    """Snap values within CLAMP_TOL outside [0, 1] back onto the bound."""
+    if -CLAMP_TOL <= value < 0.0:
         log.debug("clamping %.17g to 0", value)
         return 0.0
-    if 1.0 < value <= 1.0 + tol:
+    if 1.0 < value <= 1.0 + CLAMP_TOL:
         log.debug("clamping %.17g to 1", value)
         return 1.0
     return value
@@ -283,18 +285,14 @@ def _require_same_family(family: HistoryFamily, h: History) -> None:
         raise FamilyMismatchError("history was built for a different family")
 
 
-def _lifted_outcome(family: HistoryFamily, pos: int, outcome: Outcome) -> np.ndarray:
-    """Heisenberg-lifted outcome projector (sum of lifted fine projectors)."""
-    res = family.resolutions[pos]
-    return _summed(family._lifted[pos], [res.position(idx) for idx in outcome.sorted_labels()])
-
-
 def chain_operator(family: HistoryFamily, history: History) -> np.ndarray:
-    """Ordered product of lifted outcome projectors, latest slot leftmost."""
+    """Ordered product of lifted outcome projectors, latest slot leftmost,
+    from I; a full outcome is taken as exactly I."""
     _require_same_family(family, history)
-    chain = _lifted_outcome(family, 0, history.outcomes[0])
-    for pos in range(1, family.n_slots):
-        chain = _lifted_outcome(family, pos, history.outcomes[pos]) @ chain
+    chain = np.eye(family.dim, dtype=complex)
+    for res, table, out in zip(family.resolutions, family._lifted, history.outcomes):
+        if not out.is_full:  # the outcome's projector sums its lifted fine ones
+            chain = _summed(table, [res.position(i) for i in out.sorted_labels()]) @ chain
     return chain
 
 
@@ -306,9 +304,13 @@ def history_probability(
     Values within CLAMP_TOL outside [0, 1] are snapped to the bound unless
     ``clamp`` is false (diagnostics want the raw number).
     """
-    chain = chain_operator(family, history)
-    raw = float(np.sum((chain @ family.state.matrix) * chain.conj()).real)
+    raw = _probability(chain_operator(family, history), family.state.matrix)
     return _clamp_unit(raw) if clamp else raw
+
+
+def _probability(chain: np.ndarray, rho: np.ndarray) -> float:
+    """Tr(C rho C^dagger)."""
+    return float(np.sum((chain @ rho) * chain.conj()).real)
 
 
 def _gram_rows(
@@ -319,17 +321,16 @@ def _gram_rows(
     ``L`` and ``delta`` factor ``state`` and ``w`` tiles ``delta`` along each
     row, so D_ij = Tr(C_i rho C_j^dagger) = sum_k V_ik w_k conj(V_jk).
     """
-    factor, delta = state._factor
-    d, r = factor.shape
-    # slot by slot, latest slot leftmost: histories sharing a prefix share
-    # its product C L, so the build costs O(N d^2 r).  Each slot is one
+    rows, delta = state._factor
+    d, r = rows.shape
+    # slot by slot from L, latest slot leftmost: histories sharing a prefix
+    # share its product C L, so the build costs O(N d^2 r).  Each slot is one
     # product per prefix with the slot's projectors stacked as (size*d, d);
     # its (size*d, r) result lists the labels in order, so the rows stay
     # lexicographic.
-    first, *later = family._lifted
-    rows = first @ factor
-    for table in later:
-        rows = np.matmul(table.reshape(-1, d), rows.reshape(-1, d, r))
+    for table in family._lifted:
+        if len(table) > 1:  # a one-outcome slot is I
+            rows = np.matmul(table.reshape(-1, d), rows.reshape(-1, d, r))
     return rows.reshape(family.n_fine_histories, -1), np.tile(delta, family.dim)
 
 
@@ -402,12 +403,15 @@ def _gram_strips(rows: np.ndarray, weights: np.ndarray, out: np.ndarray | None =
         yield b, top, np.matmul(lhs, rows[b : b + h, top:].transpose(0, 2, 1), out=strip)
 
 
+def _require_cap(family: HistoryFamily, cap: int = DEFAULT_FAMILY_CAP) -> None:
+    if family.n_fine_histories > cap:
+        raise FamilyTooLargeError(family.n_fine_histories, cap)
+
+
 def fine_probabilities(family: HistoryFamily) -> np.ndarray:
     """Probabilities of all fine histories, lexicographic order (unclamped):
     a fresh copy of the family's cached row norms, which are diag(D)."""
-    n = family.n_fine_histories
-    if n > DEFAULT_FAMILY_CAP:
-        raise FamilyTooLargeError(n, DEFAULT_FAMILY_CAP)
+    _require_cap(family)
     return family._probabilities.copy()
 
 
@@ -541,9 +545,8 @@ def decoherence_functional(
     is conjugated in place in its block's upper part and mirrored below as
     its exact conjugate; the diagonal is the family's cached row norms.
     """
+    _require_cap(family, cap)
     n = family.n_fine_histories
-    if n > cap:
-        raise FamilyTooLargeError(n, cap)
     probabilities = family._probabilities  # its temporaries are freed before D
     s = family.shape[-1]
     rows, weights = family._gram
@@ -584,12 +587,12 @@ def _combine(a: History, b: History) -> History:
     return joint
 
 
-def _conditional_ratio(family: HistoryFamily, joint: History, given: History) -> float:
-    den = history_probability(family, given, clamp=False)
+def _conditional_ratio(family: HistoryFamily, joint: History, den: float) -> float:
+    """p(joint) / den, clamped; the numerator is computed only for a
+    denominator above ZERO_THRESHOLD."""
     if den <= ZERO_THRESHOLD:
         raise ZeroConditionProbabilityError(den, ZERO_THRESHOLD)
-    num = history_probability(family, joint, clamp=False)
-    return _clamp_unit(num / den)
+    return _clamp_unit(history_probability(family, joint, clamp=False) / den)
 
 
 def predictive_conditional(
@@ -606,7 +609,7 @@ def predictive_conditional(
     _require_trivial_outside(future, lambda off: off >= 1, "future")
     _require_trivial_outside(given, lambda off: off <= 0, "given")
     joint = _combine(future, given)
-    return _conditional_ratio(family, joint, given)
+    return _conditional_ratio(family, joint, history_probability(family, given, clamp=False))
 
 
 def retrodictive_conditional(
@@ -619,7 +622,7 @@ def retrodictive_conditional(
     unless the family is consistent.
     """
     joint, given, _ = _retrodiction(family, past, present)
-    return _conditional_ratio(family, joint, given)
+    return _conditional_ratio(family, joint, history_probability(family, given, clamp=False))
 
 
 def retrodictive_normalized(
@@ -635,11 +638,7 @@ def retrodictive_normalized(
     for inconsistent families.
     """
     joint, _, present = _retrodiction(family, past, present)
-    den = _summed_past_denominator(family, present)
-    if den <= ZERO_THRESHOLD:
-        raise ZeroConditionProbabilityError(den, ZERO_THRESHOLD)
-    num = history_probability(family, joint, clamp=False)
-    return _clamp_unit(num / den)
+    return _conditional_ratio(family, joint, _summed_past_denominator(family, present))
 
 
 def _retrodiction(family: HistoryFamily, past: History, present) -> tuple:
@@ -667,9 +666,9 @@ def _summed_past_denominator(family: HistoryFamily, present: Outcome) -> float:
     pos = family.position(0)
     rho = family.state.matrix
     for table in family._lifted[:pos]:
-        rho = sum(table @ rho @ table.conj().transpose(0, 2, 1))
-    projector = _lifted_outcome(family, pos, present)
-    return float(np.sum((projector @ rho) * projector.conj()).real)
+        if len(table) > 1:  # a one-outcome slot is I, as is a full present
+            rho = sum(table @ rho @ table.conj().transpose(0, 2, 1))
+    return _probability(chain_operator(family, family.history({0: present.sorted_labels()})), rho)
 
 
 # ---------------------------------------------------------------------------

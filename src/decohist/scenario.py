@@ -252,10 +252,10 @@ def _parse_history_map(
         kpath = f"{path}.{key}"
         try:
             off = int(key)
-        except ValueError:
+        except (TypeError, ValueError):  # a dict given in Python may have any key
             try:
                 t = float(key)
-            except ValueError:
+            except (TypeError, ValueError):
                 col.add(kpath, "slot key must be an offset or a time value")
                 continue
             if t not in grid.times:

@@ -186,3 +186,14 @@ class TestOutcomeAlgebra:
     def test_from_basis_requires_cover(self):
         with pytest.raises(PartitionNotTotalError):
             from_basis(3, [[0], [1]])
+
+    def test_uncovered_labels_listed_up_to_ten_then_counted(self):
+        with pytest.raises(PartitionNotTotalError) as err:
+            from_basis(11, [[0]])
+        assert str(err.value) == "partition does not cover labels [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]"
+        with pytest.raises(PartitionNotTotalError) as err:
+            from_basis(13, [[0]])
+        assert str(err.value) == (
+            "partition does not cover labels [1, 2, 3, 4, 5, 6, 7, 8, 9, 10] and 2 more"
+        )
+        assert err.value.missing == set(range(1, 13))

@@ -501,3 +501,64 @@ class TestRunQueryOverrides:
         with pytest.raises(ScenarioValidationError) as err:
             run_query(s, name, **overrides)
         assert err.value.errors == errors
+
+
+class TestLocatedErrorPaths:
+    """Every located error a scenario or a coarse-grain partition can raise
+    names its path and its fault; one planted fault per path."""
+
+    @pytest.mark.parametrize(
+        "path, value, error",
+        [
+            (("histories", "zpxp"), ["x+"],
+             ("histories.zpxp", "expected an object mapping slots to label lists")),
+            (("histories", "zpxp"), {"soon": ["x+"]},
+             ("histories.zpxp.soon", "slot key must be an offset or a time value")),
+            # a dict given in Python may have a key that is not a string
+            (("histories", "zpxp"), {None: ["x+"]},
+             ("histories.zpxp.None", "slot key must be an offset or a time value")),
+            (("histories", "zpxp"), {"0.5": ["x+"]},
+             ("histories.zpxp.0.5", "time 0.5 is not on the grid")),
+            (("queries", "oracle_joint", "trace"), "yes",
+             ("queries.oracle_joint.trace", "expected a boolean")),
+            (("queries", "retro_z0", "present"), "x+",
+             ("queries.retro_z0.present", "expected a non-empty list of label names")),
+        ],
+    )
+    def test_scenario_fault(self, path, value, error):
+        with pytest.raises(ScenarioValidationError) as err:
+            parse_scenario(_planted(path, value))
+        assert err.value.errors == [error]
+
+    @pytest.mark.parametrize(
+        "partition, error",
+        [
+            ({"a": "x+", "b": ["x-"]}, ("partition.a", "expected a non-empty label list")),
+            ({"a": ["x+", "x-"], "b": []}, ("partition.b", "expected a non-empty label list")),
+            ({"a": ["x+"], "b": ["x-", "x+"]}, ("partition.b", "label 'x+' assigned twice")),
+        ],
+    )
+    def test_coarse_grain_partition_fault(self, partition, error):
+        s = parse_scenario(scenario_text("z_then_x.json"))
+        with pytest.raises(ScenarioValidationError) as err:
+            result_coarse_grain(s, 0, partition)
+        assert err.value.errors == [error]
+
+    def test_coarse_resolution_name_already_taken(self):
+        doc = json.loads(scenario_text("z_then_x.json"))
+        doc["resolutions"]["x_coarse"] = doc["resolutions"]["x"]
+        out = result_coarse_grain(parse_scenario(doc), 0, {"x+": ["x+"], "x-": ["x-"]})
+        coarse = out["scenario"]
+        assert coarse["slots"] == ["z", "x_coarse_"]
+        assert coarse["resolutions"]["x_coarse"] == doc["resolutions"]["x"]
+        assert coarse["resolutions"]["x_coarse_"]["labels"] == ["x+", "x-"]
+
+
+class TestBoundedMessages:
+    def test_uncovered_labels_are_listed_then_counted(self):
+        # a wrong large dimension leaves almost every basis label uncovered
+        with pytest.raises(ScenarioValidationError) as err:
+            parse_scenario(_planted(("dimension",), 1000000))
+        assert ("resolutions.z", "partition does not cover labels "
+                "[2, 3, 4, 5, 6, 7, 8, 9, 10, 11] and 999988 more") in err.value.errors
+        assert len(str(err.value)) < 1000
