@@ -13,12 +13,14 @@ the witness achieving it:
 * robustness: a chosen check passes for every state in a (seeded or
   user-supplied) state set.
 
-All four read one kernel: the Gram rows V_i = vec(C_i L) of the fine
-histories, where rho = L Delta L^dagger (``histories._gram_rows``).  Weak and
-medium scan D = (V w) V^dagger; additivity reads the fiber blocks of D from
-the rows of each fiber alone; robustness builds the rows once per state and
-makes one scan of that state's strips of D (``histories._gram_strips``),
-never all of D, for both its worst value and where it lies.
+All four read the Gram rows V_i = vec(C_i L) of the fine histories, where
+rho = L Delta L^dagger (``histories._gram_rows``), through the strip kernel
+that makes D = (V w) V^dagger (``histories._gram_strips``).  Weak and medium
+scan D; additivity makes each slot's fiber blocks of D, in one pass over the
+slots for both scopes, from one copy of the rows reordered with the slot
+second to last; robustness builds the rows once per state and makes one
+scan of that state's strips of D, never all of D, for its worst value and
+where it lies.
 
 Histories that differ at the last slot never interfere: their chain
 operators end in orthogonal projectors of a validated resolution, which is
@@ -90,8 +92,9 @@ def _report(mode, worst, witness, tol, seed=None) -> ConsistencyReport:
     return ConsistencyReport(mode, worst <= tol, worst, witness, tol, seed)
 
 
-def _pair_witness(i: int, j: int, first: dict, second: dict) -> dict:
-    return {"kind": "pair", "indices": [int(i), int(j)], "first": first, "second": second}
+def _pair_witness(i: int, j: int, first: dict, second: dict, **slot) -> dict:
+    """A pair witness; ``slot=offset``, when given, goes after the indices."""
+    return {"kind": "pair", "indices": [int(i), int(j)], **slot, "first": first, "second": second}
 
 
 def _offdiag_scan(strips, mode: str, s: int) -> tuple[float, tuple[int, int] | None]:
@@ -175,17 +178,44 @@ def check_medium_decoherence(
 # Additivity of union probabilities, read from fiber blocks of D.
 
 
-def _fiber(family: HistoryFamily, gram, pos: int) -> np.ndarray:
-    """Blocks G[r, a, b] = Tr(C_(a,r) rho C_(b,r)^dagger) of D over slot ``pos``.
+def _fiber(family: HistoryFamily, rows: np.ndarray, weights: np.ndarray, pos: int) -> np.ndarray:
+    """Re G[r, a, b] = Re Tr(C_(a,r) rho C_(b,r)^dagger) over the labels a, b
+    of slot ``pos`` and the other slots' labels r, in lexicographic order.
 
-    ``a`` and ``b`` run over the slot's labels, ``r`` over the other slots'
-    labels in lexicographic order.  Each block is the Gram form (V w) V^dagger
-    of the rows ``_gram_rows`` gives for the histories (a, r) of one ``r``.
+    The strip kernel writes conj(G), of the same real part, from one copy of
+    ``rows`` reordered with the slot second to last.  Past TILE labels a
+    strip starts at its diagonal, so its part right of the corner is
+    mirrored below it, as D's assembly does.
     """
-    rows, weights = gram
     v = np.moveaxis(rows.reshape(*family.shape, -1), pos, -2)
     v = v.reshape(-1, *v.shape[-2:])
-    return (v * weights) @ v.conj().transpose(0, 2, 1)
+    blocks = np.empty((len(v), v.shape[1], v.shape[1]), dtype=complex)
+    for b, top, strip in _gram_strips(v, weights, out=blocks):
+        h, t = strip.shape[:2]
+        blocks[b : b + h, top + t :, top : top + t] = strip[:, :, t:].transpose(0, 2, 1)
+    return blocks.real
+
+
+def _slot_worst(family, gram, violations, witness) -> tuple[float, dict | None]:
+    """The largest entry of ``violations(pos, size, fiber)`` over the slots of
+    two or more labels and ``witness(pos, size, flat)`` of its first flat
+    index, or (0.0, None).  Each fiber is freed before the next is made.  The
+    last slot's labels never interfere, so its fiber, exactly zero, is not
+    made: its largest entry is 0.0 at flat index 0, the first candidate.
+    """
+    rows, weights = gram
+    worst, best = -1.0, None
+    for pos, size in enumerate(family.shape):
+        if size < 2:
+            continue
+        value, flat = 0.0, 0
+        if pos < family.n_slots - 1:
+            viol = violations(pos, size, _fiber(family, rows, weights, pos))
+            flat = int(np.argmax(viol))
+            value = float(viol.flat[flat])
+        if value > worst:
+            worst, best = value, (pos, size, flat)
+    return (0.0, None) if best is None else (worst, witness(*best))
 
 
 def _fine_labels(family: HistoryFamily, flat: int) -> dict[int, list[str]]:
@@ -194,31 +224,20 @@ def _fine_labels(family: HistoryFamily, flat: int) -> dict[int, list[str]]:
 
 
 def _pairs_scope(family, gram, tol, seed) -> ConsistencyReport:
-    index = np.arange(family.n_fine_histories).reshape(family.shape)
-    worst = -1.0
-    witness = None
-    for pos, size in enumerate(family.shape):
-        if size < 2:
-            continue
+    def violations(pos, size, fiber):
+        # rows in label-pair order, columns over the other slots' labels
         a, b = np.triu_indices(size, k=1)
-        if pos == family.n_slots - 1:  # last-slot labels never interfere
-            pair, r, value = 0, 0, 0.0
-        else:
-            # rows in label-pair order, columns over the other slots' labels
-            viol = np.abs(2.0 * _fiber(family, gram, pos)[:, a, b].real.T)
-            pair, r = divmod(int(np.argmax(viol)), viol.shape[1])
-            value = float(viol[pair, r])
-        if value > worst:
-            worst = value
-            i, j = np.moveaxis(index, pos, -1).reshape(-1, size)[r, [a[pair], b[pair]]]
-            witness = {
-                "kind": "pair",
-                "indices": [int(i), int(j)],
-                "slot": family.offset_of(pos),
-                "first": _fine_labels(family, i),
-                "second": _fine_labels(family, j),
-            }
-    return _report("additivity", max(worst, 0.0), witness, tol)
+        return np.abs(2.0 * fiber[:, a, b].T)
+
+    def witness(pos, size, flat):
+        pair, r = divmod(flat, family.n_fine_histories // size)
+        a, b = np.triu_indices(size, k=1)
+        index = np.moveaxis(np.arange(family.n_fine_histories).reshape(family.shape), pos, -1)
+        i, j = index.reshape(-1, size)[r, [a[pair], b[pair]]]
+        first, second = _fine_labels(family, i), _fine_labels(family, j)
+        return _pair_witness(i, j, first, second, slot=family.offset_of(pos))
+
+    return _report("additivity", *_slot_worst(family, gram, violations, witness), tol)
 
 
 def _candidate_count(size: int) -> int:
@@ -236,66 +255,63 @@ def _candidate_partition(size: int, k: int) -> tuple[tuple[int, ...], ...]:
     return block, tuple(p for p in range(size) if p not in block)
 
 
+def _picks(size: int, seed: int) -> np.ndarray | range:
+    """The candidates tried at a slot of ``size`` labels: all of them, or
+    above PARTITION_EXHAUSTIVE_MAX a sorted sample drawn from ``seed``."""
+    count = _candidate_count(size)
+    if size <= PARTITION_EXHAUSTIVE_MAX:
+        return range(count)
+    rng = np.random.default_rng(seed)
+    return np.sort(rng.choice(count, size=min(PARTITION_SAMPLE_SIZE, count), replace=False))
+
+
 def _partitions_scope(family, gram, tol, seed) -> ConsistencyReport:
-    worst = -1.0
-    best = None
-    used_seed = None
-    for pos, size in enumerate(family.shape):
-        count = _candidate_count(size)
-        if not count:
-            continue
-        picks = range(count)
-        if size > PARTITION_EXHAUSTIVE_MAX:
-            used_seed = DEFAULT_ROBUSTNESS_SEED if seed is None else seed
-            rng = np.random.default_rng(used_seed)
-            take = min(PARTITION_SAMPLE_SIZE, count)
-            picks = np.sort(rng.choice(count, size=take, replace=False))
-        if pos == family.n_slots - 1:  # last-slot labels never interfere
-            value, blocks, flat = 0.0, _candidate_partition(size, int(picks[0])), 0
-        else:
-            candidates = [_candidate_partition(size, int(k)) for k in picks]
-            masks = np.zeros((len(candidates), 2, size))
-            for k, blocks in enumerate(candidates):
-                for c, block in enumerate(blocks):
-                    masks[k, c, list(block)] = 1.0
-            # coarse minus summed fine probability of each block, per coarse
-            # history: the block's off-diagonal Re G entries
-            off = _fiber(family, gram, pos).real * (1.0 - np.eye(size))
-            before = math.prod(family.shape[:pos])
-            diff = np.abs(np.einsum("kca,rab,kcb->krc", masks, off, masks))
-            diff = diff.reshape(len(candidates), before, -1, 2).transpose(0, 1, 3, 2)
-            # candidate-major, then coarse flat order; a full merge's empty
-            # second block is all zero, so its first maximum is in its first
-            # block
-            k, bf, c, af = np.unravel_index(int(np.argmax(diff)), diff.shape)
-            value, blocks = float(diff[k, bf, c, af]), candidates[k]
-            flat = (bf * len(blocks) + c) * diff.shape[3] + af
-        if value > worst:
-            worst, best = value, (pos, blocks, int(flat))
-    if best is None:
-        return _report("additivity", 0.0, None, tol, seed=used_seed)
-    pos, blocks, flat = best
-    res = family.resolutions[pos]
-    names: list[str] = []  # the labels ``coarsen_slot`` would give the blocks
-    for block in blocks:
-        name = "+".join(res.labels[p].display for p in block)
-        while name in names:  # label names may themselves contain '+'
-            name += "'"
-        names.append(name)
-    # coarse history ``flat`` of the family with slot ``pos`` coarsened
-    shape = (*family.shape[:pos], len(blocks), *family.shape[pos + 1 :])
-    index = np.unravel_index(flat, shape)
-    coarse_history = {
-        family.offset_of(q): [names[i] if q == pos else r.labels[i].display]
-        for q, (r, i) in enumerate(zip(family.resolutions, index))
-    }
-    witness = {
-        "kind": "partition",
-        "slot": family.offset_of(pos),
-        "blocks": [[res.labels[p].display for p in block] for block in blocks],
-        "coarse_history": coarse_history,
-    }
-    return _report("additivity", worst, witness, tol, seed=used_seed)
+    seed = DEFAULT_ROBUSTNESS_SEED if seed is None else seed
+    picks = {size: _picks(size, seed) for size in set(family.shape)}
+
+    def violations(pos, size, fiber):
+        candidates = [_candidate_partition(size, int(k)) for k in picks[size]]
+        masks = np.zeros((len(candidates), 2, size))
+        for k, blocks in enumerate(candidates):
+            for c, block in enumerate(blocks):
+                masks[k, c, list(block)] = 1.0
+        # coarse minus summed fine probability of each block, per coarse
+        # history: the block's off-diagonal Re G entries
+        off = fiber * (1.0 - np.eye(size))
+        diff = np.abs(np.einsum("kca,rab,kcb->krc", masks, off, masks))
+        # candidate-major, then coarse flat order with the slot split in
+        # two; a full merge's empty second block is all zero, so its first
+        # maximum is in its first block
+        before = math.prod(family.shape[:pos])
+        return diff.reshape(len(candidates), before, -1, 2).transpose(0, 1, 3, 2)
+
+    def witness(pos, size, flat):
+        # candidate k, then coarse history ``flat`` with slot ``pos`` split in two
+        k, flat = divmod(flat, 2 * family.n_fine_histories // size)
+        blocks = _candidate_partition(size, int(picks[size][k]))
+        res = family.resolutions[pos]
+        names: list[str] = []  # the labels ``coarsen_slot`` would give the blocks
+        for block in blocks:
+            name = "+".join(res.labels[p].display for p in block)
+            while name in names:  # label names may themselves contain '+'
+                name += "'"
+            names.append(name)
+        index = np.unravel_index(flat, (*family.shape[:pos], 2, *family.shape[pos + 1 :]))
+        coarse_history = {
+            family.offset_of(q): [names[i] if q == pos else r.labels[i].display]
+            for q, (r, i) in enumerate(zip(family.resolutions, index))
+        }
+        return {
+            "kind": "partition",
+            "slot": family.offset_of(pos),
+            "blocks": [[res.labels[p].display for p in block] for block in blocks],
+            "coarse_history": coarse_history,
+        }
+
+    worst, found = _slot_worst(family, gram, violations, witness)
+    # the seed is reported when some slot's candidates are a sample of it
+    sampled = max(family.shape) > PARTITION_EXHAUSTIVE_MAX
+    return _report("additivity", worst, found, tol, seed=seed if sampled else None)
 
 
 #: Additivity scope -> its check of (family, Gram rows, tol, seed).

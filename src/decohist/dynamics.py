@@ -19,6 +19,7 @@ from .errors import (
     DimensionMismatchError,
     NotHermitianError,
     NotUnitaryError,
+    ReferenceNotIdentityError,
     SlotOutOfRangeError,
 )
 from .linalg import (
@@ -158,11 +159,13 @@ class DynamicsSchedule:
         if not 0 <= self.reference_index < self.grid.n_slots:
             raise SlotOutOfRangeError(self.reference_index, self.grid.n_slots)
         if len(self.cumulative) != self.grid.n_slots:
-            raise CountMismatchError(self.grid.n_slots, len(self.cumulative))
+            raise CountMismatchError(
+                self.grid.n_slots, len(self.cumulative), "cumulative unitaries, one per slot"
+            )
         mats = _unitaries(self.cumulative, self.tol)
         ref_dev = float(np.max(np.abs(mats[self.reference_index] - np.eye(len(mats[0])))))
         if ref_dev > self.tol:
-            raise NotUnitaryError(ref_dev)
+            raise ReferenceNotIdentityError(ref_dev)
         object.__setattr__(self, "cumulative", mats)
 
     @property
@@ -192,7 +195,10 @@ def build_schedule(
     to the earliest slot.  Slots before the reference use the adjoint
     composition, so the reference slot's unitary is the identity exactly.
     ``dim`` is only needed for the degenerate single-slot grid with an
-    empty step list, which carries no dimension of its own.
+    empty step list, which carries no dimension of its own.  To first order,
+    k steps each within ``tol`` of unitary compose to within k d ``tol``, so
+    the schedule checks its products at (n_slots - 1) d ``tol``, at least
+    ``tol``.
     """
     if reference is None:
         reference = 0
@@ -222,7 +228,8 @@ def build_schedule(
         cumulative[k] = steps[k - 1] @ cumulative[k - 1]
     for k in range(reference - 1, -1, -1):
         cumulative[k] = steps[k].conj().T @ cumulative[k + 1]
-    return DynamicsSchedule(grid, reference, tuple(cumulative), tol)
+    schedule_tol = max(tol, (grid.n_slots - 1) * dim * tol)
+    return DynamicsSchedule(grid, reference, tuple(cumulative), schedule_tol)
 
 
 def _lift(

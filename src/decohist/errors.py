@@ -48,9 +48,17 @@ class NotIdempotentError(DecohistError):
 
 
 class NotUnitaryError(DecohistError):
+    message = "matrix is not unitary: max |U^dagger U - I| = {:.3e}"
+
     def __init__(self, deviation: float):
         self.deviation = deviation
-        super().__init__(f"matrix is not unitary: max |U^dagger U - I| = {deviation:.3e}")
+        super().__init__(self.message.format(deviation))
+
+
+class ReferenceNotIdentityError(NotUnitaryError):
+    """The cumulative unitary of a schedule's reference slot is not I."""
+
+    message = "reference slot unitary is not the identity: max |U_ref - I| = {:.3e}"
 
 
 # ---------------------------------------------------------------------------
@@ -104,10 +112,10 @@ class ResolutionMismatchError(DecohistError):
 
 
 class CountMismatchError(DecohistError):
-    def __init__(self, expected: int, got: int):
+    def __init__(self, expected: int, got: int, what: str = "step unitaries"):
         self.expected = expected
         self.got = got
-        super().__init__(f"expected {expected} step unitaries, got {got}")
+        super().__init__(f"expected {expected} {what}, got {got}")
 
 
 class SlotOutOfRangeError(DecohistError):

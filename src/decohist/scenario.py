@@ -7,7 +7,9 @@ row-major.  Parsing is strict: unknown keys are errors, and every failure is
 reported with a path into the document.
 
 History maps use string keys that are either slot offsets ("-1", "0", "1")
-or grid time values ("2.5"); integer-looking keys are read as offsets.
+or grid time values ("2.5"); integer-looking keys are read as offsets.  A
+dict given in Python may also key by number: an integer is an offset and a
+float a time value.
 Slots missing from a map carry the trivial full outcome.
 """
 
@@ -250,11 +252,13 @@ def _parse_history_map(
     grid = family.schedule.grid
     for key, labels in spec.items():
         kpath = f"{path}.{key}"
+        # a number key reads as its string; a bool is no number and no key
+        text = key if isinstance(key, str) else str(key) if _is_a(key, Real) else None
         try:
-            off = int(key)
-        except (TypeError, ValueError):  # a dict given in Python may have any key
+            off = int(text)
+        except (TypeError, ValueError):
             try:
-                t = float(key)
+                t = float(text)
             except (TypeError, ValueError):
                 col.add(kpath, "slot key must be an offset or a time value")
                 continue

@@ -531,6 +531,26 @@ class TestLocatedErrorPaths:
         assert err.value.errors == [error]
 
     @pytest.mark.parametrize(
+        "key, error",
+        [
+            # a float key is a time, like its string; a bool is no number
+            (0.5, ("histories.zpxp.0.5", "time 0.5 is not on the grid")),
+            (-0.5, ("histories.zpxp.-0.5", "time -0.5 is not on the grid")),
+            (True, ("histories.zpxp.True", "slot key must be an offset or a time value")),
+        ],
+    )
+    def test_history_key_read_by_its_type(self, key, error):
+        with pytest.raises(ScenarioValidationError) as err:
+            parse_scenario(_planted(("histories", "zpxp"), {key: ["x+"]}))
+        assert err.value.errors == [error]
+
+    @pytest.mark.parametrize("key", [1.0, "1.0", 0, "0"])
+    def test_history_key_names_offset_zero(self, key):
+        # 1.0 is the grid time of offset 0, an integer key is an offset
+        s = parse_scenario(_planted(("histories", "zpxp"), {key: ["x+"]}))
+        assert s.document["histories"]["zpxp"] == {"0": ["x+"]}
+
+    @pytest.mark.parametrize(
         "partition, error",
         [
             ({"a": "x+", "b": ["x-"]}, ("partition.a", "expected a non-empty label list")),
