@@ -60,10 +60,9 @@ from .histories import (
     _row_norms,
     _strip_ranges,
 )
-from .linalg import DensityState
+from .linalg import DEFAULT_CHECK_TOL, DFUNC_TOL, DensityState
 from .sampling import robustness_states
 
-DEFAULT_CHECK_TOL = 1e-9
 DEFAULT_ROBUSTNESS_SEED = 1729
 DEFAULT_ROBUSTNESS_COUNT = 20
 
@@ -88,7 +87,8 @@ class ConsistencyReport:
 
 
 def _report(mode, worst, witness, tol, seed=None) -> ConsistencyReport:
-    worst = float(worst)  # a numpy scalar would make ``passed`` a numpy.bool_
+    # a numpy scalar would make ``passed`` a numpy.bool_ and reach the report
+    worst, tol, seed = float(worst), float(tol), None if seed is None else int(seed)
     return ConsistencyReport(mode, worst <= tol, worst, witness, tol, seed)
 
 
@@ -255,14 +255,21 @@ def _candidate_partition(size: int, k: int) -> tuple[tuple[int, ...], ...]:
     return block, tuple(p for p in range(size) if p not in block)
 
 
-def _picks(size: int, seed: int) -> np.ndarray | range:
+def _picks(size: int, seed: int) -> np.ndarray | range | list[int]:
     """The candidates tried at a slot of ``size`` labels: all of them, or
-    above PARTITION_EXHAUSTIVE_MAX a sorted sample drawn from ``seed``."""
+    above PARTITION_EXHAUSTIVE_MAX a sorted sample drawn from ``seed``.  A
+    count past int64 (64 labels or more) is sampled as ``size - 1`` random
+    bits per candidate, until PARTITION_SAMPLE_SIZE distinct ones are drawn."""
     count = _candidate_count(size)
     if size <= PARTITION_EXHAUSTIVE_MAX:
         return range(count)
     rng = np.random.default_rng(seed)
-    return np.sort(rng.choice(count, size=min(PARTITION_SAMPLE_SIZE, count), replace=False))
+    if count <= np.iinfo(np.int64).max:
+        return np.sort(rng.choice(count, size=min(PARTITION_SAMPLE_SIZE, count), replace=False))
+    picks: set[int] = set()
+    while len(picks) < PARTITION_SAMPLE_SIZE:
+        picks.add(int("".join(map(str, rng.integers(0, 2, size - 1))), 2))
+    return sorted(picks)
 
 
 def _partitions_scope(family, gram, tol, seed) -> ConsistencyReport:
@@ -395,7 +402,7 @@ def check_state_robustness(
         if mode == "additivity":
             inner = additivity(family, (rows, weights), tol, seed)
             return inner.worst_violation, inner.witness
-        _check_trace(float(np.sum(_row_norms(rows, weights))), DecoherenceFunctional.tol)
+        _check_trace(float(np.sum(_row_norms(rows, weights))), DFUNC_TOL)
         return _offdiag_scan(_gram_strips(_block_rows(rows, s), weights), mode, s)
 
     worst = -1.0

@@ -25,6 +25,7 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     Projector,
+    _lift_tol,
     as_operator,
     frozen,
     hermiticity_deviation,
@@ -94,50 +95,52 @@ def _unitaries(matrices, tol: float) -> tuple[np.ndarray, ...]:
     return tuple(mats)
 
 
-class DynamicsSpec:
-    """Dynamics as a Hamiltonian or as per-interval step unitaries of one dimension."""
+def _hermitian(m) -> np.ndarray:
+    """``m`` as a square array, checked to be Hermitian within ``DEFAULT_TOL``."""
+    h = as_operator(m)
+    require_square(h)
+    dev = hermiticity_deviation(h)
+    if dev > DEFAULT_TOL:
+        raise NotHermitianError(dev)
+    return h
 
-    def __init__(self, hamiltonian=None, step_unitaries=None, tol: float = DEFAULT_TOL):
+
+class DynamicsSpec:
+    """Dynamics as a Hamiltonian or as per-interval step unitaries of one
+    dimension, checked at ``DEFAULT_TOL`` as the schedule checks them."""
+
+    def __init__(self, hamiltonian=None, step_unitaries=None):
         if (hamiltonian is None) == (step_unitaries is None):
             raise ValueError("give exactly one of hamiltonian or step_unitaries")
-        self.tol = tol
         if hamiltonian is not None:
-            h = as_operator(hamiltonian)
-            require_square(h)
-            dev = hermiticity_deviation(h)
-            if dev > tol:
-                raise NotHermitianError(dev)
-            self.hamiltonian = frozen(h)
+            self.hamiltonian = frozen(_hermitian(hamiltonian))
             self.step_unitaries = None
         else:
             self.hamiltonian = None
-            self.step_unitaries = _unitaries(step_unitaries, tol)
+            self.step_unitaries = _unitaries(step_unitaries, DEFAULT_TOL)
 
     @classmethod
-    def from_hamiltonian(cls, h, tol: float = DEFAULT_TOL) -> "DynamicsSpec":
-        return cls(hamiltonian=h, tol=tol)
+    def from_hamiltonian(cls, h) -> "DynamicsSpec":
+        return cls(hamiltonian=h)
 
     @classmethod
-    def from_steps(cls, steps, tol: float = DEFAULT_TOL) -> "DynamicsSpec":
-        return cls(step_unitaries=steps, tol=tol)
+    def from_steps(cls, steps) -> "DynamicsSpec":
+        return cls(step_unitaries=steps)
 
     @classmethod
     def trivial(cls, dim: int) -> "DynamicsSpec":
         return cls(hamiltonian=np.zeros((dim, dim)))
 
 
-def propagator(hamiltonian, dt: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """exp(-i H dt) through the Hermitian eigendecomposition of H.
+def propagator(hamiltonian, dt: float) -> np.ndarray:
+    """exp(-i H dt) through the Hermitian eigendecomposition of H, which must
+    be Hermitian within ``DEFAULT_TOL``.
 
     Eigendecomposition (never series summation) keeps the result unitary to
     round-off at these dimensions.  Entries of H or H dt near the float range
     overflow; the result is then not finite and raises ``ValueError``.
     """
-    h = as_operator(hamiltonian)
-    require_square(h)
-    dev = hermiticity_deviation(h)
-    if dev > tol:
-        raise NotHermitianError(dev)
+    h = _hermitian(hamiltonian)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises below
         evals, evecs = np.linalg.eigh(0.5 * (h + h.conj().T))
         u = (evecs * np.exp(-1j * evals * dt)) @ evecs.conj().T
@@ -186,7 +189,6 @@ def build_schedule(
     grid: TimeGrid,
     spec: DynamicsSpec,
     reference: int | None = None,
-    tol: float = DEFAULT_TOL,
     dim: int | None = None,
 ) -> DynamicsSchedule:
     """Compose cumulative unitaries along the grid.
@@ -196,9 +198,9 @@ def build_schedule(
     composition, so the reference slot's unitary is the identity exactly.
     ``dim`` is only needed for the degenerate single-slot grid with an
     empty step list, which carries no dimension of its own.  To first order,
-    k steps each within ``tol`` of unitary compose to within k d ``tol``, so
-    the schedule checks its products at (n_slots - 1) d ``tol``, at least
-    ``tol``.
+    k steps each within ``DEFAULT_TOL`` of unitary compose to within
+    k d ``DEFAULT_TOL``, so the schedule checks its products at
+    (n_slots - 1) d ``DEFAULT_TOL``, at least ``DEFAULT_TOL``.
     """
     if reference is None:
         reference = 0
@@ -218,7 +220,7 @@ def build_schedule(
     else:
         dim = spec.hamiltonian.shape[0]
         steps = [
-            propagator(spec.hamiltonian, grid.times[k + 1] - grid.times[k], tol)
+            propagator(spec.hamiltonian, grid.times[k + 1] - grid.times[k])
             for k in range(grid.n_slots - 1)
         ]
 
@@ -228,7 +230,7 @@ def build_schedule(
         cumulative[k] = steps[k - 1] @ cumulative[k - 1]
     for k in range(reference - 1, -1, -1):
         cumulative[k] = steps[k].conj().T @ cumulative[k + 1]
-    schedule_tol = max(tol, (grid.n_slots - 1) * dim * tol)
+    schedule_tol = max(DEFAULT_TOL, (grid.n_slots - 1) * dim * DEFAULT_TOL)
     return DynamicsSchedule(grid, reference, tuple(cumulative), schedule_tol)
 
 
@@ -245,7 +247,7 @@ def _lift(
                 f"projector dim {projector.dim} does not match schedule dim {u.shape[0]}"
             )
     stack = u.conj().T @ np.stack([p.matrix for p in projectors]) @ u
-    lifted = Projector._from_stack(stack, [max(p.tol, 10 * DEFAULT_TOL) for p in projectors])
+    lifted = Projector._from_stack(stack, [_lift_tol(p.tol) for p in projectors])
     for p in lifted:
         if isinstance(p, Exception):
             raise p
@@ -275,4 +277,4 @@ def heisenberg_resolution(
     family is again a valid resolution.
     """
     _, lifted = _lift(schedule, slot, resolution.projectors)
-    return Resolution(list(zip(resolution.labels, lifted)), max(resolution.tol, 10 * DEFAULT_TOL))
+    return Resolution(list(zip(resolution.labels, lifted)), _lift_tol(resolution.tol))

@@ -47,18 +47,11 @@ from .errors import (
     InvalidHistoryError,
     ZeroConditionProbabilityError,
 )
-from .linalg import TILE, DensityState, _summed, frozen
+from .linalg import CLAMP_TOL, DFUNC_TOL, TILE, ZERO_THRESHOLD, DensityState, _summed, frozen
 from .linalg import _state_factor  # noqa: F401  (re-exported)
 from .resolutions import Outcome, Resolution, coarsen, outcome_intersection
 
 log = logging.getLogger(__name__)
-
-#: Probabilities this close to 0 or 1 (from outside the interval) are snapped
-#: to the bound; conditionals must never return values like 1 + 1e-15.
-CLAMP_TOL = 1e-9
-
-#: Conditioning on a probability at or below this threshold is an error.
-ZERO_THRESHOLD = 1e-12
 
 #: Default cap on the number of fine-grained histories per family.
 DEFAULT_FAMILY_CAP = 4096
@@ -225,10 +218,6 @@ class History:
 
     def __hash__(self) -> int:
         return hash((id(self.family), tuple(o.labels for o in self.outcomes)))
-
-    @property
-    def is_fine(self) -> bool:
-        return all(len(o.labels) == 1 for o in self.outcomes)
 
     def outcome_at(self, offset: int) -> Outcome:
         return self.outcomes[self.family.position(offset)]
@@ -447,7 +436,7 @@ class DecoherenceFunctional:
 
     histories: Sequence[History]
     matrix: np.ndarray
-    tol: float = 1e-9
+    tol: float = DFUNC_TOL
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
@@ -535,7 +524,7 @@ def _check_shape(matrix: np.ndarray, n: int) -> None:
 def decoherence_functional(
     family: HistoryFamily,
     cap: int = DEFAULT_FAMILY_CAP,
-    tol: float = DecoherenceFunctional.tol,
+    tol: float = DFUNC_TOL,
 ) -> DecoherenceFunctional:
     """Full decoherence functional over the family's fine histories.
 

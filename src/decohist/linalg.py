@@ -23,16 +23,61 @@ from .errors import (
     TraceNotOneError,
 )
 
-#: Default absolute tolerance (max-norm) for all constructor validations.
-#: Double-precision products of a handful of small matrices accumulate error
-#: well below this.
-DEFAULT_TOL = 1e-10
-
 #: Rows per strip of the O(N^2) passes over D (its assembly, the weak and
 #: medium scans, the row norms).  Measured on N = 512 scans, 2-core Xeon:
 #: strips of 32 to 128 rows cost within about 0.4 ms of each other per pass,
 #: 256 rows about 1.5x as much, and one 512-row strip (no tiling) 2 to 5x.
 TILE = 128
+
+# ---------------------------------------------------------------------------
+# Numerical policy (README): every threshold the engine applies, and each
+# relaxation rule used at more than one site, defined once for every module.
+
+#: Default absolute tolerance (max-norm) for all constructor validations.
+#: Double-precision products of a handful of small matrices accumulate error
+#: well below this.
+DEFAULT_TOL = 1e-10
+
+#: Probabilities this close to 0 or 1 (from outside the interval) are snapped
+#: to the bound; conditionals must never return values like 1 + 1e-15.
+CLAMP_TOL = 1e-9
+
+#: Conditioning on a probability at or below this threshold is an error.
+ZERO_THRESHOLD = 1e-12
+
+#: The tolerance a decoherence functional is validated at: its trace sums N
+#: probabilities, each with its own round-off.
+DFUNC_TOL = 1e-9
+
+#: The pass threshold of the weak, medium, additivity and robustness checks.
+DEFAULT_CHECK_TOL = 1e-9
+
+#: Oracle steps with conditional probability at or below this are treated as
+#: impossible: the Lueders update is undefined on a zero state, and the
+#: renormalized matrix is roundoff noise long before the probability
+#: underflows.
+ZERO_STEP = 1e-14
+
+#: A step probability at most this far outside [0, 1] is round-off in the
+#: trace of P rho P and is clamped onto the interval; one further out is
+#: kept as it is, for the post-state validation to reject.
+STEP_CLAMP = 1e-12
+
+#: Absolute round-off floor of P rho P.  Dividing by the step probability p
+#: scales it by 1 / p, so a post-state is validated against
+#: max(DEFAULT_TOL, PROJECTION_ROUNDOFF / p).
+PROJECTION_ROUNDOFF = 1e-13
+
+
+def _lift_tol(tol: float) -> float:
+    """The tolerance of a lift U^dagger P U of a projector valid at ``tol``."""
+    return max(tol, 10 * DEFAULT_TOL)
+
+
+def _summed_tol(tol: float, n: int) -> float:
+    """The tolerance of a sum of ``n`` projectors each valid at ``tol``."""
+    return tol * max(1, n)
+
 
 _NOT_FINITE = "matrix entries must be finite (no NaN or infinity)"
 

@@ -36,24 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidHistoryError, ZeroConditionProbabilityError
-from .histories import History, HistoryFamily, ZERO_THRESHOLD, _combine
-from .linalg import DEFAULT_TOL, DensityState, _summed
-
-#: Steps with conditional probability at or below this are treated as
-#: impossible: the Lueders update is undefined on a zero state, and the
-#: renormalized matrix is roundoff noise long before the probability
-#: underflows.
-ZERO_STEP = 1e-14
-
-#: A step probability at most this far outside [0, 1] is round-off in the
-#: trace of P rho P and is clamped onto the interval; one further out is
-#: kept as it is, for the post-state validation to reject.
-STEP_CLAMP = 1e-12
-
-#: Absolute round-off floor of P rho P.  Dividing by the step probability p
-#: scales it by 1 / p, so a post-state is validated against
-#: max(DEFAULT_TOL, PROJECTION_ROUNDOFF / p).
-PROJECTION_ROUNDOFF = 1e-13
+from .histories import History, HistoryFamily, _combine
+from .linalg import DEFAULT_TOL, PROJECTION_ROUNDOFF, STEP_CLAMP, ZERO_STEP, ZERO_THRESHOLD
+from .linalg import DensityState, _summed
 
 
 @dataclass(frozen=True)

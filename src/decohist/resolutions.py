@@ -23,7 +23,8 @@ from .errors import (
     ResolutionMismatchError,
     UnknownLabelError,
 )
-from .linalg import DEFAULT_TOL, Projector, _summed, as_operator, frozen, require_square
+from .linalg import DEFAULT_TOL, _summed_tol
+from .linalg import Projector, _summed, as_operator, frozen, require_square
 
 
 @dataclass(frozen=True)
@@ -160,9 +161,6 @@ class Resolution:
             return self._by_index[label]
         raise UnknownLabelError(label)
 
-    def projector_for(self, label) -> Projector:
-        return self._projectors[self.position(label)]
-
     def outcome(self, labels) -> "Outcome":
         """Build an Outcome from an iterable of labels (or a single label)."""
         if isinstance(labels, (int, str, SpectralLabel)):
@@ -239,8 +237,7 @@ def outcome_projector(resolution: Resolution, outcome: Outcome) -> Projector:
         raise ResolutionMismatchError("outcome was built for a different resolution")
     positions = [resolution.position(idx) for idx in outcome.sorted_labels()]
     total = _summed(resolution._stack, positions)
-    # tolerance scales with the number of summed projectors
-    return Projector(total, resolution.tol * max(1, len(positions)))
+    return Projector(total, _summed_tol(resolution.tol, len(positions)))
 
 
 def _require_same_resolution(a: Outcome, b: Outcome) -> None:
@@ -313,25 +310,23 @@ def normalize_partition(
     return [(b, blocks[b]) for b in order]
 
 
-def coarsen(resolution: Resolution, partition, tol: float | None = None) -> Resolution:
+def coarsen(resolution: Resolution, partition) -> Resolution:
     """Merge a resolution's projectors along a partition of its labels.
 
     Block identifiers become the labels of the coarse resolution, ordered by
     first appearance.
     """
-    if tol is None:
-        tol = resolution.tol
+    tol = resolution.tol
     normalized = normalize_partition(resolution, partition)
     sums = np.array([
         _summed(resolution._stack, [resolution.position(idx) for idx in members])
         for _, members in normalized
     ])
-    # each block's tolerance scales with the number of summed projectors
-    tols = [tol * max(1, len(members)) for _, members in normalized]
+    tols = [_summed_tol(tol, len(members)) for _, members in normalized]
     entries = []
     for k, ((block_id, _), proj) in enumerate(zip(normalized, Projector._from_stack(sums, tols))):
         if isinstance(proj, Exception):
             raise proj
         name = block_id if isinstance(block_id, str) else None
         entries.append((SpectralLabel(k, name), proj))
-    return Resolution(entries, tol * max(1, resolution.size))
+    return Resolution(entries, _summed_tol(tol, resolution.size))
