@@ -75,7 +75,7 @@ def render_json(doc: dict) -> str:
 
 
 def _compact(value) -> str:
-    """One-line cell rendering for tables and CSV."""
+    """One-line cell rendering for tables and CSV; refuses what JSON does."""
     leaf = _scalar(value, "", str)
     if leaf is not None:
         return leaf
@@ -83,7 +83,7 @@ def _compact(value) -> str:
         return "{" + ", ".join(f"{k}: {_compact(v)}" for k, v in value.items()) + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_compact(v) for v in value) + "]"
-    return str(value)
+    raise TypeError(f"cannot render {type(value).__name__}")
 
 
 def _split(doc: dict) -> tuple[list, list, list]:

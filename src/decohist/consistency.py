@@ -46,13 +46,11 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .histories import (
-    DEFAULT_FAMILY_CAP,
     DecoherenceFunctional,
     HistoryFamily,
     _BELOW,
     _FineHistories,
     _block_rows,
-    _block_view,
     _check_trace,
     _gram_rows,
     _gram_strips,
@@ -146,9 +144,7 @@ _INNER_MODES = (*_MAGNITUDE, "additivity")
 
 
 def _offdiag_check(dfunc: DecoherenceFunctional, tol: float, mode: str) -> ConsistencyReport:
-    blocks = getattr(dfunc, "_stack", None)
-    if blocks is None:  # any duck-typed matrix holder is one block
-        blocks = _block_view(dfunc.matrix, 1)
+    blocks = dfunc._stack
     s, m = blocks.shape[:2]
     strips = (
         (b, top, blocks[b : b + h, top : top + t, top:]) for b, h, top, t in _strip_ranges(s, m)
@@ -335,7 +331,6 @@ def check_additivity(
     family: HistoryFamily,
     tol: float = DEFAULT_CHECK_TOL,
     scope: str = "partitions",
-    cap: int = DEFAULT_FAMILY_CAP,
     seed: int | None = None,
 ) -> ConsistencyReport:
     """Union probabilities versus sums of fine probabilities.
@@ -348,7 +343,7 @@ def check_additivity(
     cached Gram rows, which ``decoherence_functional`` and
     ``fine_probabilities`` on the same family object reuse.
     """
-    _require_cap(family, cap)
+    _require_cap(family)
     additivity = _scope(scope)  # before the rows are built
     return additivity(family, family._gram, tol, seed)
 

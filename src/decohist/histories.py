@@ -47,13 +47,14 @@ from .errors import (
     InvalidHistoryError,
     ZeroConditionProbabilityError,
 )
-from .linalg import CLAMP_TOL, DFUNC_TOL, TILE, ZERO_THRESHOLD, DensityState, _summed, frozen
+from .linalg import CLAMP_TOL, DFUNC_TOL, TILE, ZERO_THRESHOLD, DensityState
+from .linalg import _state_errors, _summed, frozen
 from .linalg import _state_factor  # noqa: F401  (re-exported)
 from .resolutions import Outcome, Resolution, coarsen, outcome_intersection
 
 log = logging.getLogger(__name__)
 
-#: Default cap on the number of fine-grained histories per family.
+#: The cap on the number of fine-grained histories per family, at every entry point.
 DEFAULT_FAMILY_CAP = 4096
 
 
@@ -392,9 +393,9 @@ def _gram_strips(rows: np.ndarray, weights: np.ndarray, out: np.ndarray | None =
         yield b, top, np.matmul(lhs, rows[b : b + h, top:].transpose(0, 2, 1), out=strip)
 
 
-def _require_cap(family: HistoryFamily, cap: int = DEFAULT_FAMILY_CAP) -> None:
-    if family.n_fine_histories > cap:
-        raise FamilyTooLargeError(family.n_fine_histories, cap)
+def _require_cap(family: HistoryFamily) -> None:
+    if family.n_fine_histories > DEFAULT_FAMILY_CAP:
+        raise FamilyTooLargeError(family.n_fine_histories, DEFAULT_FAMILY_CAP)
 
 
 def fine_probabilities(family: HistoryFamily) -> np.ndarray:
@@ -417,12 +418,14 @@ def _check_trace(trace: complex, tol: float) -> None:
 class DecoherenceFunctional:
     """Matrix of Tr(C_i rho C_j^dagger) over the fine histories of a family.
 
-    Hermitian, positive semidefinite, and unit trace within ``tol``; the
-    diagonal holds the fine-history probabilities.  The engine builds D as
-    the Gram form V Delta V^dagger from a factor of the state, which is PSD
-    by construction and Hermitian bit for bit, with ``fine_probabilities``
-    as its diagonal; only matrices passed to this constructor get the
-    Hermiticity and eigenvalue checks.  The engine's ``histories`` is lazy.
+    A density matrix on the histories: Hermitian, positive semidefinite,
+    and unit trace within ``tol``, with the fine-history probabilities on
+    its diagonal.  A matrix passed to this constructor is checked by
+    ``linalg``'s density-matrix validator.  The engine builds D as the Gram
+    form V Delta V^dagger from a factor of the state, which is PSD by
+    construction and Hermitian bit for bit, with ``fine_probabilities`` as
+    its diagonal; only its trace is checked.  The engine's ``histories`` is
+    lazy.
 
     The engine treats a validated resolution as exactly orthogonal: D is
     zero between histories whose last-slot labels differ (the outcome
@@ -440,47 +443,34 @@ class DecoherenceFunctional:
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
-        if not np.all(np.isfinite(m)):
-            # NaN would pass every ``> tol`` check below
-            raise InvalidHistoryError("decoherence functional entries must be finite")
-        _check_shape(m, len(self.histories))
-        # one conjugate transpose serves the Hermiticity check and the
-        # Hermitian part whose eigenvalues are checked
-        adjoint = m.conj().T
-        dev = float(np.max(np.abs(m - adjoint)))
-        if dev > self.tol:
-            raise InvalidHistoryError(
-                f"decoherence functional is not Hermitian: deviation {dev:.3e}"
+        if m.shape != (len(self.histories),) * 2:
+            raise DimensionMismatchError(
+                f"matrix shape {m.shape} does not match {len(self.histories)} histories"
             )
-        lo = float(np.linalg.eigvalsh(0.5 * (m + adjoint))[0])
-        if lo < -self.tol:
-            raise InvalidHistoryError(
-                f"decoherence functional is not PSD: min eigenvalue {lo:.3e}"
-            )
-        self._settle(self.histories, m, 1)
+        (error,) = _state_errors(m[np.newaxis], (self.tol,))
+        if error is not None:
+            raise InvalidHistoryError(f"decoherence functional: {error}") from error
+        self._settle(self.histories, m)
 
     @classmethod
-    def _from_gram(cls, histories, matrix: np.ndarray, tol: float, blocks: int):
-        """Wrap an engine-built D, zero outside its ``blocks`` last-slot
-        blocks, skipping the checks it meets by construction.  ``matrix`` is
-        D itself or, with three axes, the ``(blocks, M, M)`` stack of the
-        blocks alone, held until ``matrix`` is read."""
-        if matrix.ndim == 2:
-            _check_shape(matrix, len(histories))
+    def _from_gram(cls, histories, blocks: np.ndarray):
+        """Wrap an engine-built D, zero outside its last-slot blocks, from
+        the ``(s, M, M)`` stack of those blocks alone, held until ``matrix``
+        is read.  Only the trace is checked, at DFUNC_TOL; the Gram form
+        meets the other checks by construction."""
         dfunc = object.__new__(cls)
-        object.__setattr__(dfunc, "tol", tol)
-        return dfunc._settle(histories, matrix, blocks)
+        object.__setattr__(dfunc, "tol", DFUNC_TOL)
+        _check_trace(complex(np.sum(np.diagonal(blocks, axis1=1, axis2=2))), DFUNC_TOL)
+        return dfunc._settle(histories, blocks)
 
-    def _settle(self, histories, held: np.ndarray, blocks: int):
-        """Check the trace and diagonal of ``held``, D or its block stack,
-        which this instance now owns; freeze and store it."""
-        # D is zero outside its last-slot blocks D[a::s, a::s], s = blocks
-        object.__setattr__(self, "_blocks", blocks)
-        object.__setattr__(self, "matrix" if held.ndim == 2 else "_stack", held)
-        d = np.diagonal(self._stack, axis1=1, axis2=2)
-        _check_trace(complex(np.sum(d)), self.tol)
-        if float(np.max(np.abs(d.imag))) > self.tol or float(np.min(d.real)) < -self.tol:
-            raise InvalidHistoryError("diagonal entries must be real and nonnegative")
+    def _settle(self, histories, held: np.ndarray):
+        """Freeze and store ``held``, D or its block stack, which this
+        instance now owns."""
+        # D is zero outside its last-slot blocks D[a::s, a::s]: s is 1 for D
+        # itself, the stack's length for a stack
+        dense = held.ndim == 2
+        object.__setattr__(self, "_blocks", 1 if dense else len(held))
+        object.__setattr__(self, "matrix" if dense else "_stack", held)
         held.setflags(write=False)
         if not isinstance(histories, _FineHistories):
             histories = tuple(histories)
@@ -516,16 +506,7 @@ class DecoherenceFunctional:
         return np.diagonal(self._stack, axis1=1, axis2=2).real.T.reshape(-1)
 
 
-def _check_shape(matrix: np.ndarray, n: int) -> None:
-    if matrix.shape != (n, n):
-        raise DimensionMismatchError(f"matrix shape {matrix.shape} does not match {n} histories")
-
-
-def decoherence_functional(
-    family: HistoryFamily,
-    cap: int = DEFAULT_FAMILY_CAP,
-    tol: float = DFUNC_TOL,
-) -> DecoherenceFunctional:
+def decoherence_functional(family: HistoryFamily) -> DecoherenceFunctional:
     """Full decoherence functional over the family's fine histories.
 
     D is zero except in the blocks G_a = D[a::s, a::s] of the histories
@@ -534,7 +515,7 @@ def decoherence_functional(
     is conjugated in place in its block's upper part and mirrored below as
     its exact conjugate; the diagonal is the family's cached row norms.
     """
-    _require_cap(family, cap)
+    _require_cap(family)
     n = family.n_fine_histories
     probabilities = family._probabilities  # its temporaries are freed before D
     s = family.shape[-1]
@@ -551,13 +532,14 @@ def decoherence_functional(
         np.copyto(corner.real, corner.real.transpose(0, 2, 1), where=below)
         np.subtract(0.0, corner.imag.transpose(0, 2, 1), out=corner.imag, where=below)
     blocks.reshape(s, -1)[:, :: n // s + 1] = probabilities.reshape(-1, s).T
-    return DecoherenceFunctional._from_gram(_FineHistories(family), blocks, tol, s)
+    return DecoherenceFunctional._from_gram(_FineHistories(family), blocks)
 
 
 # ---------------------------------------------------------------------------
 # Conditionals.  Both public entry points share one code path: a ratio of two
 # chain-operator probabilities, where the condition is a contiguous slot
-# range ending at the present.
+# range ending at the present.  The two parts are nontrivial on disjoint
+# slots, so their intersection, the joint history, is never empty.
 
 
 def _require_trivial_outside(history: History, keep, what: str) -> None:
@@ -566,14 +548,6 @@ def _require_trivial_outside(history: History, keep, what: str) -> None:
             raise InvalidHistoryError(
                 f"{what} history must be trivial at slot offset {off}"
             )
-
-
-def _combine(a: History, b: History) -> History:
-    """Componentwise intersection of two histories with disjoint support."""
-    joint = history_intersection(a, b)
-    if joint is None:
-        raise InvalidHistoryError("conditional parts select disjoint outcomes")
-    return joint
 
 
 def _conditional_ratio(family: HistoryFamily, joint: History, den: float) -> float:
@@ -597,7 +571,7 @@ def predictive_conditional(
     _require_same_family(family, given)
     _require_trivial_outside(future, lambda off: off >= 1, "future")
     _require_trivial_outside(given, lambda off: off <= 0, "given")
-    joint = _combine(future, given)
+    joint = history_intersection(future, given)
     return _conditional_ratio(family, joint, history_probability(family, given, clamp=False))
 
 
@@ -640,7 +614,7 @@ def _retrodiction(family: HistoryFamily, past: History, present) -> tuple:
     elif present.resolution is not res:
         raise InvalidHistoryError("present outcome belongs to a different resolution")
     given = family.history({0: present.sorted_labels()})
-    return _combine(past, given), given, present
+    return history_intersection(past, given), given, present
 
 
 def _summed_past_denominator(family: HistoryFamily, present: Outcome) -> float:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidHistoryError, ZeroConditionProbabilityError
-from .histories import History, HistoryFamily, _combine
+from .histories import History, HistoryFamily, history_intersection
 from .linalg import DEFAULT_TOL, PROJECTION_ROUNDOFF, STEP_CLAMP, ZERO_STEP, ZERO_THRESHOLD
 from .linalg import DensityState, _summed
 
@@ -234,6 +234,6 @@ def conditional_via_oracle(
     if given_prob <= ZERO_THRESHOLD:
         raise ZeroConditionProbabilityError(given_prob, ZERO_THRESHOLD)
     # slotwise label-set intersection: set algebra, no shared numerics
-    joint = _combine(target, given)
+    joint = history_intersection(target, given)
     joint_prob, _ = sequential_probability(family, joint)
     return joint_prob / given_prob

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from decohist import (
     make_resolution,
     make_state,
 )
+from decohist.errors import FamilyTooLargeError
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -66,3 +69,29 @@ def conserved_family():
     res = from_basis(4, [[0], [1, 2], [3]], names=["both_up", "mixed", "both_down"])
     psi = np.array([1, 1, 0, 1], dtype=complex) / np.sqrt(3)
     return HistoryFamily(schedule, (res, res), make_state(np.outer(psi, psi.conj())))
+
+
+@pytest.fixture
+def wide_over_cap_family():
+    """d = 8, thirteen two-outcome slots, no dynamics, state I/8: N = 8192
+    fine histories, twice the cap.  Its Gram rows alone would be 8 MiB."""
+    grid = TimeGrid(tuple(float(t) for t in range(13)), present_index=0)
+    schedule = build_schedule(grid, DynamicsSpec.trivial(8))
+    res = from_basis(8, [[0, 1, 2, 3], [4, 5, 6, 7]])
+    return HistoryFamily(schedule, (res,) * 13, make_state(np.eye(8) / 8))
+
+
+def assert_refused_at_the_cap(family, call):
+    """``call(family)`` raises FamilyTooLargeError before any per-history
+    work: no lifted projectors or Gram rows cached on the family, and a
+    traced allocation peak under 64 KiB."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(FamilyTooLargeError) as caught:
+            call(family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (caught.value.size, caught.value.cap) == (family.n_fine_histories, 4096)
+    assert "_gram" not in vars(family) and "_lifted" not in vars(family)
+    assert peak < 64 * 1024

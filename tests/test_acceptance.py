@@ -86,7 +86,7 @@ def test_criterion_3_dfunc_structure(corpus_200):
     families, _ = corpus_200
     with criterion(3, "decoherence functional Hermitian, PSD, unit trace, Born diagonal"):
         for fam in families:
-            d = dh.decoherence_functional(fam, tol=1e-9)
+            d = dh.decoherence_functional(fam)
             m = d.matrix
             assert np.max(np.abs(m - m.conj().T)) <= 1e-9
             assert np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0] >= -1e-9

@@ -20,6 +20,7 @@ from decohist import (
     decoherence_functional,
 )
 from decohist import histories as histories_module
+from decohist.histories import _block_view
 from decohist.linalg import TILE
 from decohist.sampling import random_family
 
@@ -132,7 +133,8 @@ class TestLastSlotBlocks:
             cells.append((s * (TILE + 1) + 1, s * (TILE + 2) + 1))
         for i, j in cells:
             matrix[i, j] = matrix[j, i] = 0.5 / n
-        dfunc = DecoherenceFunctional._from_gram((_Unlabelled(),) * n, matrix, 1e-9, s)
+        blocks = _block_view(matrix, s).copy()
+        dfunc = DecoherenceFunctional._from_gram((_Unlabelled(),) * n, blocks)
         for mode, check in OFFDIAG_CHECKS.items():
             report = check(dfunc)
             worst, indices = reference_offdiag(matrix, MAGNITUDES[mode])

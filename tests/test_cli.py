@@ -3,9 +3,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from decohist.cli import build_parser, format_number, main
+from decohist.cli import build_parser, format_number, main, render_csv, render_json, render_table
 from decohist.consistency import DEFAULT_ROBUSTNESS_SEED
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -342,6 +343,24 @@ class TestNumberFormat:
             "json",
         )
         assert "0.333333333333" in out
+
+
+class TestRendererRefusals:
+    """A value no format can render (a numpy scalar leaking out of the
+    engine, say) fails loudly in every format, never as its ``str``."""
+
+    @pytest.mark.parametrize("render", [render_table, render_json, render_csv])
+    @pytest.mark.parametrize("value", [np.bool_(True), np.int64(1), object()],
+                             ids=["numpy_bool", "numpy_int", "object"])
+    @pytest.mark.parametrize("place", ["header", "nested", "row"])
+    def test_refused_everywhere(self, render, value, place):
+        doc = {
+            "header": {"x": value},
+            "nested": {"x": [1, {"y": value}]},
+            "row": {"rows": [{"a": 1.0, "b": value}]},
+        }[place]
+        with pytest.raises(TypeError, match=f"cannot render {type(value).__name__}"):
+            render(doc)
 
 
 class TestNegativeZeroTolerance:

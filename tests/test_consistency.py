@@ -44,7 +44,7 @@ from decohist.sampling import (
     robustness_states,
 )
 
-from conftest import P_XP, P_Z0, random_rank_state, z_resolution
+from conftest import P_XP, P_Z0, assert_refused_at_the_cap, random_rank_state, z_resolution
 
 
 def make_dfunc(family, matrix):
@@ -188,6 +188,7 @@ class _Matrix:
 
     def __init__(self, matrix):
         self.matrix = matrix
+        self._stack = matrix[np.newaxis]
         self.n = matrix.shape[0]
         self.histories = (_Unlabelled(),) * self.n
 
@@ -453,9 +454,13 @@ class TestAdditivity:
             decoded = [_candidate_partition(size, k) for k in range(_candidate_count(size))]
             assert decoded == enumerate_partitions(size)
 
-    def test_family_cap(self, z_then_x_family):
-        with pytest.raises(FamilyTooLargeError):
-            check_additivity(z_then_x_family, cap=2)
+    def test_family_cap(self, wide_over_cap_family):
+        for call in (
+            lambda fam: check_additivity(fam, scope="pairs"),
+            lambda fam: check_additivity(fam, scope="partitions"),
+            check_state_robustness,
+        ):
+            assert_refused_at_the_cap(wide_over_cap_family, call)
 
     def test_block_names_with_plus_do_not_collide(self):
         # coarse block names join fine labels with '+', which labels may

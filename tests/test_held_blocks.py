@@ -162,12 +162,9 @@ class TestHeldBlocks:
     def test_dense_paths_keep_the_matrix(self, z_then_x_family):
         engine = decoherence_functional(z_then_x_family)
         user = DecoherenceFunctional(engine.histories, engine.matrix)
-        dense = np.array(engine.matrix)
-        wrapped = DecoherenceFunctional._from_gram(engine.histories, dense, 1e-9, 2)
-        for d, s in ((user, 1), (wrapped, 2)):
-            assert not holds_blocks(d) and "_stack" not in vars(d)
-            assert d._blocks == s and np.shares_memory(d._stack, d.matrix)
-            assert np.array_equal(d.diagonal, engine.diagonal)
+        assert not holds_blocks(user) and "_stack" not in vars(user)
+        assert user._blocks == 1 and np.shares_memory(user._stack, user.matrix)
+        assert np.array_equal(user.diagonal, engine.diagonal)
 
 
 def random_partition(rng, size):

@@ -43,6 +43,7 @@ from conftest import (
     P_Z0,
     PAULI_X,
     PAULI_Z,
+    assert_refused_at_the_cap,
     random_rank_state,
     x_resolution,
     z_resolution,
@@ -156,9 +157,9 @@ class TestDecoherenceFunctional:
             d = decoherence_functional(fam)  # constructor validates the invariants
             assert abs(d.diagonal.sum() - 1.0) < 1e-9
 
-    def test_family_cap(self, z_then_x_family):
-        with pytest.raises(FamilyTooLargeError):
-            decoherence_functional(z_then_x_family, cap=2)
+    def test_family_cap(self, wide_over_cap_family):
+        for call in (fine_probabilities, decoherence_functional):
+            assert_refused_at_the_cap(wide_over_cap_family, call)
 
     def test_coarse_graining_block_sums(self):
         rng = np.random.default_rng(31)
@@ -356,7 +357,7 @@ class TestConstructorValidation:
     @pytest.mark.parametrize(
         "matrix, message",
         [
-            ([[0.5, 0.6], [0.6, 0.5]], "not PSD"),
+            ([[0.5, 0.6], [0.6, 0.5]], "not positive semidefinite"),
             ([[0.5, 0.1], [0.0, 0.5]], "not Hermitian"),
             ([[0.5, 0.0], [0.0, 0.25]], "trace"),
         ],

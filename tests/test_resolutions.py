@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from decohist import (
     Outcome,
+    SpectralLabel,
     coarsen,
     from_basis,
     make_projector,
@@ -15,6 +16,7 @@ from decohist import (
     outcome_union,
 )
 from decohist.errors import (
+    DimensionMismatchError,
     DuplicateLabelError,
     NotCompleteError,
     NotOrthogonalError,
@@ -197,3 +199,39 @@ class TestOutcomeAlgebra:
             "partition does not cover labels [1, 2, 3, 4, 5, 6, 7, 8, 9, 10] and 2 more"
         )
         assert err.value.missing == set(range(1, 13))
+
+
+class TestLookupsAndRendering:
+    """Label lookups, lengths and renderings that no other test reaches."""
+
+    def test_from_basis_needs_one_name_per_block(self):
+        with pytest.raises(DimensionMismatchError, match="one name per block required"):
+            from_basis(2, [[0], [1]], names=["a"])
+
+    def test_outcome_projector_refuses_another_resolutions_outcome(self):
+        with pytest.raises(ResolutionMismatchError, match="different resolution"):
+            outcome_projector(z_resolution(), z_resolution().outcome(["z0"]))
+
+    def test_position_of_a_spectral_label_is_that_of_its_index(self):
+        res = from_basis(3, [[0], [1], [2]], names=["a", "b", "c"])
+        assert [res.position(lab) for lab in res.labels] == [0, 1, 2]
+        assert res.position(SpectralLabel(2)) == res.position(2) == res.position("c") == 2
+        with pytest.raises(UnknownLabelError):
+            res.position(SpectralLabel(3, "c"))
+
+    @pytest.mark.parametrize("label", ["d", True, 1.0], ids=["unknown_name", "bool", "float"])
+    def test_position_refuses_other_labels(self, label):
+        res = from_basis(3, [[0], [1], [2]], names=["a", "b", "c"])
+        with pytest.raises(UnknownLabelError) as err:
+            res.position(label)
+        assert err.value.label is label
+
+    def test_outcome_repr_lists_display_labels_in_resolution_order(self):
+        res = from_basis(3, [[0], [1], [2]], names=["b", "a", "c"])
+        assert repr(res.outcome(["a", "b"])) == "Outcome({b, a})"
+        pair = from_basis(2, [[0], [1]], names=["a", "b"])
+        assert repr(pair.outcome([1, 0])) == "Outcome({a, b})"
+
+    def test_len_is_the_number_of_labels(self):
+        assert len(z_resolution()) == z_resolution().size == 2
+        assert len(make_resolution([(0, np.eye(2))])) == 1
