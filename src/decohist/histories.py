@@ -49,7 +49,6 @@ from .errors import (
 )
 from .linalg import CLAMP_TOL, DFUNC_TOL, TILE, ZERO_THRESHOLD, DensityState
 from .linalg import _state_errors, _summed, frozen
-from .linalg import _state_factor  # noqa: F401  (re-exported)
 from .resolutions import Outcome, Resolution, coarsen, outcome_intersection
 
 log = logging.getLogger(__name__)
@@ -178,7 +177,7 @@ class HistoryFamily:
     def _fine_outcomes(self) -> tuple[tuple[Outcome, ...], ...]:
         """Each slot's one-label outcomes in label order, earliest slot first."""
         return tuple(
-            tuple(res.outcome(lab.index) for lab in res.labels) for res in self.resolutions
+            tuple(res.outcome(p) for p in range(res.size)) for res in self.resolutions
         )
 
     def fine_histories(self) -> Iterator["History"]:
@@ -280,9 +279,9 @@ def chain_operator(family: HistoryFamily, history: History) -> np.ndarray:
     from I; a full outcome is taken as exactly I."""
     _require_same_family(family, history)
     chain = np.eye(family.dim, dtype=complex)
-    for res, table, out in zip(family.resolutions, family._lifted, history.outcomes):
+    for table, out in zip(family._lifted, history.outcomes):
         if not out.is_full:  # the outcome's projector sums its lifted fine ones
-            chain = _summed(table, [res.position(i) for i in out.sorted_labels()]) @ chain
+            chain = _summed(table, out.sorted_labels()) @ chain
     return chain
 
 

@@ -84,9 +84,9 @@ def _steps(
     rho = step_u @ rho @ step_u.conj().T
 
     # raw (Schroedinger-picture) outcome projectors, each summed by _summed
-    # in sorted label order, as outcome_projector sums them
+    # in position order, as outcome_projector sums them
     res = family.resolutions[pos]
-    orders = [[res.position(i) for i in sorted(labels)] for labels in label_sets]
+    orders = [sorted(labels) for labels in label_sets]
     p_out = np.array([_summed(res._stack, order) for order in orders])
     projected = p_out @ rho @ p_out
     probs = np.trace(projected, axis1=1, axis2=2).real.tolist()
@@ -115,7 +115,7 @@ def _steps(
         if isinstance(state, Exception):
             out.append(state)
             continue
-        display = tuple(res.labels[p].display for p in sorted(order))
+        display = tuple(res.labels[p].display for p in order)
         out.append(StepRecord(offset, display, probs[k] if state is not None else 0.0, state))
     return out
 
@@ -137,7 +137,7 @@ def _record(
     if level or len(labels) > 1:
         batch = [labels]
     else:
-        batch = [frozenset((lab.index,)) for lab in family.resolutions[pos].labels]
+        batch = [frozenset((p,)) for p in range(family.resolutions[pos].size)]
     results = _steps(family, pos, batch, rho)
     measured = {s: r for s, r in zip(batch, results) if isinstance(r, StepRecord)}
     # a level's label sets stay pairwise disjoint: at most the slot's size

@@ -1,15 +1,18 @@
 """Resolutions of the identity and labeled outcomes.
 
 A Resolution is a pairwise-orthogonal, complete family of projectors at one
-time.  Outcomes are non-empty label subsets, never raw projectors, so the
-subset / union / intersection structure is exact set arithmetic with no
-floating-point comparisons.  Coarse-graining merges labels through a
-Partition whose blocks become the labels of the coarse resolution.
+time.  A label is its position in the family, with an optional name, as a
+history's alpha_k names the k-th projector of its set.  Outcomes are
+non-empty sets of positions, never raw projectors, so the subset / union /
+intersection structure is exact set arithmetic with no floating-point
+comparisons.  Coarse-graining merges labels through a partition whose blocks
+become the labels of the coarse resolution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -29,7 +32,9 @@ from .linalg import Projector, _summed, as_operator, frozen, require_square
 
 @dataclass(frozen=True)
 class SpectralLabel:
-    """An outcome label: a non-negative index, optionally with a display name."""
+    """An outcome label: its position in the resolution, optionally with a
+    display name.  A resolution refuses a label whose index is not its
+    position."""
 
     index: int
     name: str | None = None
@@ -51,8 +56,9 @@ class Resolution:
     matrices as projectors, orthogonality (P_a P_b = 0 for a != b),
     completeness (sum = identity).  An input with several faults raises the
     first of: a matrix that is not a finite square 2-D array, no entries, a
-    duplicate label, differing dimensions, a raw matrix that is not Hermitian
-    or else not idempotent, a non-orthogonal pair (row-major), incompleteness;
+    duplicate label or one whose index is not its position, differing
+    dimensions, a raw matrix that is not Hermitian or else not idempotent, a
+    non-orthogonal pair (row-major), incompleteness;
     within one kind, the first in entry order.  Instances compare by
     identity; outcomes are tied to the resolution object they were built
     against.
@@ -74,12 +80,14 @@ class Resolution:
         if not labels:
             raise ValueError("a resolution needs at least one projector")
 
-        by_index: dict[int, int] = {}
         by_name: dict[str, int] = {}
         for k, lab in enumerate(labels):
-            if lab.index in by_index:
+            if lab.index < k:  # an earlier label holds that index
                 raise DuplicateLabelError(lab.index)
-            by_index[lab.index] = k
+            if lab.index > k:
+                raise ValueError(
+                    f"label {lab.display!r} has index {lab.index}, not its position {k}"
+                )
             if lab.name is not None:
                 if lab.name in by_name:
                     raise DuplicateLabelError(lab.name)
@@ -117,7 +125,6 @@ class Resolution:
         self._stack = frozen(stack)
         self._dim = dim
         self._tol = tol
-        self._by_index = by_index
         self._by_name = by_name
 
     @property
@@ -148,29 +155,27 @@ class Resolution:
         return f"Resolution(dim={self._dim}, labels=[{names}])"
 
     def position(self, label) -> int:
-        """Position of a label (SpectralLabel, index, or name) in this resolution."""
+        """Position of a label in this resolution: a name, a position (any
+        integer but a bool) or a SpectralLabel, whose index is its position."""
         if isinstance(label, SpectralLabel):
             label = label.index
         if isinstance(label, str):
             if label not in self._by_name:
                 raise UnknownLabelError(label)
             return self._by_name[label]
-        if isinstance(label, int) and not isinstance(label, bool):
-            if label not in self._by_index:
-                raise UnknownLabelError(label)
-            return self._by_index[label]
+        if isinstance(label, Integral) and not isinstance(label, bool) and 0 <= label < self.size:
+            return int(label)
         raise UnknownLabelError(label)
 
     def outcome(self, labels) -> "Outcome":
         """Build an Outcome from an iterable of labels (or a single label)."""
-        if isinstance(labels, (int, str, SpectralLabel)):
+        if isinstance(labels, (Integral, str, SpectralLabel)):
             labels = [labels]
-        idx = frozenset(self._labels[self.position(l)].index for l in labels)
-        return Outcome(self, idx)
+        return Outcome(self, frozenset(map(self.position, labels)))
 
     def full_outcome(self) -> "Outcome":
         """The trivial outcome containing every label."""
-        return Outcome(self, frozenset(lab.index for lab in self._labels))
+        return Outcome(self, frozenset(range(self.size)))
 
 
 def make_resolution(entries: Sequence[tuple], tol: float = DEFAULT_TOL) -> Resolution:
@@ -204,7 +209,7 @@ def from_basis(
 
 @dataclass(frozen=True)
 class Outcome:
-    """A non-empty subset of a resolution's labels (stored as indices)."""
+    """A non-empty subset of a resolution's labels (stored as positions)."""
 
     resolution: Resolution
     labels: frozenset[int]
@@ -212,9 +217,9 @@ class Outcome:
     def __post_init__(self):
         if not self.labels:
             raise ValueError("an outcome must contain at least one label")
-        for idx in self.labels:
-            if idx not in self.resolution._by_index:
-                raise UnknownLabelError(idx)
+        for p in self.labels:
+            if p not in range(self.resolution.size):
+                raise UnknownLabelError(p)
 
     @property
     def is_full(self) -> bool:
@@ -225,7 +230,7 @@ class Outcome:
 
     def display_labels(self) -> list[str]:
         labels = self.resolution.labels
-        return [labels[p].display for p in sorted(map(self.resolution.position, self.labels))]
+        return [labels[p].display for p in sorted(self.labels)]
 
     def __repr__(self) -> str:
         return f"Outcome({{{', '.join(self.display_labels())}}})"
@@ -235,9 +240,8 @@ def outcome_projector(resolution: Resolution, outcome: Outcome) -> Projector:
     """Sum of the projectors selected by an outcome (an orthogonal sum)."""
     if outcome.resolution is not resolution:
         raise ResolutionMismatchError("outcome was built for a different resolution")
-    positions = [resolution.position(idx) for idx in outcome.sorted_labels()]
-    total = _summed(resolution._stack, positions)
-    return Projector(total, _summed_tol(resolution.tol, len(positions)))
+    total = _summed(resolution._stack, outcome.sorted_labels())
+    return Projector(total, _summed_tol(resolution.tol, len(outcome.labels)))
 
 
 def _require_same_resolution(a: Outcome, b: Outcome) -> None:
@@ -268,46 +272,28 @@ def outcome_intersection(a: Outcome, b: Outcome) -> Outcome | None:
 def normalize_partition(
     resolution: Resolution, partition
 ) -> list[tuple[str | int, list[int]]]:
-    """Normalize a partition to an ordered list of (block id, label indices).
+    """Normalize a partition to an ordered list of (block id, label positions).
 
-    Accepts a mapping label -> block id, a mapping block id -> label list, or
-    a plain list of label lists.  Labels may be given as indices or names.
-    Blocks keep first-appearance order; each fine label must be covered
-    exactly once.
+    A partition is given as blocks: a mapping from block id to a label list,
+    or a list of label lists, whose block ids are their indices.  Labels may
+    be names, positions or SpectralLabels.  Blocks keep their order, an empty
+    one is dropped, and each label must be covered exactly once.
     """
-    order: list = []
-    blocks: dict = {}
+    blocks = partition.items() if isinstance(partition, Mapping) else enumerate(partition)
+    normalized = []
+    for block_id, members in blocks:
+        if not isinstance(members, (list, tuple, set, frozenset)):
+            raise TypeError(f"partition block {block_id!r} is not a list of labels")
+        if members:
+            normalized.append((block_id, [resolution.position(label) for label in members]))
 
-    def add(block_id, label):
-        idx = resolution.labels[resolution.position(label)].index
-        if block_id not in blocks:
-            blocks[block_id] = []
-            order.append(block_id)
-        blocks[block_id].append(idx)
-
-    if isinstance(partition, Mapping):
-        values = list(partition.values())
-        if values and all(isinstance(v, (list, tuple, set, frozenset)) for v in values):
-            for block_id, members in partition.items():
-                for label in members:
-                    add(block_id, label)
-        else:
-            for label, block_id in partition.items():
-                add(block_id, label)
-    else:
-        for k, members in enumerate(partition):
-            for label in members:
-                add(k, label)
-
-    seen: list[int] = [i for b in order for i in blocks[b]]
-    all_idx = {lab.index for lab in resolution.labels}
+    seen = [p for _, members in normalized for p in members]
     if len(seen) != len(set(seen)):
-        dupes = {i for i in seen if seen.count(i) > 1}
-        raise DuplicateLabelError(sorted(dupes)[0])
-    missing = all_idx - set(seen)
+        raise DuplicateLabelError(min(p for p in seen if seen.count(p) > 1))
+    missing = set(range(resolution.size)) - set(seen)
     if missing:
         raise PartitionNotTotalError(missing)
-    return [(b, blocks[b]) for b in order]
+    return normalized
 
 
 def coarsen(resolution: Resolution, partition) -> Resolution:
@@ -318,10 +304,7 @@ def coarsen(resolution: Resolution, partition) -> Resolution:
     """
     tol = resolution.tol
     normalized = normalize_partition(resolution, partition)
-    sums = np.array([
-        _summed(resolution._stack, [resolution.position(idx) for idx in members])
-        for _, members in normalized
-    ])
+    sums = np.array([_summed(resolution._stack, members) for _, members in normalized])
     tols = [_summed_tol(tol, len(members)) for _, members in normalized]
     entries = []
     for k, ((block_id, _), proj) in enumerate(zip(normalized, Projector._from_stack(sums, tols))):

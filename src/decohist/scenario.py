@@ -85,12 +85,17 @@ _CHECK_ARGS = ("mode", "tol", "seed", "states", "scope", "inner")
 
 def _bad_check_args(args: Mapping) -> list[tuple[str, str]]:
     """The given check arguments that break the one rule for them: ``mode``
-    in ``CHECKS``, ``tol`` finite and >= 0, integers ``seed`` >= 0 and ``states``
-    >= 1, ``scope`` in ``SCOPES``, ``inner`` in ``_INNER_MODES``."""
+    in ``CHECKS``; every other argument one that mode reads, and only then is
+    its value checked: ``tol`` finite and >= 0, integers ``seed`` >= 0 and
+    ``states`` >= 1, ``scope`` in ``SCOPES``, ``inner`` in ``_INNER_MODES``."""
     bad = []
     mode = args.get("mode")
     if not isinstance(mode, str) or mode not in CHECKS:
         bad.append(("mode", f"unknown check mode {mode!r}"))
+    else:
+        unread = [key for key in args if key != "mode" and key not in CHECKS[mode][1]]
+        bad += [(key, f"not read by check mode {mode!r}") for key in unread]
+        args = {key: value for key, value in args.items() if key not in unread}
     for key, typ, least in (("tol", Real, 0), ("seed", Integral, 0), ("states", Integral, 1)):
         if key not in args:
             continue
@@ -601,7 +606,7 @@ def _on_dfunc(check):
 
 
 #: Check mode -> (library check of the family, {argument: the check's name
-#: for it}) for each argument the mode reads; it ignores the others.
+#: for it}) for each argument the mode reads; it refuses the others.
 CHECKS = {
     "weak": (_on_dfunc(check_weak_consistency), {"tol": "tol"}),
     "medium": (_on_dfunc(check_medium_decoherence), {"tol": "tol"}),
@@ -628,8 +633,8 @@ def result_check(
     bad = _bad_check_args(args)
     if bad:
         raise ScenarioValidationError(bad)
-    check, names = CHECKS[mode]
-    report = check(scenario.family, **{names[k]: v for k, v in args.items() if k in names})
+    check, names = CHECKS[args.pop("mode")]
+    report = check(scenario.family, **{names[k]: v for k, v in args.items()})
     return {
         "query": "check",
         **_meta(scenario),

@@ -35,7 +35,8 @@ from decohist.errors import (
 from decohist import consistency as consistency_module
 from decohist import histories as histories_module
 from decohist.consistency import check_additivity, check_state_robustness
-from decohist.histories import DEFAULT_FAMILY_CAP, _state_factor
+from decohist.histories import DEFAULT_FAMILY_CAP
+from decohist.linalg import _state_factor
 from decohist.sampling import random_family, random_unitary
 
 from conftest import (

@@ -258,7 +258,8 @@ class TestFromBasis:
 
 class TestOutcomeMaps:
     def test_unknown_label_and_display_order(self):
-        res = make_resolution([(SpectralLabel(5, "z"), P_Z0), (SpectralLabel(2, "w"), P_Z1)])
-        assert res.outcome([2, 5]).display_labels() == ["z", "w"]
+        res = make_resolution([(SpectralLabel(0, "z"), P_Z0), (SpectralLabel(1, "w"), P_Z1)])
+        assert res.outcome([1, 0]).display_labels() == ["z", "w"]
+        assert res.outcome(["w", "z"]).labels == frozenset({0, 1})
         with pytest.raises(UnknownLabelError, match="3"):
-            Outcome(res, frozenset({5, 3}))
+            Outcome(res, frozenset({0, 3}))

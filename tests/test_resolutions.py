@@ -144,10 +144,13 @@ class TestCoarsen:
         fine_sum = res.projectors[0].matrix + res.projectors[3].matrix
         assert np.array_equal(coarse.projectors[0].matrix, fine_sum)
 
-    def test_label_to_block_mapping_form(self):
+    def test_block_mapping_form(self):
         res = z_resolution()
-        coarse = coarsen(res, {"z0": "a", "z1": "b"})
+        coarse = coarsen(res, {"a": ["z0"], "b": ["z1"]})
         assert [l.display for l in coarse.labels] == ["a", "b"]
+        # a label -> block mapping is not a partition's form: "b" is no block
+        with pytest.raises(TypeError, match="partition block 'z0'"):
+            coarsen(res, {"z0": "a", "z1": "b"})
 
 
 class TestOutcomeAlgebra:

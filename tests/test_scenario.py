@@ -257,10 +257,11 @@ class TestQueries:
         "overrides, errors",
         [
             ({"mode": "bogus"}, [("mode", "unknown check mode 'bogus'")]),
-            ({"inner": "bogus"}, [("inner", "expected 'weak', 'medium' or 'additivity'")]),
-            ({"scope": 3}, [("scope", "expected 'pairs' or 'partitions'")]),
+            # the weak query reads no inner check, whatever its value
+            ({"inner": "bogus"}, [("inner", "not read by check mode 'weak'")]),
+            ({"mode": "additivity", "scope": 3}, [("scope", "expected 'pairs' or 'partitions'")]),
             ({"tol": "x"}, [("tol", "expected a number")]),
-            ({"seed": True}, [("seed", "expected a number")]),
+            ({"mode": "additivity", "seed": True}, [("seed", "expected a number")]),
         ],
     )
     def test_check_overrides_raise_the_parsers_errors(self, overrides, errors):
