@@ -17,8 +17,7 @@ class DecohistError(Exception):
 
 
 class DimensionMismatchError(DecohistError):
-    def __init__(self, message: str):
-        super().__init__(message)
+    """Shapes, dimensions or indices that do not fit together."""
 
 
 class NotHermitianError(DecohistError):
@@ -102,6 +101,15 @@ class PartitionNotTotalError(DecohistError):
         super().__init__(f"partition does not cover labels {labels[:10]!r}{more}")
 
 
+class PartitionBlockError(DecohistError):
+    """A partition block that is malformed, empty, or holds an unknown or taken member."""
+
+    def __init__(self, block, reason: str):
+        self.block = block
+        self.reason = reason
+        super().__init__(f"partition block {block!r}: {reason}")
+
+
 class ResolutionMismatchError(DecohistError):
     def __init__(self, message: str = "outcomes belong to different resolutions"):
         super().__init__(message)
@@ -130,8 +138,7 @@ class SlotOutOfRangeError(DecohistError):
 
 
 class InvalidHistoryError(DecohistError):
-    def __init__(self, message: str):
-        super().__init__(message)
+    """A history, or a value built from one, that breaks the family's rules."""
 
 
 class FamilyMismatchError(DecohistError):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, wraps
+from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -331,12 +332,24 @@ def make_projector(m, tol: float = DEFAULT_TOL) -> Projector:
     return Projector(m, tol)
 
 
+def _is_a(value, typ) -> bool:
+    """``isinstance(value, typ)``, but a boolean, which satisfies
+    ``isinstance(., int)``, is never a number, a position or an index."""
+    return isinstance(value, typ) and not isinstance(value, bool)
+
+
+def _basis_index(i, dim: int) -> int:
+    """``i`` as a computational-basis index of dimension ``dim``."""
+    if _is_a(i, Integral) and 0 <= i < dim:
+        return int(i)
+    raise DimensionMismatchError(f"basis index {i!r} out of range for dim {dim}")
+
+
 def basis_projector(dim: int, indices: Sequence[int]) -> Projector:
     """Projector onto the span of the given computational-basis vectors."""
     p = np.zeros((dim, dim), dtype=complex)
     for i in indices:
-        if not 0 <= i < dim:
-            raise DimensionMismatchError(f"basis index {i} out of range for dim {dim}")
+        i = _basis_index(i, dim)
         p[i, i] = 1.0
     return Projector(p)
 

@@ -22,26 +22,30 @@ from .errors import (
     DuplicateLabelError,
     NotCompleteError,
     NotOrthogonalError,
+    PartitionBlockError,
     PartitionNotTotalError,
     ResolutionMismatchError,
     UnknownLabelError,
 )
 from .linalg import DEFAULT_TOL, _summed_tol
-from .linalg import Projector, _summed, as_operator, frozen, require_square
+from .linalg import Projector, _basis_index, _is_a, _summed, as_operator, frozen, require_square
 
 
 @dataclass(frozen=True)
 class SpectralLabel:
     """An outcome label: its position in the resolution, optionally with a
-    display name.  A resolution refuses a label whose index is not its
-    position."""
+    display name.  The index is any integer but a bool, stored as an ``int``;
+    a resolution refuses a label whose index is not its position."""
 
     index: int
     name: str | None = None
 
     def __post_init__(self):
+        if not _is_a(self.index, Integral):
+            raise TypeError(f"label index must be an integer, got {self.index!r}")
         if self.index < 0:
             raise ValueError(f"label index must be >= 0, got {self.index}")
+        object.__setattr__(self, "index", int(self.index))
 
     @property
     def display(self) -> str:
@@ -71,7 +75,7 @@ class Resolution:
             if isinstance(label, str):
                 label = SpectralLabel(pos, label)
             elif not isinstance(label, SpectralLabel):
-                label = SpectralLabel(int(label))
+                label = SpectralLabel(label)
             if not isinstance(proj, Projector):
                 proj = as_operator(proj)
                 require_square(proj)
@@ -163,7 +167,7 @@ class Resolution:
             if label not in self._by_name:
                 raise UnknownLabelError(label)
             return self._by_name[label]
-        if isinstance(label, Integral) and not isinstance(label, bool) and 0 <= label < self.size:
+        if _is_a(label, Integral) and 0 <= label < self.size:
             return int(label)
         raise UnknownLabelError(label)
 
@@ -191,11 +195,19 @@ def from_basis(
 ) -> Resolution:
     """Resolution built from computational-basis projectors grouped in blocks.
 
-    ``blocks`` is a partition of range(dim); each block becomes one projector.
+    ``blocks`` partitions range(dim); each block becomes one projector, an
+    empty one the zero projector.  A bad index, or one in two blocks, is
+    refused by name.
     """
-    covered = [i for b in blocks for i in b]
-    if sorted(covered) != list(range(dim)):
-        raise PartitionNotTotalError(set(range(dim)) - set(covered))
+    owner: dict[int, int] = {}  # basis index -> the block holding it
+    for k, block in enumerate(blocks):
+        for i in block:
+            i = _basis_index(i, dim)
+            if i in owner:
+                raise PartitionBlockError(k, f"basis index {i} is already in block {owner[i]}")
+            owner[i] = k
+    if len(owner) != dim:
+        raise PartitionNotTotalError(set(range(dim)) - set(owner))
     if names is not None and len(names) != len(blocks):
         raise DimensionMismatchError("one name per block required")
     entries = []
@@ -274,24 +286,32 @@ def normalize_partition(
 ) -> list[tuple[str | int, list[int]]]:
     """Normalize a partition to an ordered list of (block id, label positions).
 
-    A partition is given as blocks: a mapping from block id to a label list,
-    or a list of label lists, whose block ids are their indices.  Labels may
-    be names, positions or SpectralLabels.  Blocks keep their order, an empty
-    one is dropped, and each label must be covered exactly once.
+    The one reader of a partition: blocks given as a mapping from block id to
+    labels (names, positions or SpectralLabels), or as a list whose block ids
+    are their indices, in their given order.  Each block is a non-empty list,
+    tuple, set or frozenset, each label known and in exactly one block; a
+    fault names its block and the label as given (``PartitionBlockError``),
+    uncovered labels their display names (``PartitionNotTotalError``).
     """
     blocks = partition.items() if isinstance(partition, Mapping) else enumerate(partition)
     normalized = []
+    taken: set[int] = set()
     for block_id, members in blocks:
-        if not isinstance(members, (list, tuple, set, frozenset)):
-            raise TypeError(f"partition block {block_id!r} is not a list of labels")
-        if members:
-            normalized.append((block_id, [resolution.position(label) for label in members]))
-
-    seen = [p for _, members in normalized for p in members]
-    if len(seen) != len(set(seen)):
-        raise DuplicateLabelError(min(p for p in seen if seen.count(p) > 1))
-    missing = set(range(resolution.size)) - set(seen)
-    if missing:
+        if not isinstance(members, (list, tuple, set, frozenset)) or not members:
+            raise PartitionBlockError(block_id, "expected a non-empty label list")
+        positions = []
+        for label in members:
+            try:
+                p = resolution.position(label)
+            except UnknownLabelError as exc:
+                raise PartitionBlockError(block_id, str(exc)) from None
+            if p in taken:
+                raise PartitionBlockError(block_id, f"label {label!r} assigned twice")
+            taken.add(p)
+            positions.append(p)
+        normalized.append((block_id, positions))
+    if len(taken) != resolution.size:
+        missing = {lab.display for lab in resolution.labels if lab.index not in taken}
         raise PartitionNotTotalError(missing)
     return normalized
 
@@ -299,8 +319,9 @@ def normalize_partition(
 def coarsen(resolution: Resolution, partition) -> Resolution:
     """Merge a resolution's projectors along a partition of its labels.
 
-    Block identifiers become the labels of the coarse resolution, ordered by
-    first appearance.
+    The partition is read by ``normalize_partition``: an empty block is
+    refused, not dropped.  Block identifiers become the labels of the coarse
+    resolution, in block order.
     """
     tol = resolution.tol
     normalized = normalize_partition(resolution, partition)

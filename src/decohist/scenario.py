@@ -35,6 +35,8 @@ from .consistency import (
 from .dynamics import DynamicsSpec, TimeGrid, build_schedule
 from .errors import (
     DecohistError,
+    PartitionBlockError,
+    PartitionNotTotalError,
     ScenarioSyntaxError,
     ScenarioValidationError,
     UnknownQueryError,
@@ -50,9 +52,9 @@ from .histories import (
     retrodictive_conditional,
     retrodictive_normalized,
 )
-from .linalg import DensityState, matrix_from_pairs, matrix_to_pairs
+from .linalg import DensityState, _is_a, matrix_from_pairs, matrix_to_pairs
 from .lueders import sequential_probability
-from .resolutions import Resolution, coarsen, from_basis, make_resolution
+from .resolutions import Resolution, coarsen, from_basis, make_resolution, normalize_partition
 
 SCHEMA_VERSION = 1
 
@@ -71,12 +73,6 @@ _FIELDS = {
     "histories": (dict, "expected an object", {}),
     "queries": (dict, "expected an object", {}),
 }
-
-
-def _is_a(value, typ) -> bool:
-    """``isinstance(value, typ)``, but a boolean, which satisfies
-    ``isinstance(., int)``, is never a number or a field here."""
-    return isinstance(value, typ) and not isinstance(value, bool)
 
 
 #: The arguments of a check, in the order a check query keeps them.
@@ -211,9 +207,8 @@ def _parse_resolution(name: str, spec, dim: int, col: _Collector):
 
     if has_basis:
         blocks = spec["basis"]
-        if not isinstance(blocks, list) or not all(
-            isinstance(b, list) and all(_is_a(i, int) for i in b) for b in blocks
-        ):
+        # from_basis checks each index and names a bad one
+        if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
             col.add(f"{path}.basis", "expected a list of integer lists")
             return None, None
         n = len(blocks)
@@ -673,53 +668,37 @@ def result_oracle(scenario: Scenario, history: str, trace: bool = False) -> dict
 def result_coarse_grain(scenario: Scenario, offset: int, partition: dict) -> dict:
     """The scenario document with one slot's resolution coarsened.
 
-    ``partition`` maps block names to label-name lists.  Histories touching
-    the coarsened slot are rewritten when their outcome is a union of blocks
-    and rejected otherwise; queries are carried over unchanged.
+    ``partition`` maps block names to label-name lists, read (and its faults
+    located) by ``normalize_partition``.  Histories touching the coarsened
+    slot are rewritten when their outcome is a union of blocks and rejected
+    otherwise; queries are carried over unchanged.
     """
     family = scenario.family
     pos = family.position(offset)
     doc = scenario.to_document()
     old_name = doc["slots"][pos]
     res = scenario.resolutions[old_name]
-
-    # validate the partition and work out the label -> block map
-    block_names = list(partition)
-    label_to_block: dict[str, str] = {}
-    for bname, members in partition.items():
-        if not isinstance(members, list) or not members:
-            raise ScenarioValidationError(
-                [(f"partition.{bname}", "expected a non-empty label list")]
-            )
-        for label in members:
-            display = res.labels[res.position(label)].display
-            if display in label_to_block:
-                raise ScenarioValidationError(
-                    [(f"partition.{bname}", f"label {label!r} assigned twice")]
-                )
-            label_to_block[display] = bname
-    missing = {l.display for l in res.labels} - set(label_to_block)
-    if missing:
+    try:
+        blocks = normalize_partition(res, partition)
+    except PartitionBlockError as exc:
+        raise ScenarioValidationError([(f"partition.{exc.block}", exc.reason)]) from None
+    except PartitionNotTotalError as exc:
         raise ScenarioValidationError(
-            [("partition", f"labels not covered: {sorted(missing)}")]
-        )
+            [("partition", f"labels not covered: {sorted(exc.missing)}")]
+        ) from None
 
     coarse_name = f"{old_name}_coarse"
     while coarse_name in doc["resolutions"]:
         coarse_name += "_"
 
-    old_norm = doc["resolutions"][old_name]
-    if "basis" in old_norm:
-        blocks = {b: [] for b in block_names}
-        for label, basis_block in zip(old_norm["labels"], old_norm["basis"]):
-            blocks[label_to_block[label]].extend(basis_block)
-        coarse_norm = {"labels": block_names, "basis": [blocks[b] for b in block_names]}
+    old_basis = doc["resolutions"][old_name].get("basis")
+    coarse_norm = {"labels": [name for name, _ in blocks]}
+    if old_basis is not None:
+        coarse_norm["basis"] = [[i for p in sorted(b) for i in old_basis[p]] for _, b in blocks]
     else:
         # each block's projector is summed as the engine's coarse resolution's
-        coarse_norm = {
-            "labels": block_names,
-            "projectors": [matrix_to_pairs(p.matrix) for p in coarsen(res, partition).projectors],
-        }
+        coarse = coarsen(res, dict(blocks)).projectors
+        coarse_norm["projectors"] = [matrix_to_pairs(p.matrix) for p in coarse]
 
     # the coarsened slot may be the only user of the old resolution
     doc["slots"][pos] = coarse_name
@@ -728,13 +707,13 @@ def result_coarse_grain(scenario: Scenario, offset: int, partition: dict) -> dic
         del doc["resolutions"][old_name]
 
     def rewrite(labels: list, where: str) -> list:
-        touched = {label_to_block[l] for l in labels}
-        expanded = {l for l in label_to_block if label_to_block[l] in touched}
-        if set(labels) != expanded:
+        chosen = set(map(res.position, labels))
+        touched = [(name, block) for name, block in blocks if chosen & set(block)]
+        if chosen != {p for _, block in touched for p in block}:
             raise ScenarioValidationError(
                 [(where, "outcome is not a union of partition blocks")]
             )
-        return [b for b in block_names if b in touched]
+        return [name for name, _ in touched]
 
     offset_key = str(offset)
     for hname, hmap in doc["histories"].items():

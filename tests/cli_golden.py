@@ -37,6 +37,17 @@ USAGE_ERRORS = (
     ["validate", "--scenario", "scenarios/missing.json"],
     ["retrodict", "--scenario", "scenarios/z_then_x.json", "--past", "past_z0", "--present", ","],
     ["coarse-grain", "--scenario", "scenarios/minimal.json", "--slot", "0", "--partition", "[1"],
+    # each partition fault, located at its block or at the partition
+    *(
+        ["coarse-grain", "--scenario", "scenarios/z_then_x.json", "--slot", "0", "--partition", p]
+        for p in (
+            '{"a": "x+", "b": ["x-"]}',
+            '{"a": ["x+", "x-"], "b": []}',
+            '{"a": ["x+"], "b": ["x-", "x+"]}',
+            '{"a": ["x+", "q"], "b": ["x-"]}',
+            '{"a": ["x+"]}',
+        )
+    ),
 )
 
 

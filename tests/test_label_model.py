@@ -7,6 +7,8 @@ label whose index is not its position, and a block that is not a list of
 labels, are refused.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ from decohist import (
     make_resolution,
     make_state,
 )
-from decohist.errors import DuplicateLabelError, UnknownLabelError
+from decohist.errors import DuplicateLabelError, PartitionBlockError, UnknownLabelError
 from decohist.resolutions import normalize_partition
 from decohist.sampling import random_hermitian
 
@@ -128,9 +130,9 @@ def test_a_label_off_its_position_and_a_string_block_are_refused(built, data):
             make_resolution(shifted)
 
     label = given_as(data.draw, res, named, [0])[0]
-    with pytest.raises(TypeError, match="partition block 'g' is not a list of labels"):
+    with pytest.raises(PartitionBlockError, match="partition block 'g': expected a non-empty"):
         normalize_partition(res, {"g": res.labels[0].display})
-    with pytest.raises(TypeError, match="is not a list of labels"):
+    with pytest.raises(PartitionBlockError, match="expected a non-empty label list"):
         normalize_partition(res, {label: "g"})  # a label -> block mapping
 
 
@@ -148,3 +150,20 @@ def test_a_numpy_integer_is_a_position():
         build_schedule(grid, DynamicsSpec.trivial(2)), (res, z_resolution()), make_state(P_Z1)
     )
     assert family.history({0: [np.int64(1)]}) == family.history({0: ["b"]})
+
+
+@pytest.mark.parametrize("bad", [0.0, 0.2, 1.9, False, True, np.float64(1.0), None])
+def test_a_label_index_is_an_integer_not_a_float_or_bool(bad):
+    message = f"label index must be an integer, got {bad!r}"
+    with pytest.raises(TypeError, match=re.escape(message)):
+        SpectralLabel(bad)
+    entries = [(bad, P_Z1), (1, np.eye(2) - P_Z1)]
+    with pytest.raises(TypeError, match="label index must be an integer"):
+        make_resolution(entries)
+
+
+def test_a_numpy_integer_label_is_stored_as_an_int():
+    assert type(SpectralLabel(np.int64(3)).index) is int
+    res = make_resolution([(np.int64(0), np.eye(2) - P_Z1), (np.int32(1), P_Z1)])
+    assert [type(lab.index) for lab in res.labels] == [int, int]
+    assert repr(res) == "Resolution(dim=2, labels=[0, 1])"

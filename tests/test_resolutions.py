@@ -20,6 +20,7 @@ from decohist.errors import (
     DuplicateLabelError,
     NotCompleteError,
     NotOrthogonalError,
+    PartitionBlockError,
     PartitionNotTotalError,
     ResolutionMismatchError,
     UnknownLabelError,
@@ -135,7 +136,7 @@ class TestCoarsen:
 
     def test_label_in_two_blocks(self):
         res = z_resolution()
-        with pytest.raises(DuplicateLabelError):
+        with pytest.raises(PartitionBlockError, match="partition block 1: label 1 assigned twice"):
             coarsen(res, [[0, 1], [1]])
 
     def test_block_sum_matches_fine_sum(self):
@@ -149,7 +150,7 @@ class TestCoarsen:
         coarse = coarsen(res, {"a": ["z0"], "b": ["z1"]})
         assert [l.display for l in coarse.labels] == ["a", "b"]
         # a label -> block mapping is not a partition's form: "b" is no block
-        with pytest.raises(TypeError, match="partition block 'z0'"):
+        with pytest.raises(PartitionBlockError, match="partition block 'z0'"):
             coarsen(res, {"z0": "a", "z1": "b"})
 
 
