@@ -347,10 +347,9 @@ def _basis_index(i, dim: int) -> int:
 
 def basis_projector(dim: int, indices: Sequence[int]) -> Projector:
     """Projector onto the span of the given computational-basis vectors."""
+    diagonal = [_basis_index(i, dim) for i in indices]
     p = np.zeros((dim, dim), dtype=complex)
-    for i in indices:
-        i = _basis_index(i, dim)
-        p[i, i] = 1.0
+    p[diagonal, diagonal] = 1.0
     return Projector(p)
 
 

@@ -208,15 +208,14 @@ def from_basis(
             owner[i] = k
     if len(owner) != dim:
         raise PartitionNotTotalError(set(range(dim)) - set(owner))
-    if names is not None and len(names) != len(blocks):
+    if names is None:
+        names = [None] * len(blocks)
+    elif len(names) != len(blocks):
         raise DimensionMismatchError("one name per block required")
-    entries = []
-    for k, block in enumerate(blocks):
-        name = names[k] if names is not None else None
-        p = np.zeros((dim, dim), dtype=complex)
-        p[block, block] = 1.0
-        entries.append((SpectralLabel(k, name), p))
-    return Resolution(entries, tol)
+    stack = np.zeros((len(blocks), dim, dim), dtype=complex)
+    for i, k in owner.items():
+        stack[k, i, i] = 1.0
+    return Resolution(list(zip(map(SpectralLabel, range(len(blocks)), names), stack)), tol)
 
 
 @dataclass(frozen=True)

@@ -52,9 +52,9 @@ from .histories import (
     retrodictive_conditional,
     retrodictive_normalized,
 )
-from .linalg import DensityState, _is_a, matrix_from_pairs, matrix_to_pairs
+from .linalg import DensityState, _is_a, _summed, matrix_from_pairs, matrix_to_pairs
 from .lueders import sequential_probability
-from .resolutions import Resolution, coarsen, from_basis, make_resolution, normalize_partition
+from .resolutions import Resolution, from_basis, make_resolution, normalize_partition
 
 SCHEMA_VERSION = 1
 
@@ -227,6 +227,8 @@ def _parse_resolution(name: str, spec, dim: int, col: _Collector):
 
     if has_basis:
         res = col.build(path, from_basis, dim, blocks, labels)
+        if res is None:  # a refused index may be no integer at all
+            return None, None
         norm = {"labels": labels, "basis": [[int(i) for i in b] for b in blocks]}
     else:
         mats = []
@@ -696,9 +698,8 @@ def result_coarse_grain(scenario: Scenario, offset: int, partition: dict) -> dic
     if old_basis is not None:
         coarse_norm["basis"] = [[i for p in sorted(b) for i in old_basis[p]] for _, b in blocks]
     else:
-        # each block's projector is summed as the engine's coarse resolution's
-        coarse = coarsen(res, dict(blocks)).projectors
-        coarse_norm["projectors"] = [matrix_to_pairs(p.matrix) for p in coarse]
+        # each block's projector summed in block order, as coarsen sums it
+        coarse_norm["projectors"] = [matrix_to_pairs(_summed(res._stack, b)) for _, b in blocks]
 
     # the coarsened slot may be the only user of the old resolution
     doc["slots"][pos] = coarse_name
