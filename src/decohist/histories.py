@@ -20,8 +20,8 @@ resolution is treated as exactly orthogonal, so D_ij = 0 whenever histories
 i and j end in different labels: by cyclicity of the trace the two
 projectors meet as P_b P_a = 0.  With an s-outcome last slot the engine
 therefore builds and keeps only the s interleaved blocks D[a::s, a::s], as
-one ``(s, N/s, N/s)`` stack; the dense N x N ``matrix``, with exact zeros
-outside the blocks, is made on its first read.  The entries it drops are
+one ``(s, N/s, N/s)`` stack, the one form every ``DecoherenceFunctional``
+holds (a given matrix is the stack of s = 1).  The entries it drops are
 bounded by the orthogonality the resolution was validated to: each is at
 most about ||P_b P_a|| <= d * max_kl |(P_a P_b)_kl| <= d * tol, for the
 last slot's resolution tolerance tol (1e-10 by default; ``coarsen``
@@ -188,9 +188,10 @@ class HistoryFamily:
         return HistoryFamily(self.schedule, self.resolutions, state)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class History:
-    """One outcome per slot of a family (multi-label outcomes are coarse)."""
+    """One outcome per slot of a family (multi-label outcomes are coarse);
+    equal to another on the same family object with the same labels."""
 
     family: HistoryFamily
     outcomes: tuple[Outcome, ...]
@@ -208,16 +209,6 @@ class History:
                     f"outcome at slot position {pos} belongs to a different resolution"
                 )
         object.__setattr__(self, "outcomes", outcomes)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, History):
-            return NotImplemented
-        return self.family is other.family and all(
-            a.labels == b.labels for a, b in zip(self.outcomes, other.outcomes)
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.family), tuple(o.labels for o in self.outcomes)))
 
     def outcome_at(self, offset: int) -> Outcome:
         return self.outcomes[self.family.position(offset)]
@@ -404,7 +395,7 @@ def fine_probabilities(family: HistoryFamily) -> np.ndarray:
     return family._probabilities.copy()
 
 
-#: Held while an engine D makes its dense matrix on first read.
+#: Held while a D makes its matrix on first read: from Python 3.12, cached_property has no lock.
 _FIRST_READ = threading.Lock()
 
 
@@ -413,7 +404,7 @@ def _check_trace(trace: complex, tol: float) -> None:
         raise InvalidHistoryError(f"decoherence functional trace {trace} differs from 1")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class DecoherenceFunctional:
     """Matrix of Tr(C_i rho C_j^dagger) over the fine histories of a family.
 
@@ -426,75 +417,57 @@ class DecoherenceFunctional:
     its diagonal; only its trace is checked.  The engine's ``histories`` is
     lazy.
 
-    The engine treats a validated resolution as exactly orthogonal: D is
-    zero between histories whose last-slot labels differ (the outcome
-    projectors P_a P_b = 0 meet under the trace).  So an engine D holds only
-    the blocks D[a::s, a::s] of an ``s``-outcome last slot, as one read-only
-    ``(s, M, M)`` stack that the weak and medium checks scan; ``matrix`` is
-    made from it on first read, and the stack is a view of ``matrix`` from
-    then on.  A matrix given to this constructor is one block, scanned in
-    full.
+    Every D holds one form: its blocks D[a::s, a::s], N = M s, outside which
+    it is zero, as one read-only ``(s, M, M)`` stack that ``diagonal`` and
+    the weak and medium checks scan.  A matrix given to this constructor is
+    the one block of s = 1.  The engine treats a validated resolution as
+    exactly orthogonal, so histories whose last-slot labels differ never
+    interfere (P_a P_b = 0 under the trace), and s is the last slot's size.
     """
 
     histories: Sequence[History]
-    matrix: np.ndarray
-    tol: float = DFUNC_TOL
+    _stack: np.ndarray
+    tol: float
 
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.shape != (len(self.histories),) * 2:
+    def __init__(self, histories: Sequence[History], matrix, tol: float = DFUNC_TOL):
+        stack = frozen(np.array(matrix, dtype=complex))[np.newaxis]
+        if stack.shape[1:] != (len(histories),) * 2:
             raise DimensionMismatchError(
-                f"matrix shape {m.shape} does not match {len(self.histories)} histories"
+                f"matrix shape {stack.shape[1:]} does not match {len(histories)} histories"
             )
-        (error,) = _state_errors(m[np.newaxis], (self.tol,))
+        (error,) = _state_errors(stack, (tol,))
         if error is not None:
             raise InvalidHistoryError(f"decoherence functional: {error}") from error
-        self._settle(self.histories, m)
+        if not isinstance(histories, _FineHistories):
+            histories = tuple(histories)
+        vars(self).update(histories=histories, _stack=stack, tol=tol)
 
     @classmethod
     def _from_gram(cls, histories, blocks: np.ndarray):
-        """Wrap an engine-built D, zero outside its last-slot blocks, from
-        the ``(s, M, M)`` stack of those blocks alone, held until ``matrix``
-        is read.  Only the trace is checked, at DFUNC_TOL; the Gram form
-        meets the other checks by construction."""
-        dfunc = object.__new__(cls)
-        object.__setattr__(dfunc, "tol", DFUNC_TOL)
+        """An engine-built D that takes over its ``(s, M, M)`` last-slot
+        blocks; only the trace is checked, the Gram form meets the rest."""
         _check_trace(complex(np.sum(np.diagonal(blocks, axis1=1, axis2=2))), DFUNC_TOL)
-        return dfunc._settle(histories, blocks)
+        dfunc = object.__new__(cls)
+        vars(dfunc).update(histories=histories, _stack=frozen(blocks), tol=DFUNC_TOL)
+        return dfunc
 
-    def _settle(self, histories, held: np.ndarray):
-        """Freeze and store ``held``, D or its block stack, which this
-        instance now owns."""
-        # D is zero outside its last-slot blocks D[a::s, a::s]: s is 1 for D
-        # itself, the stack's length for a stack
-        dense = held.ndim == 2
-        object.__setattr__(self, "_blocks", 1 if dense else len(held))
-        object.__setattr__(self, "matrix" if dense else "_stack", held)
-        held.setflags(write=False)
-        if not isinstance(histories, _FineHistories):
-            histories = tuple(histories)
-        object.__setattr__(self, "histories", histories)
-        return self
-
-    def __getattr__(self, name):
-        # only names the instance lacks get here: an engine D's ``matrix``
-        # before its first read, and ``_stack`` after it
-        state = self.__dict__
-        if name == "matrix":
-            with _FIRST_READ:  # threads reading at once get one matrix
-                if "_stack" in state:
-                    stack = state["_stack"]
-                    n = stack.shape[0] * stack.shape[1]
-                    matrix = np.zeros((n, n), dtype=complex)
-                    _block_view(matrix, len(stack))[...] = stack
-                    matrix.setflags(write=False)
-                    state["matrix"] = matrix
-                    del state["_stack"]  # the blocks live on only as a view of it
-            if "matrix" in state:
-                return state["matrix"]
-        elif name == "_stack" and "matrix" in state:
-            return _block_view(state["matrix"], self._blocks)
-        raise AttributeError(name)
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """D as a read-only N x N array, made on first read: the one block
+        itself for s = 1 (a view), else the blocks scattered into zeros, of
+        which the stack is a view from then on."""
+        state = vars(self)
+        with _FIRST_READ:  # threads reading at once get one matrix
+            if "matrix" not in state:
+                stack = self._stack
+                s, m = stack.shape[:2]
+                matrix = stack[0]
+                if s > 1:
+                    matrix = np.zeros((s * m, s * m), dtype=complex)
+                    _block_view(matrix, s)[...] = stack
+                    state["_stack"] = _block_view(frozen(matrix), s)
+                state["matrix"] = matrix
+        return state["matrix"]
 
     @property
     def n(self) -> int:

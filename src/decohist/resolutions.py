@@ -34,8 +34,8 @@ from .linalg import Projector, _basis_index, _is_a, _summed, as_operator, frozen
 @dataclass(frozen=True)
 class SpectralLabel:
     """An outcome label: its position in the resolution, optionally with a
-    display name.  The index is any integer but a bool, stored as an ``int``;
-    a resolution refuses a label whose index is not its position."""
+    display name, a string.  The index is any integer but a bool, stored as
+    an ``int``; a resolution refuses a label whose index is not its position."""
 
     index: int
     name: str | None = None
@@ -45,6 +45,8 @@ class SpectralLabel:
             raise TypeError(f"label index must be an integer, got {self.index!r}")
         if self.index < 0:
             raise ValueError(f"label index must be >= 0, got {self.index}")
+        if self.name is not None and not isinstance(self.name, str):
+            raise TypeError(f"label name must be a string, got {self.name!r}")
         object.__setattr__(self, "index", int(self.index))
 
     @property

@@ -670,16 +670,21 @@ def result_oracle(scenario: Scenario, history: str, trace: bool = False) -> dict
 def result_coarse_grain(scenario: Scenario, offset: int, partition: dict) -> dict:
     """The scenario document with one slot's resolution coarsened.
 
-    ``partition`` maps block names to label-name lists, read (and its faults
-    located) by ``normalize_partition``.  Histories touching the coarsened
-    slot are rewritten when their outcome is a union of blocks and rejected
-    otherwise; queries are carried over unchanged.
+    ``partition`` maps string block names to label-name lists, read (and its
+    faults located) by ``normalize_partition``.  Histories touching the
+    coarsened slot are rewritten when their outcome is a union of blocks and
+    rejected otherwise; queries are carried over unchanged.
     """
     family = scenario.family
     pos = family.position(offset)
     doc = scenario.to_document()
     old_name = doc["slots"][pos]
     res = scenario.resolutions[old_name]
+    if not isinstance(partition, Mapping):
+        raise ScenarioValidationError([("partition", "expected an object")])
+    for block in partition:
+        if not isinstance(block, str):
+            raise ScenarioValidationError([(f"partition.{block}", "block name must be a string")])
     try:
         blocks = normalize_partition(res, partition)
     except PartitionBlockError as exc:

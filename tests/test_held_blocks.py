@@ -2,8 +2,9 @@
 
 An engine-built ``DecoherenceFunctional`` holds only the blocks
 D[a::s, a::s] of an s-outcome last slot, as one read-only ``(s, M, M)``
-stack, N = M s.  Its dense ``matrix`` is made on first read, and the stack
-is a view of that matrix from then on.
+stack, N = M s; a D given to the constructor is the stack of s = 1.  The
+dense ``matrix`` is made on first read, and the stack is a view of that
+matrix from then on.
 """
 
 import copy
@@ -11,6 +12,7 @@ import pickle
 import sys
 import threading
 import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -88,7 +90,6 @@ class TestHeldBlocks:
         _block_view(scattered, s)[...] = stack
         assert np.array_equal(matrix, scattered)
         # the blocks live on only as a view of the matrix
-        assert "_stack" not in vars(d)
         assert np.shares_memory(d._stack, matrix)
         assert np.array_equal(d._stack, stack)
         assert np.array_equal(d.diagonal, fam._probabilities)
@@ -155,16 +156,108 @@ class TestHeldBlocks:
                     t.join(timeout=10)
                 assert not any(t.is_alive() for t in threads)
                 assert len(seen) == 4 and all(m is d.matrix for m in seen)
-                assert "_stack" not in vars(d)
+                assert np.shares_memory(d._stack, d.matrix)
         finally:
             sys.setswitchinterval(interval)
 
     def test_dense_paths_keep_the_matrix(self, z_then_x_family):
         engine = decoherence_functional(z_then_x_family)
         user = DecoherenceFunctional(engine.histories, engine.matrix)
-        assert not holds_blocks(user) and "_stack" not in vars(user)
-        assert user._blocks == 1 and np.shares_memory(user._stack, user.matrix)
+        assert len(user._stack) == 1 and np.shares_memory(user._stack, user.matrix)
         assert np.array_equal(user.diagonal, engine.diagonal)
+
+
+def one_form_d(kind, fam):
+    """The engine's D of ``fam``, or the same matrix given to the constructor."""
+    d = decoherence_functional(fam)
+    return d if kind == "engine" else DecoherenceFunctional(d.histories, d.matrix)
+
+
+KINDS = ["engine", "given"]
+
+
+class TestOneForm:
+    """An engine D and a D given to the constructor hold the same form, so
+    each behaves alike; a given D is the one block of s = 1."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_assigning_a_field_raises(self, kind, read_first):
+        fam = shaped_family(np.random.default_rng(5), (3, 4), 3, 2)
+        expected = np.array(decoherence_functional(fam).matrix)
+        d = one_form_d(kind, fam)
+        if read_first:
+            d.matrix
+        before = reports(d)
+        for name in ("tol", "histories", "matrix"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(d, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(d, name)
+        assert holds_blocks(d) == (not read_first)
+        assert reports(d) == before and np.array_equal(d.matrix, expected)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_one_block_matrix_is_read_without_a_copy(self, kind):
+        # N = 1024 with a {I} last slot: the N x N block is 16 MiB
+        d = one_form_d(kind, shaped_family(np.random.default_rng(6), (32, 32, 1), 2, 2))
+        assert d._stack.shape == (1, 1024, 1024)
+        tracemalloc.start()
+        try:
+            matrix = d.matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 1024
+        assert np.shares_memory(matrix, d._stack) and not matrix.flags.writeable
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_repr_builds_no_matrix(self, kind):
+        d = one_form_d(kind, shaped_family(np.random.default_rng(8), (2, 3), 2, 2))
+        assert repr(d).startswith("DecoherenceFunctional(histories=")
+        assert holds_blocks(d)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_first_reads_without_the_property_lock_get_one_matrix(self, kind):
+        # Python 3.12 dropped cached_property's own lock: the first-read
+        # function itself must hand threads that run it at once one matrix
+        first_read = DecoherenceFunctional.matrix.func
+        fam = case_family(np.random.default_rng(3), 2 * TILE + 2, 3, 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                d = one_form_d(kind, fam)
+                start, seen = threading.Barrier(4), []
+
+                def read():
+                    start.wait(timeout=10)
+                    seen.append(first_read(d))
+
+                threads = [threading.Thread(target=read) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in threads)
+                assert len(seen) == 4 and all(m is d.matrix for m in seen)
+                assert np.shares_memory(d._stack, d.matrix)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_copy_and_pickle_of_a_given_matrix(self, read_first):
+        fam = shaped_family(np.random.default_rng(9), (3, 2, 2), 3, 2)
+        expected = np.array(decoherence_functional(fam).matrix)
+        d = one_form_d("given", fam)
+        if read_first:
+            d.matrix
+        before = reports(d)
+        for twin in (copy.copy(d), pickle.loads(pickle.dumps(d))):
+            assert np.array_equal(twin.matrix, expected) and len(twin._stack) == 1
+            assert twin.n == d.n and twin.tol == d.tol
+            assert reports(twin) == before
+        assert np.array_equal(d.matrix, expected)
 
 
 def random_partition(rng, size):

@@ -588,6 +588,19 @@ class TestHistoryAlgebra:
         with pytest.raises(FamilyMismatchError):
             history_union(z_then_x_family.history(), same_basis_family.history())
 
+    def test_equal_on_one_family_with_equal_labels(self, z_then_x_family):
+        fam = z_then_x_family
+        twin = HistoryFamily(fam.schedule, fam.resolutions, fam.state)
+        specs = [{}, {-1: ["z0"]}, {-1: ["z1"], 0: ["x+"]}, {0: ["x-"]}]
+        for spec in specs:
+            a, b = fam.history(spec), fam.history(spec)
+            assert a is not b and a == b and hash(a) == hash(b) and {a: spec}[b] is spec
+            assert a != twin.history(spec)
+            assert a != tuple(a.outcomes) and a != (a.family, a.outcomes)
+        assert len({fam.history(spec) for spec in specs}) == len(specs)
+        # the full outcome, given or left out, is one history
+        assert fam.history({-1: ["z0", "z1"]}) == fam.history()
+
     def test_unknown_offset_rejected(self, z_then_x_family):
         with pytest.raises(InvalidHistoryError):
             z_then_x_family.history({7: ["z0"]})

@@ -162,6 +162,17 @@ def test_a_label_index_is_an_integer_not_a_float_or_bool(bad):
         make_resolution(entries)
 
 
+@pytest.mark.parametrize("bad", [5, 5.0, False, b"up", ("up",)])
+def test_a_label_name_is_a_string(bad):
+    message = f"label name must be a string, got {bad!r}"
+    with pytest.raises(TypeError, match=re.escape(message)):
+        SpectralLabel(0, bad)
+    with pytest.raises(TypeError, match=re.escape(message)):
+        make_resolution([(SpectralLabel(0, "up"), P_Z1), (SpectralLabel(1, bad), np.eye(2) - P_Z1)])
+    named = make_resolution([(SpectralLabel(0, "up"), P_Z1), (SpectralLabel(1), np.eye(2) - P_Z1)])
+    assert repr(named) == "Resolution(dim=2, labels=[up, 1])"
+
+
 def test_a_numpy_integer_label_is_stored_as_an_int():
     assert type(SpectralLabel(np.int64(3)).index) is int
     res = make_resolution([(np.int64(0), np.eye(2) - P_Z1), (np.int32(1), P_Z1)])

@@ -565,6 +565,22 @@ class TestLocatedErrorPaths:
             result_coarse_grain(s, 0, partition)
         assert err.value.errors == [error]
 
+    @pytest.mark.parametrize(
+        "partition, error",
+        [
+            ([["x+"], ["x-"]], ("partition", "expected an object")),
+            ({1: ["x+"], 2: ["x-"]}, ("partition.1", "block name must be a string")),
+            ({"a": ["x+"], None: ["x-"]}, ("partition.None", "block name must be a string")),
+        ],
+    )
+    def test_coarse_grain_block_names_are_strings(self, partition, error):
+        # located at the partition given, not at the coarse document made of it
+        doc = json.loads(scenario_text("z_then_x.json"))
+        doc["histories"], doc["queries"] = {}, {}
+        with pytest.raises(ScenarioValidationError) as err:
+            result_coarse_grain(parse_scenario(doc), 0, partition)
+        assert err.value.errors == [error]
+
     def test_coarse_resolution_name_already_taken(self):
         doc = json.loads(scenario_text("z_then_x.json"))
         doc["resolutions"]["x_coarse"] = doc["resolutions"]["x"]
