@@ -18,6 +18,7 @@ from .consistency import SCOPES, _INNER_MODES
 from .errors import DecohistError, ScenarioValidationError
 from .scenario import (
     CHECKS,
+    _QUERIES,
     parse_scenario,
     result_check,
     result_coarse_grain,
@@ -223,7 +224,7 @@ _VERBS = {
     "condition": (_named("future", "given"), result_condition),
     "retrodict": (_retrodict_args, result_retrodict),
     "coarse-grain": (_coarse_grain_args, result_coarse_grain),
-    "check": (_named("mode", "tol", "scope", "seed", "states", "inner"), result_check),
+    "check": (_named(*_QUERIES["check"][2]), result_check),
     "oracle": (lambda a: {"history": a.history, "trace": a.action == "trace"}, result_oracle),
     "query": (_named("name"), run_query),
 }

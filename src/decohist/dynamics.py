@@ -105,19 +105,21 @@ def _hermitian(m) -> np.ndarray:
     return h
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class DynamicsSpec:
     """Dynamics as a Hamiltonian or as per-interval step unitaries of one
     dimension, checked at ``DEFAULT_TOL`` as the schedule checks them."""
 
-    def __init__(self, hamiltonian=None, step_unitaries=None):
-        if (hamiltonian is None) == (step_unitaries is None):
+    hamiltonian: np.ndarray | None = None
+    step_unitaries: tuple[np.ndarray, ...] | None = None
+
+    def __post_init__(self):
+        if (self.hamiltonian is None) == (self.step_unitaries is None):
             raise ValueError("give exactly one of hamiltonian or step_unitaries")
-        if hamiltonian is not None:
-            self.hamiltonian = frozen(_hermitian(hamiltonian))
-            self.step_unitaries = None
+        if self.hamiltonian is not None:
+            object.__setattr__(self, "hamiltonian", frozen(_hermitian(self.hamiltonian)))
         else:
-            self.hamiltonian = None
-            self.step_unitaries = _unitaries(step_unitaries, DEFAULT_TOL)
+            object.__setattr__(self, "step_unitaries", _unitaries(self.step_unitaries, DEFAULT_TOL))
 
     @classmethod
     def from_hamiltonian(cls, h) -> "DynamicsSpec":

@@ -435,6 +435,8 @@ class DecoherenceFunctional:
             raise DimensionMismatchError(
                 f"matrix shape {stack.shape[1:]} does not match {len(histories)} histories"
             )
+        if not len(histories):
+            raise DimensionMismatchError("a decoherence functional needs at least one history")
         (error,) = _state_errors(stack, (tol,))
         if error is not None:
             raise InvalidHistoryError(f"decoherence functional: {error}") from error
@@ -450,6 +452,15 @@ class DecoherenceFunctional:
         dfunc = object.__new__(cls)
         vars(dfunc).update(histories=histories, _stack=frozen(blocks), tol=DFUNC_TOL)
         return dfunc
+
+    def __setstate__(self, state: dict) -> None:
+        """A copy's or an unpickled D's state: numpy unpickles arrays writable,
+        so each is frozen, and a stack copied beside its matrix is again a view."""
+        stack = frozen(state["_stack"])
+        if "matrix" in state:
+            matrix, s = frozen(state["matrix"]), len(stack)
+            stack = matrix[np.newaxis] if s == 1 else _block_view(matrix, s)
+        vars(self).update(state, _stack=stack)
 
     @cached_property
     def matrix(self) -> np.ndarray:

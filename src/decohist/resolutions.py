@@ -54,6 +54,7 @@ class SpectralLabel:
         return self.name if self.name is not None else str(self.index)
 
 
+@dataclass(frozen=True, eq=False, init=False)
 class Resolution:
     """A labeled, pairwise-orthogonal, complete family of projectors.
 
@@ -69,6 +70,13 @@ class Resolution:
     identity; outcomes are tied to the resolution object they were built
     against.
     """
+
+    labels: tuple[SpectralLabel, ...]
+    projectors: tuple[Projector, ...]
+    dim: int
+    tol: float
+    _stack: np.ndarray
+    _by_name: dict[str, int]
 
     def __init__(self, entries: Sequence[tuple], tol: float = DEFAULT_TOL):
         labels: list[SpectralLabel] = []
@@ -126,39 +134,19 @@ class Resolution:
         if dev > tol:
             raise NotCompleteError(dev)
 
-        self._labels = tuple(labels)
-        self._projectors = tuple(projectors)
-        self._stack = frozen(stack)
-        self._dim = dim
-        self._tol = tol
-        self._by_name = by_name
-
-    @property
-    def labels(self) -> tuple[SpectralLabel, ...]:
-        return self._labels
-
-    @property
-    def projectors(self) -> tuple[Projector, ...]:
-        return self._projectors
-
-    @property
-    def dim(self) -> int:
-        return self._dim
-
-    @property
-    def tol(self) -> float:
-        return self._tol
+        vars(self).update(labels=tuple(labels), projectors=tuple(projectors), dim=dim)
+        vars(self).update(tol=tol, _stack=frozen(stack), _by_name=by_name)
 
     @property
     def size(self) -> int:
-        return len(self._labels)
+        return len(self.labels)
 
     def __len__(self) -> int:
-        return len(self._labels)
+        return len(self.labels)
 
     def __repr__(self) -> str:
-        names = ", ".join(lab.display for lab in self._labels)
-        return f"Resolution(dim={self._dim}, labels=[{names}])"
+        names = ", ".join(lab.display for lab in self.labels)
+        return f"Resolution(dim={self.dim}, labels=[{names}])"
 
     def position(self, label) -> int:
         """Position of a label in this resolution: a name, a position (any

@@ -75,16 +75,32 @@ _FIELDS = {
 }
 
 
-#: The arguments of a check, in the order a check query keeps them.
-_CHECK_ARGS = ("mode", "tol", "seed", "states", "scope", "inner")
-
-
-def _bad_check_args(args: Mapping) -> list[tuple[str, str]]:
-    """The given check arguments that break the one rule for them: ``mode``
-    in ``CHECKS``; every other argument one that mode reads, and only then is
-    its value checked: ``tol`` finite and >= 0, integers ``seed`` >= 0 and
-    ``states`` >= 1, ``scope`` in ``SCOPES``, ``inner`` in ``_INNER_MODES``."""
+def _bad_args(kind: str, args: Mapping, histories=(), family=None) -> list[tuple[str, str]]:
+    """The arguments of a ``kind`` query that break the one rule for them, as
+    (key, message); a missing required key reads as None.  Each history
+    reference names one of ``histories``; ``trace`` is a bool; ``present`` is
+    a non-empty list of label names, known at slot 0 of ``family`` if given.
+    A check's ``mode`` is in ``CHECKS``; every other argument is one that
+    mode reads, and only then is its value checked: ``tol`` finite and >= 0,
+    integers ``seed`` >= 0 and ``states`` >= 1, ``scope`` in ``SCOPES``,
+    ``inner`` in ``_INNER_MODES``."""
     bad = []
+    for key in _QUERIES[kind][2]:
+        value = args.get(key)
+        if key in ("history", "future", "given", "past"):
+            if not (isinstance(value, str) and value in histories):
+                bad.append((key, f"unresolved history reference {value!r}"))
+        elif key == "trace" and key in args and not isinstance(value, bool):
+            bad.append((key, "expected a boolean"))
+        elif key == "present" and not _is_label_list(value):
+            bad.append((key, "expected a non-empty list of label names"))
+        elif key == "present" and family is not None:
+            try:
+                family.resolution_at(0).outcome(value)
+            except DecohistError as exc:
+                bad.append((key, str(exc)))
+    if kind != "check":
+        return bad
     mode = args.get("mode")
     if not isinstance(mode, str) or mode not in CHECKS:
         bad.append(("mode", f"unknown check mode {mode!r}"))
@@ -299,41 +315,13 @@ def _parse_query(
     if not isinstance(kind, str) or kind not in _QUERIES:
         col.add(f"{path}.kind", f"unknown query kind {kind!r}")
         return None
-    col.check_keys(spec, {"kind", *_QUERIES[kind][2]}, path)
-
-    out = {"kind": kind}
-    for key in ("history", "future", "given", "past"):  # history references
-        if key not in _QUERIES[kind][2]:
-            continue
-        hname = spec.get(key)
-        if not isinstance(hname, str) or hname not in hist_specs:
-            col.add(f"{path}.{key}", f"unresolved history reference {hname!r}")
-            return None
-        out[key] = hname
-    if kind == "oracle" and "trace" in spec:
-        if not isinstance(spec["trace"], bool):
-            col.add(f"{path}.trace", "expected a boolean")
-            return None
-        out["trace"] = spec["trace"]
-    elif kind in ("retrodict", "retrodict-normalized"):
-        present = spec.get("present")
-        if not _is_label_list(present):
-            col.add(f"{path}.present", "expected a non-empty list of label names")
-            return None
-        if family is not None and (
-            col.build(f"{path}.present", family.resolution_at(0).outcome, present) is None
-        ):
-            return None
-        out["present"] = present
-    elif kind == "check":
-        args = {key: spec[key] for key in _CHECK_ARGS if key in spec}
-        bad = _bad_check_args(args)
-        for key, message in bad:
-            col.add(f"{path}.{key}", message)
-        if bad:
-            return None
-        out.update(args)
-    return out
+    keys = _QUERIES[kind][2]
+    col.check_keys(spec, {"kind", *keys}, path)
+    args = {key: spec[key] for key in keys if key in spec}
+    bad = _bad_args(kind, args, hist_specs, family)
+    for key, message in bad:
+        col.add(f"{path}.{key}", message)
+    return None if bad else {"kind": kind, **args}
 
 
 def parse_scenario(source) -> Scenario:
@@ -627,7 +615,7 @@ def result_check(
     """Run check ``mode``; an argument left None keeps the check's default."""
     given = dict(mode=mode, tol=tol, seed=seed, states=states, scope=scope, inner=inner)
     args = {key: value for key, value in given.items() if value is not None}
-    bad = _bad_check_args(args)
+    bad = _bad_args("check", args)
     if bad:
         raise ScenarioValidationError(bad)
     check, names = CHECKS[args.pop("mode")]
@@ -730,35 +718,39 @@ def result_coarse_grain(scenario: Scenario, offset: int, partition: dict) -> dic
     if offset == 0:
         # retrodiction queries name present-slot labels directly
         for qname, q in doc["queries"].items():
-            if q.get("kind") in ("retrodict", "retrodict-normalized"):
+            if "present" in _QUERIES[q["kind"]][2]:
                 q["present"] = rewrite(q["present"], f"queries.{qname}.present")
 
     parse_scenario(doc)  # the coarse document must itself validate
     return {"query": "coarse-grain", **_meta(scenario), "scenario": doc}
 
 
-#: Query kind -> (result builder, fixed arguments, keys a query may give);
-#: a query's keys are the builder's keyword arguments.
+#: Query kind -> (result builder, fixed arguments, keys a query may give, in
+#: the order a query keeps them); a query's keys are the builder's keyword
+#: arguments, each read by ``_bad_args``.
 _QUERIES = {
-    "probability": (result_probability, {}, {"history"}),
-    "dfunc": (result_dfunc, {}, set()),
-    "conditional": (result_condition, {}, {"future", "given"}),
-    "retrodict": (result_retrodict, {"normalized": False}, {"past", "present"}),
-    "retrodict-normalized": (result_retrodict, {"normalized": True}, {"past", "present"}),
-    "check": (result_check, {}, set(_CHECK_ARGS)),
-    "oracle": (result_oracle, {}, {"history", "trace"}),
+    "probability": (result_probability, {}, ("history",)),
+    "dfunc": (result_dfunc, {}, ()),
+    "conditional": (result_condition, {}, ("future", "given")),
+    "retrodict": (result_retrodict, {"normalized": False}, ("past", "present")),
+    "retrodict-normalized": (result_retrodict, {"normalized": True}, ("past", "present")),
+    "check": (result_check, {}, ("mode", "tol", "seed", "states", "scope", "inner")),
+    "oracle": (result_oracle, {}, ("history", "trace")),
 }
 
 
 def run_query(scenario: Scenario, name: str, **overrides) -> dict:
     """Execute a named query from the scenario; ``overrides`` replace any of
-    the keys its kind allows, and any other key is refused."""
+    the keys its kind allows, and any other key is refused.  The merged
+    arguments are checked by the rule the query's own keys were."""
     if name not in scenario.queries:
         raise UnknownQueryError(name)
     args = dict(scenario.queries[name])
     kind = args.pop("kind")
     build, fixed, keys = _QUERIES[kind]
     refused = [(key, f"not a key of a {kind!r} query") for key in overrides if key not in keys]
-    if refused:
-        raise ScenarioValidationError(refused)
-    return build(scenario, **fixed, **{**args, **overrides})
+    args.update(overrides)
+    bad = refused or _bad_args(kind, args, scenario.histories, scenario.family)
+    if bad:
+        raise ScenarioValidationError(bad)
+    return build(scenario, **fixed, **args)

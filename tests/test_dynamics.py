@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,6 +139,19 @@ class TestBuildSchedule:
     def test_spec_requires_exactly_one_form(self):
         with pytest.raises(ValueError):
             DynamicsSpec(hamiltonian=np.eye(2), step_unitaries=[np.eye(2)])
+
+    @pytest.mark.parametrize(
+        "spec", [DynamicsSpec.trivial(2), DynamicsSpec.from_steps([np.eye(2)])], ids=["h", "steps"]
+    )
+    @pytest.mark.parametrize("field", ["hamiltonian", "step_unitaries"])
+    def test_assigning_a_field_raises(self, spec, field):
+        # a validated spec cannot lose its one form: the schedule reads it
+        with pytest.raises(FrozenInstanceError):
+            setattr(spec, field, None)
+        schedule = build_schedule(TimeGrid((0.0, 1.0), 0), spec)
+        assert np.array_equal(schedule.cumulative[1], np.eye(2))
+        assert spec == spec and hash(spec) == object.__hash__(spec)
+        assert repr(spec).startswith("<decohist.dynamics.DynamicsSpec object at ")
 
 
 class TestUnitarityChecks:

@@ -24,6 +24,7 @@ from decohist import (
     coarsen_slot,
     decoherence_functional,
 )
+from decohist.errors import DimensionMismatchError
 from decohist.histories import _block_view
 from decohist.linalg import TILE
 
@@ -244,6 +245,38 @@ class TestOneForm:
                 assert np.shares_memory(d._stack, d.matrix)
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize(
+        "kind, shape", [("engine", (3, 4)), ("engine", (3, 1)), ("given", (3, 4))]
+    )
+    @pytest.mark.parametrize("read_first", [False, True])
+    @pytest.mark.parametrize(
+        "twin_of",
+        [copy.deepcopy, lambda d: pickle.loads(pickle.dumps(d))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_a_copy_keeps_the_one_read_only_form(self, kind, shape, read_first, twin_of):
+        # numpy deep-copies and unpickles arrays writable and apart; a twin
+        # of D freezes them, and its stack is a view of its matrix again
+        fam = shaped_family(np.random.default_rng(10), shape, 3, 2)
+        expected = np.array(decoherence_functional(fam).matrix)
+        d = one_form_d(kind, fam)
+        if read_first:
+            d.matrix
+        twin = twin_of(d)
+        assert holds_blocks(twin) == (not read_first)
+        assert not twin._stack.flags.writeable
+        matrix = twin.matrix
+        assert not matrix.flags.writeable and np.shares_memory(twin._stack, matrix)
+        for array, index in ((matrix, (0, 0)), (twin._stack, (0, 0, 0))):
+            with pytest.raises(ValueError, match="read-only"):
+                array[index] = 7
+        assert np.array_equal(matrix, expected)
+        assert np.array_equal(twin.diagonal, np.diagonal(expected).real)
+
+    def test_an_empty_matrix_is_refused(self):
+        with pytest.raises(DimensionMismatchError, match="at least one history"):
+            DecoherenceFunctional([], np.zeros((0, 0)))
 
     @pytest.mark.parametrize("read_first", [False, True])
     def test_copy_and_pickle_of_a_given_matrix(self, read_first):

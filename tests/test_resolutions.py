@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,16 @@ class TestMakeResolution:
     def test_duplicate_label(self):
         with pytest.raises(DuplicateLabelError):
             make_resolution([(0, P_Z0), (0, P_Z1)])
+
+    @pytest.mark.parametrize("field", ["labels", "projectors", "dim", "tol", "_stack", "size"])
+    def test_assigning_a_field_raises(self, field):
+        # a validated resolution cannot be changed afterwards; it is still
+        # equal and hashed by identity, and its repr lists its labels
+        res = z_resolution()
+        with pytest.raises(FrozenInstanceError):
+            setattr(res, field, None)
+        assert res == res and res != z_resolution() and hash(res) == object.__hash__(res)
+        assert repr(res) == "Resolution(dim=2, labels=[z0, z1])"
 
     def test_completeness_and_orthogonality_invariants(self):
         res = x_resolution()

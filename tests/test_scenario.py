@@ -167,6 +167,37 @@ class TestParsing:
             ("queries.q.scope", "expected 'pairs' or 'partitions'"),
         ]
 
+    @pytest.mark.parametrize(
+        "query, errors",
+        [
+            (
+                {"kind": "conditional", "future": "nope", "given": 3},
+                [
+                    ("queries.q.future", "unresolved history reference 'nope'"),
+                    ("queries.q.given", "unresolved history reference 3"),
+                ],
+            ),
+            (
+                {"kind": "retrodict", "present": "up"},
+                [
+                    ("queries.q.past", "unresolved history reference None"),
+                    ("queries.q.present", "expected a non-empty list of label names"),
+                ],
+            ),
+            (
+                {"kind": "oracle", "history": "h", "trace": 1, "extra": 0},
+                [("queries.q.extra", "unknown key"), ("queries.q.trace", "expected a boolean")],
+            ),
+        ],
+    )
+    def test_each_bad_query_argument_is_listed(self, query, errors):
+        bad = json.loads(json.dumps(MINIMAL))
+        bad["histories"] = {"h": {"0": ["up"]}}
+        bad["queries"] = {"q": query}
+        with pytest.raises(ScenarioValidationError) as err:
+            parse_scenario(json.dumps(bad))
+        assert err.value.errors == errors
+
     def test_check_query_argument_bounds_accepted(self):
         good = json.loads(json.dumps(MINIMAL))
         good["queries"] = {
@@ -502,6 +533,51 @@ class TestRunQueryOverrides:
         with pytest.raises(ScenarioValidationError) as err:
             run_query(s, name, **overrides)
         assert err.value.errors == errors
+
+
+    @pytest.mark.parametrize(
+        "name, overrides, errors",
+        [
+            ("retro_z0", {"present": []}, [("present", "expected a non-empty list of label names")]),
+            ("retro_z0", {"present": "x+"}, [("present", "expected a non-empty list of label names")]),
+            ("retro_z0", {"present": [0]}, [("present", "expected a non-empty list of label names")]),
+            ("retro_z0_norm", {"present": ["nope"]}, [("present", "label 'nope' not in resolution")]),
+            ("oracle_joint", {"history": ["a"]}, [("history", "unresolved history reference ['a']")]),
+            ("oracle_joint", {"trace": "no"}, [("trace", "expected a boolean")]),
+            (
+                "retro_z0",
+                {"past": "nope", "present": None},
+                [
+                    ("past", "unresolved history reference 'nope'"),
+                    ("present", "expected a non-empty list of label names"),
+                ],
+            ),
+        ],
+    )
+    def test_values_are_read_by_the_documents_rule(self, monkeypatch, name, overrides, errors):
+        # an override breaks the rule a query's own key would, with the same
+        # message at its bare key, before any builder runs
+        doc = json.loads(scenario_text("z_then_x.json"))
+        s = parse_scenario(doc)
+        doc["queries"][name].update(overrides)
+        with pytest.raises(ScenarioValidationError) as err:
+            parse_scenario(doc)
+        assert err.value.errors == [(f"queries.{name}.{key}", m) for key, m in errors]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a result builder ran")
+
+        for kind, (_, fixed, keys) in list(scenario_module._QUERIES.items()):
+            monkeypatch.setitem(scenario_module._QUERIES, kind, (refuse, fixed, keys))
+        with pytest.raises(ScenarioValidationError) as err:
+            run_query(s, name, **overrides)
+        assert err.value.errors == errors
+
+    def test_good_overrides_run(self):
+        s = parse_scenario(scenario_text("z_then_x.json"))
+        assert run_query(s, "retro_z0", present=["x-", "x+"])["present"] == ["x+", "x-"]
+        assert "rows" not in run_query(s, "oracle_joint", trace=False)
+        assert run_query(s, "p_joint", history="past_z0")["history"] == "past_z0"
 
 
 class TestLocatedErrorPaths:
