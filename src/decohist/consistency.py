@@ -13,14 +13,14 @@ the witness achieving it:
 * robustness: a chosen check passes for every state in a (seeded or
   user-supplied) state set.
 
-All four read the Gram rows V_i = vec(C_i L) of the fine histories, where
-rho = L Delta L^dagger (``histories._gram_rows``), through the strip kernel
-that makes D = (V w) V^dagger (``histories._gram_strips``).  Weak and medium
-scan D; additivity makes each slot's fiber blocks of D, in one pass over the
-slots for both scopes, from one copy of the rows reordered with the slot
-second to last; robustness builds the rows once per state and makes one
-scan of that state's strips of D, never all of D, for its worst value and
-where it lies.
+All four read the Gram rows of the fine histories, one block per label of
+the last slot (``histories._gram_rows``), through the strip kernel that
+makes each block of D as (V_a w_a) V_a^dagger (``histories._gram_strips``).
+Weak and medium scan D; additivity makes each slot's fiber blocks of D, in
+one pass over the slots for both scopes, from one copy of the rows
+reordered with the slot second to last; robustness builds the rows once per
+state and makes one scan of that state's strips of D, never all of D, for
+its worst value, where it lies and its trace.
 
 Histories that differ at the last slot never interfere: their chain
 operators end in orthogonal projectors of a validated resolution, which is
@@ -50,12 +50,10 @@ from .histories import (
     HistoryFamily,
     _BELOW,
     _FineHistories,
-    _block_rows,
     _check_trace,
     _gram_rows,
     _gram_strips,
     _require_cap,
-    _row_norms,
     _strip_ranges,
 )
 from .linalg import DEFAULT_CHECK_TOL, DFUNC_TOL, DensityState
@@ -176,20 +174,25 @@ def check_medium_decoherence(
 
 def _fiber(family: HistoryFamily, rows: np.ndarray, weights: np.ndarray, pos: int) -> np.ndarray:
     """Re G[r, a, b] = Re Tr(C_(a,r) rho C_(b,r)^dagger) over the labels a, b
-    of slot ``pos`` and the other slots' labels r, in lexicographic order.
+    of slot ``pos`` (not the last) and the other slots' labels r, in
+    lexicographic order.
 
     The strip kernel writes conj(G), of the same real part, from one copy of
-    ``rows`` reordered with the slot second to last.  Past TILE labels a
-    strip starts at its diagonal, so its part right of the corner is
-    mirrored below it, as D's assembly does.
+    the ``(s, M, K)`` block rows reordered with the slot second to last, so
+    fibers come by last label first, each with its label's weights, and are
+    put in lexicographic order at the end.  Past TILE labels a strip starts
+    at its diagonal, so its part right of the corner is mirrored below it,
+    as D's assembly does.
     """
-    v = np.moveaxis(rows.reshape(*family.shape, -1), pos, -2)
+    s, k = len(rows), rows.shape[-1]
+    v = np.moveaxis(rows.reshape(s, *family.shape[:-1], k), 1 + pos, -2)
     v = v.reshape(-1, *v.shape[-2:])
-    blocks = np.empty((len(v), v.shape[1], v.shape[1]), dtype=complex)
-    for b, top, strip in _gram_strips(v, weights, out=blocks):
+    size = v.shape[1]
+    blocks = np.empty((len(v), size, size), dtype=complex)
+    for b, top, strip in _gram_strips(v, np.repeat(weights, len(v) // s, axis=0), out=blocks):
         h, t = strip.shape[:2]
         blocks[b : b + h, top + t :, top : top + t] = strip[:, :, t:].transpose(0, 2, 1)
-    return blocks.real
+    return blocks.real.reshape(s, -1, size, size).transpose(1, 0, 2, 3).reshape(-1, size, size)
 
 
 def _slot_worst(family, gram, violations, witness) -> tuple[float, dict | None]:
@@ -368,9 +371,9 @@ def check_state_robustness(
     explicit states are given, ``count`` normalized Wishart states are drawn
     from ``seed``.  Each state's Gram rows are built from that state's
     factor as for the family's own state, once per state, and every inner
-    mode reads them: weak and medium check D's trace from the row norms and
-    make one scan of that state's strips of D for its worst value and where
-    it lies, additivity reads its fibers.
+    mode reads them: weak and medium make one scan of that state's strips of
+    D for its worst value, where it lies and D's trace, which is then
+    checked; additivity reads its fibers.
     """
     _require_cap(family)
     if mode not in _INNER_MODES:
@@ -397,8 +400,16 @@ def check_state_robustness(
         if mode == "additivity":
             inner = additivity(family, (rows, weights), tol, seed)
             return inner.worst_violation, inner.witness
-        _check_trace(float(np.sum(_row_norms(rows, weights))), DFUNC_TOL)
-        return _offdiag_scan(_gram_strips(_block_rows(rows, s), weights), mode, s)
+        trace = []
+
+        def strips():  # D's trace is summed from the diagonals the strips hold
+            for b, top, strip in _gram_strips(rows, weights):
+                trace.append(np.trace(strip, axis1=1, axis2=2).real.sum())
+                yield b, top, strip
+
+        found = _offdiag_scan(strips(), mode, s)
+        _check_trace(float(sum(trace)), DFUNC_TOL)
+        return found
 
     worst = -1.0
     best = None

@@ -94,11 +94,16 @@ class UnknownLabelError(DecohistError):
 
 
 class PartitionNotTotalError(DecohistError):
-    def __init__(self, missing):
+    """Labels no partition block covers: ``missing`` holds them, or, when
+    ``count`` is given, that many are uncovered and ``missing`` holds the
+    first of them (at least ten, if there are ten)."""
+
+    def __init__(self, missing, count: int | None = None):
         self.missing = missing
-        labels = sorted(missing)  # the first ten are named, the rest counted
-        more = f" and {len(labels) - 10} more" if len(labels) > 10 else ""
-        super().__init__(f"partition does not cover labels {labels[:10]!r}{more}")
+        count = len(missing) if count is None else count
+        labels = sorted(missing)[:10]  # the first ten are named, the rest counted
+        more = f" and {count - 10} more" if count > 10 else ""
+        super().__init__(f"partition does not cover labels {labels!r}{more}")
 
 
 class PartitionBlockError(DecohistError):

@@ -14,18 +14,26 @@ with the earliest slot most significant and labels in resolution order; the
 decoherence functional and every witness index refer to that order.
 
 The decoherence functional D_ij = Tr(C_i rho C_j^dagger) is built as a Gram
-form from rows V_i = vec(C_i L) of a factor rho = L Delta L^dagger.  The
-last slot's projector is outermost in every chain operator, and a validated
-resolution is treated as exactly orthogonal, so D_ij = 0 whenever histories
-i and j end in different labels: by cyclicity of the trace the two
-projectors meet as P_b P_a = 0.  With an s-outcome last slot the engine
+form from a factor rho = L Delta L^dagger of the state and a factor
+P_a = F_a diag(delta_a) F_a^dagger of each last-slot projector, both by the
+pivoted LDL^dagger of ``linalg._ldl``.  A history ending in label a has the
+chain C_i = Q_a Y_i, Q_a = U^dagger P_a U, and since Q_a^2 = Q_a its row is
+V_i = vec(F_a^dagger U Y_i L) with weights delta_a (x) Delta: rank_a * r
+entries, not d * r, as the history lies in the range of P_a.  The rows are
+one ``(s, N/s, R r)`` stack, zero-padded to the slot's largest rank R:
+16 N R r bytes.
+
+The last slot's projector is outermost in every chain operator, and a
+validated resolution is treated as exactly orthogonal, so D_ij = 0 whenever
+histories i and j end in different labels: by cyclicity of the trace the
+two projectors meet as P_b P_a = 0.  With an s-outcome last slot the engine
 therefore builds and keeps only the s interleaved blocks D[a::s, a::s], as
-one ``(s, N/s, N/s)`` stack, the one form every ``DecoherenceFunctional``
-holds (a given matrix is the stack of s = 1).  The entries it drops are
-bounded by the orthogonality the resolution was validated to: each is at
-most about ||P_b P_a|| <= d * max_kl |(P_a P_b)_kl| <= d * tol, for the
-last slot's resolution tolerance tol (1e-10 by default; ``coarsen``
-multiplies it by the fine resolution's size).
+one ``(s, N/s, N/s)`` stack of 16 N^2 / s bytes, the one form every
+``DecoherenceFunctional`` holds (a given matrix is the stack of s = 1).  The
+entries it drops are bounded by the orthogonality the resolution was
+validated to: each is at most about ||P_b P_a|| <= d * max_kl |(P_a P_b)_kl|
+<= d * tol, for the last slot's resolution tolerance tol (1e-10 by default;
+``coarsen`` multiplies it by the fine resolution's size).
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ from .errors import (
     ZeroConditionProbabilityError,
 )
 from .linalg import CLAMP_TOL, DFUNC_TOL, TILE, ZERO_THRESHOLD, DensityState
-from .linalg import _state_errors, _summed, frozen
+from .linalg import _ldl, _lift_tol, _state_errors, _summed, frozen
 from .resolutions import Outcome, Resolution, coarsen, outcome_intersection
 
 log = logging.getLogger(__name__)
@@ -138,13 +146,28 @@ class HistoryFamily:
         )
 
     @cached_property
+    def _last_factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """The last slot's projectors factored once per family, for the Gram
+        rows of every state: P_a = F_a diag(delta_a) F_a^dagger by
+        ``linalg._ldl``, within the tolerance the slot's lift is validated
+        at (a zero projector has rank 0).  Read-only: the ``(s, R, d)``
+        stack of F_a^dagger U, for the slot's unitary U, and the ``(s, R)``
+        pivots delta_a, both zero past rank_a; R is the largest rank."""
+        res = self.resolutions[-1]
+        tols = [_lift_tol(p.tol) for p in res.projectors]
+        factor, pivots = _ldl(res._stack, tols, "projector")
+        u = self.schedule.unitary(self.n_slots - 1)
+        return frozen(factor.conj().swapaxes(1, 2) @ u), frozen(pivots)
+
+    @cached_property
     def _gram(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only ``_gram_rows`` of the family's own state.
 
         ``decoherence_functional``, ``fine_probabilities`` and
         ``check_additivity`` share them, so the state is factored and the
         rows built once per family; they stay alive with the family
-        (N x d*r complex entries for a rank-r state).
+        (N x R*r complex entries for a rank-r state and a last slot of
+        largest rank R).
         """
         rows, weights = _gram_rows(self, self.state)
         return frozen(rows), frozen(weights)
@@ -296,43 +319,60 @@ def _probability(chain: np.ndarray, rho: np.ndarray) -> float:
 def _gram_rows(
     family: HistoryFamily, state: DensityState
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rows V_i = vec(C_i L) and weights w with D = (V w) V^dagger.
+    """The Gram rows of ``state`` as one ``(s, M, K)`` stack, with ``(s, K)``
+    weights: block a holds the M histories that end in label a of the
+    s-outcome last slot, in lexicographic order, and its Gram form
+    G_a = (V_a w_a) V_a^dagger is D[a::s, a::s].
 
-    ``L`` and ``delta`` factor ``state`` and ``w`` tiles ``delta`` along each
-    row, so D_ij = Tr(C_i rho C_j^dagger) = sum_k V_ik w_k conj(V_jk).
+    With rho = L Delta L^dagger (``state._factor``), history i ending in a
+    has the chain C_i = Q_a Y_i, Q_a = U^dagger P_a U the lifted last-slot
+    projector and Y_i the product of its earlier ones.  As Q_a^2 = Q_a,
+    D_ij = Tr(Q_a Y_i rho Y_j^dagger), and with P_a = F_a diag(delta_a)
+    F_a^dagger (``HistoryFamily._last_factor``) its row is
+    V_i = vec(F_a^dagger U Y_i L), rank_a * r long, with weights
+    delta_a (x) Delta.  Every block is zero-padded to K = R r for the slot's
+    largest rank R, with zero weights, so a block's width is its count of
+    nonzero weights.  A one-outcome last slot is I: its one block's rows are
+    vec(Y_i L), K = d r, with weights 1 (x) Delta.
     """
     rows, delta = state._factor
     d, r = rows.shape
+    lifted = family._lifted  # every slot's lift is validated, the last one's too
     # slot by slot from L, latest slot leftmost: histories sharing a prefix
-    # share its product C L, so the build costs O(N d^2 r).  Each slot is one
+    # share its product Y L, so the build costs O(N d^2 r).  Each slot is one
     # product per prefix with the slot's projectors stacked as (size*d, d);
     # its (size*d, r) result lists the labels in order, so the rows stay
     # lexicographic.
-    for table in family._lifted:
+    for table in lifted[:-1]:
         if len(table) > 1:  # a one-outcome slot is I
             rows = np.matmul(table.reshape(-1, d), rows.reshape(-1, d, r))
-    return rows.reshape(family.n_fine_histories, -1), np.tile(delta, family.dim)
+    rows = rows.reshape(-1, d, r)
+    if len(lifted[-1]) == 1:
+        return rows.reshape(1, len(rows), d * r), np.tile(delta, d)[np.newaxis]
+    # the last slot likewise, with its (s*R, d) stack of factors F_a^dagger U
+    left, pivots = family._last_factor
+    s, rank = pivots.shape
+    rows = np.matmul(left.reshape(-1, d), rows).reshape(len(rows), s, rank * r)
+    weights = (pivots[:, :, np.newaxis] * delta).reshape(s, rank * r)
+    return np.ascontiguousarray(rows.transpose(1, 0, 2)), weights
 
 
 def _row_norms(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """D's diagonal from its Gram rows: D_ii = sum_k |V_ik|^2 w_k.
+    """D's diagonal in lexicographic order from its ``(s, M, K)`` Gram rows:
+    D_ii = sum_k |V_ik|^2 w_k.
 
     The squared real parts are the one full-size temporary; the squared
     imaginary parts are added into them TILE rows at a time from a reused
-    buffer, and one product with ``weights`` reduces every row.
+    buffer, and one product per block with its weights reduces every row.
     """
-    squares = np.square(rows.real)
-    buffer = np.empty((min(TILE, len(rows)), rows.shape[1]))
-    for top in range(0, len(rows), TILE):
-        part = squares[top : top + TILE]
-        part += np.square(rows.imag[top : top + TILE], out=buffer[: len(part)])
-    return squares @ weights
-
-
-def _block_rows(rows: np.ndarray, s: int) -> np.ndarray:
-    """``rows`` as the ``(s, M, k)`` stack whose block a holds the rows of
-    the histories ending in label a of an ``s``-outcome last slot (a view)."""
-    return rows.reshape(-1, s, rows.shape[1]).transpose(1, 0, 2)
+    s, m, k = rows.shape
+    squares = np.square(rows.real, order="C")
+    flat, imag = squares.reshape(-1, k), rows.imag.reshape(-1, k)
+    buffer = np.empty((min(TILE, len(flat)), k))
+    for top in range(0, len(flat), TILE):
+        part = flat[top : top + TILE]
+        part += np.square(imag[top : top + TILE], out=buffer[: len(part)])
+    return np.matmul(squares, weights[:, :, np.newaxis]).reshape(s, m).T.reshape(-1)
 
 
 def _block_view(matrix: np.ndarray, s: int) -> np.ndarray:
@@ -358,29 +398,38 @@ def _strip_ranges(s: int, m: int) -> Iterator[tuple[int, int, int, int]]:
 
 
 def _gram_strips(rows: np.ndarray, weights: np.ndarray, out: np.ndarray | None = None):
-    """The strip kernel all D work goes through, over ``(s, M, k)`` block
-    rows (``_block_rows``; s = 1 is all of D).
+    """The strip kernel all D work goes through, over ``(s, M, K)`` block
+    rows with ``(s, K)`` weights, one row per block (``_gram_rows``; s = 1
+    is all of D).
 
     Yields ``(b, top, conj(G[b:b + h, top:top + t, top:]))`` for each
-    ``_strip_ranges`` strip, G_a = (V_a w) V_a^dagger, made as conj(V_a w)
-    V_a[top:]^T (a reused buffer of at most TILE x k times a view) into the
-    same slice of ``out`` if given, else into one reused buffer of at most
-    TILE x M.
+    ``_strip_ranges`` strip, G_a = (V_a w_a) V_a^dagger, made as
+    conj(V_a w_a) V_a[top:]^T (a reused buffer of at most TILE x K times a
+    view) into the same slice of ``out`` if given, else into one reused
+    buffer of at most TILE x M.  A block's columns past its count of nonzero
+    weights are zero padding, so each strip multiplies only as many columns
+    as its widest block has; the padding adds exact zeros, so this is exact.
     """
     s, m, k = rows.shape
+    widths = np.count_nonzero(weights, axis=1)
     left = None
     for b, h, top, t in _strip_ranges(s, m):
         if left is None:  # the first strip is the largest
-            left = np.empty((h, t, k), dtype=complex)
+            left = np.empty(h * t * k, dtype=complex)
             flat = np.empty(h * t * m, dtype=complex) if out is None else None
-        lhs = np.multiply(rows[b : b + h, top : top + t], weights, out=left[:h, :t])
+        w = int(widths[b : b + h].max())
+        lhs = np.multiply(
+            rows[b : b + h, top : top + t, :w],
+            weights[b : b + h, np.newaxis, :w],
+            out=left[: h * t * w].reshape(h, t, w),
+        )
         np.conjugate(lhs, out=lhs)
         strip = (
             out[b : b + h, top : top + t, top:]
             if flat is None
             else flat[: h * t * (m - top)].reshape(h, t, -1)
         )
-        yield b, top, np.matmul(lhs, rows[b : b + h, top:].transpose(0, 2, 1), out=strip)
+        yield b, top, np.matmul(lhs, rows[b : b + h, top:, :w].transpose(0, 2, 1), out=strip)
 
 
 def _require_cap(family: HistoryFamily) -> None:
@@ -453,13 +502,23 @@ class DecoherenceFunctional:
         vars(dfunc).update(histories=histories, _stack=frozen(blocks), tol=DFUNC_TOL)
         return dfunc
 
+    def __getstate__(self) -> dict:
+        """The state a copy or a pickle takes: once ``matrix`` is read, the
+        stack is a view of it and travels as its block count alone."""
+        state = vars(self).copy()
+        if "matrix" in state:
+            state["_stack"] = len(self._stack)
+        return state
+
     def __setstate__(self, state: dict) -> None:
         """A copy's or an unpickled D's state: numpy unpickles arrays writable,
-        so each is frozen, and a stack copied beside its matrix is again a view."""
-        stack = frozen(state["_stack"])
+        so each is frozen, and a stack sent as its block count is again a
+        view of the matrix."""
         if "matrix" in state:
-            matrix, s = frozen(state["matrix"]), len(stack)
+            matrix, s = frozen(state["matrix"]), state["_stack"]
             stack = matrix[np.newaxis] if s == 1 else _block_view(matrix, s)
+        else:
+            stack = frozen(state["_stack"])
         vars(self).update(state, _stack=stack)
 
     @cached_property
@@ -504,7 +563,7 @@ def decoherence_functional(family: HistoryFamily) -> DecoherenceFunctional:
     s = family.shape[-1]
     rows, weights = family._gram
     blocks = np.empty((s, n // s, n // s), dtype=complex)  # every entry is written
-    for b, top, strip in _gram_strips(_block_rows(rows, s), weights, out=blocks):
+    for b, top, strip in _gram_strips(rows, weights, out=blocks):
         h, t = strip.shape[:2]
         # the strip holds conj(G), so its transpose is G's block column below
         blocks[b : b + h, top + t :, top : top + t] = strip[:, :, t:].transpose(0, 2, 1)

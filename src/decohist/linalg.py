@@ -160,37 +160,60 @@ def unitarity_deviation(a: np.ndarray) -> float:
     return float(np.max(np.abs(a.conj().T @ a - np.eye(n))))
 
 
-def _state_factor(state: DensityState) -> tuple[np.ndarray, np.ndarray]:
-    """Pivoted LDL^dagger of a state: rho = L diag(delta) L^dagger.
+def _ldl(stack: np.ndarray, tols: Sequence[float], what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Pivoted LDL^dagger of each positive semidefinite d x d matrix of an
+    ``(n, d, d)`` stack at once: stack[a] = F_a diag(delta_a) F_a^dagger,
+    checked within ``tols[a]``.
 
-    ``L`` is d x r and ``delta`` > 0.  Each step pivots on the largest
-    residual diagonal and divides that residual column by the pivot, with no
-    square root, so dyadic states factor exactly.  Steps stop once the
-    largest residual diagonal is round-off, which drops the null directions
-    of a rank-deficient state and the slightly negative ones a state may
-    carry within its tolerance; the d x d residual is then checked.
+    Returns the ``(n, d, R)`` factors and ``(n, R)`` pivots delta_a > 0,
+    both zero past rank_a, for the largest rank R.  Each step pivots on the
+    largest residual diagonal and divides that residual column by the pivot,
+    with no square root, so dyadic matrices factor exactly.  A matrix's
+    steps stop once its largest residual diagonal is round-off, which drops
+    the null directions of a rank-deficient matrix and the slightly negative
+    ones it may carry within its tolerance (a zero matrix has rank 0); each
+    d x d residual is then checked, and a miss names ``what`` was factored.
     """
-    rho = state.matrix
-    d = rho.shape[0]
-    floor = d * np.finfo(float).eps * float(np.max(rho.diagonal().real))
-    residual = rho.copy()
+    n, d, _ = stack.shape
+    at = np.arange(n)
+    residual = stack.copy()
+    diag = residual.diagonal(axis1=1, axis2=2).real  # a view: it follows the residual
+    floors = d * np.finfo(float).eps * diag.max(axis=1)
     columns, pivots = [], []
     for _ in range(d):
-        diag = residual.diagonal().real
-        k = int(np.argmax(diag))
-        pivot = float(diag[k])  # diag is a view of the residual
-        if pivot <= floor:
+        k = diag.argmax(axis=1)
+        pivot = diag[at, k]
+        live = pivot > floors
+        if live.all():
+            column = residual[at, :, k] / pivot[:, np.newaxis]
+        elif live.any():
+            # a matrix past its rank gets a zero pivot and a zero column,
+            # which leave its residual as it is
+            pivot = np.where(live, pivot, 0.0)
+            column = residual[at, :, k] / np.where(live, pivot, np.inf)[:, np.newaxis]
+        else:
             break
-        column = residual[:, k] / pivot
-        residual -= pivot * np.outer(column, column.conj())
+        residual -= pivot[:, np.newaxis, np.newaxis] * (
+            column[:, :, np.newaxis] * column.conj()[:, np.newaxis, :]
+        )
         columns.append(column)
         pivots.append(pivot)
-    factor = np.stack(columns, axis=1)
-    delta = np.array(pivots)
-    gap = float(np.max(np.abs((factor * delta) @ factor.conj().T - rho)))
-    if gap > state.tol:
-        raise InvalidHistoryError(f"state factor misses the state by {gap:.3e}")
+    if columns:
+        factor, delta = np.array(columns).transpose(1, 2, 0), np.array(pivots).T
+    else:  # every matrix is zero
+        factor, delta = np.zeros((n, d, 0), dtype=complex), np.zeros((n, 0))
+    rebuilt = (factor * delta[:, np.newaxis]) @ factor.conj().swapaxes(1, 2)
+    for gap, tol in zip(np.abs(rebuilt - stack).max(axis=(1, 2)).tolist(), tols):
+        if gap > tol:
+            raise InvalidHistoryError(f"{what} factor misses the {what} by {gap:.3e}")
     return factor, delta
+
+
+def _state_factor(state: DensityState) -> tuple[np.ndarray, np.ndarray]:
+    """``_ldl`` of a state, rho = L diag(delta) L^dagger, within its
+    tolerance: ``L`` is d x r for the state's rank r."""
+    factor, delta = _ldl(state.matrix[np.newaxis], (state.tol,), "state")
+    return np.ascontiguousarray(factor[0]), delta[0]
 
 
 def _summed(stack: np.ndarray, positions: Sequence[int]) -> np.ndarray:

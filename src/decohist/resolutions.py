@@ -11,6 +11,7 @@ become the labels of the coarse resolution.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Mapping, Sequence
@@ -29,6 +30,12 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOL, _summed_tol
 from .linalg import Projector, _basis_index, _is_a, _summed, as_operator, frozen, require_square
+
+
+#: The most uncovered basis indices ``from_basis`` keeps in its
+#: ``PartitionNotTotalError``: past this many it keeps the first ones and
+#: counts the rest.
+_NAMED_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -197,7 +204,12 @@ def from_basis(
                 raise PartitionBlockError(k, f"basis index {i} is already in block {owner[i]}")
             owner[i] = k
     if len(owner) != dim:
-        raise PartitionNotTotalError(set(range(dim)) - set(owner))
+        # a dimension may be far too large to list its indices: the uncovered
+        # ones are found in order, and all of them kept up to _NAMED_MAX
+        uncovered = (i for i in range(dim) if i not in owner)
+        raise PartitionNotTotalError(
+            set(itertools.islice(uncovered, _NAMED_MAX)), dim - len(owner)
+        )
     if names is None:
         names = [None] * len(blocks)
     elif len(names) != len(blocks):

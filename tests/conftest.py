@@ -31,6 +31,17 @@ def random_rank_state(rng, dim, rank):
     return make_state(w / np.trace(w).real)
 
 
+def gram_matrix(rows, weights):
+    """The N x N matrix that ``(s, M, K)`` Gram rows and their ``(s, K)``
+    weights stand for, by one dense product per block: (V_a w_a) V_a^dagger
+    at D[a::s, a::s], zero outside the blocks."""
+    s, m, _ = rows.shape
+    matrix = np.zeros((s * m, s * m), dtype=complex)
+    for a in range(s):
+        matrix[a::s, a::s] = (rows[a] * weights[a]) @ rows[a].conj().T
+    return matrix
+
+
 def z_resolution():
     return from_basis(2, [[0], [1]], names=["z0", "z1"])
 

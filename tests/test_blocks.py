@@ -24,7 +24,7 @@ from decohist.histories import _block_view
 from decohist.linalg import TILE
 from decohist.sampling import random_family
 
-from conftest import random_rank_state
+from conftest import gram_matrix, random_rank_state
 from test_consistency import (
     MAGNITUDES,
     OFFDIAG_CHECKS,
@@ -56,7 +56,7 @@ def assert_blocks_and_witnesses(fam, states):
     inside = same_last_label(n, s)
     assert np.all(m[~inside] == 0.0)  # exact zeros, not round-off
     rows, weights = histories_module._gram_rows(fam, fam.state)
-    dense = (rows * weights) @ rows.conj().T
+    dense = gram_matrix(rows, weights)
     assert np.max(np.abs(m - dense)[inside]) <= 1e-15
     for mode, check in OFFDIAG_CHECKS.items():
         report = check(d)

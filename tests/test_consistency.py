@@ -44,7 +44,14 @@ from decohist.sampling import (
     robustness_states,
 )
 
-from conftest import P_XP, P_Z0, assert_refused_at_the_cap, random_rank_state, z_resolution
+from conftest import (
+    P_XP,
+    P_Z0,
+    assert_refused_at_the_cap,
+    gram_matrix,
+    random_rank_state,
+    z_resolution,
+)
 
 
 def make_dfunc(family, matrix):
@@ -310,7 +317,7 @@ class TestStripKernel:
         assert np.array_equal(m, m.conj().T)
         assert np.array_equal(m.diagonal().real, fine_probabilities(fam))
         rows, weights = histories_module._gram_rows(fam, fam.state)
-        assert np.max(np.abs(m - (rows * weights) @ rows.conj().T)) <= 1e-15
+        assert np.max(np.abs(m - gram_matrix(rows, weights))) <= 1e-15
 
         states = [random_rank_state(rng, dim, rank) for rank in (1, dim, max(1, dim - 1))]
         for mode, check in OFFDIAG_CHECKS.items():

@@ -3,10 +3,11 @@
 Each non-last slot's fiber G[r, a, b] = Tr(C_(a,r) rho C_(b,r)^dagger) is
 made by ``histories._gram_strips`` from one copy of the Gram rows reordered
 with the slot second to last.  The kernel writes conj(G), and both
-additivity scopes read only Re G, which must equal, bit for bit, the real
-part of the batched product the fibers were made with before; that product
-is kept below as the reference.  The check holds one reordered copy of the
-rows and one kernel strip at a time.
+additivity scopes read only Re G, which must agree with the real part of one batched product over each block's whole
+padded row, kept below as the reference, within the round-off of a sum of
+that many terms.  The two are products of different shapes, whose sums a
+BLAS kernel may order differently, so their low bits need not agree.  The
+check holds one reordered copy of the rows and one kernel strip at a time.
 """
 
 import tracemalloc
@@ -25,11 +26,21 @@ from test_consistency import padded_resolution
 
 
 def reference_fiber(family, pos) -> np.ndarray:
-    """G over slot ``pos`` as one batched product (V w) V^dagger per fiber."""
+    """G over slot ``pos`` as one batched product (V w) V^dagger per fiber,
+    over each block's whole padded row, in lexicographic fiber order."""
     rows, weights = family._gram
-    v = np.moveaxis(rows.reshape(*family.shape, -1), pos, -2)
-    v = v.reshape(-1, *v.shape[-2:])
-    return (v * weights) @ v.conj().transpose(0, 2, 1)
+    s, k = len(rows), rows.shape[-1]
+    v = np.moveaxis(rows.reshape(s, *family.shape[:-1], k), 1 + pos, -2)
+    v = v.reshape(s, -1, *v.shape[-2:])
+    g = (v * weights[:, np.newaxis, np.newaxis]) @ v.conj().swapaxes(-1, -2)
+    return g.swapaxes(0, 1).reshape(-1, *g.shape[-2:])
+
+
+def round_off(family) -> float:
+    """How far two orders of one fiber entry's K-term sum may differ: each
+    is within (K + 2) eps of sum_k w_k |V_ik| |V_jk| <= sqrt(p_i p_j)."""
+    rows, _ = family._gram
+    return 2 * (rows.shape[-1] + 2) * np.finfo(float).eps * float(np.max(family._probabilities))
 
 
 @settings(max_examples=60, deadline=None)
@@ -45,7 +56,8 @@ def test_fibers_match_the_batched_product(seed, shape, dim, rank):
     fam = shaped_family(np.random.default_rng(seed), tuple(shape), dim, min(rank, dim))
     rows, weights = fam._gram
     for pos in range(fam.n_slots - 1):
-        assert np.array_equal(_fiber(fam, rows, weights, pos), reference_fiber(fam, pos).real)
+        got, expected = _fiber(fam, rows, weights, pos), reference_fiber(fam, pos).real
+        assert np.max(np.abs(got - expected), initial=0.0) <= round_off(fam)
 
 
 def test_a_slot_past_tile_labels_is_mirrored(monkeypatch):
@@ -56,9 +68,8 @@ def test_a_slot_past_tile_labels_is_mirrored(monkeypatch):
     full = np.full  # from here every new empty array is NaN, so a gap shows
     monkeypatch.setattr(np, "empty", lambda shape, dtype=float: full(shape, np.nan, dtype))
     got, expected = _fiber(fam, rows, weights, 0), reference_fiber(fam, 0).real
-    upper = np.triu(np.ones((TILE + 3, TILE + 3), dtype=bool))
-    assert np.array_equal(got[:, upper], expected[:, upper])
-    assert np.max(np.abs(got - expected)) <= 1e-15
+    assert np.array_equal(got[:, TILE:, :TILE], got[:, :TILE, TILE:].transpose(0, 2, 1))
+    assert np.max(np.abs(got - expected)) <= round_off(fam)  # NaN fails
 
 
 def test_additivity_holds_one_reordered_copy_of_the_rows():
@@ -68,10 +79,10 @@ def test_additivity_holds_one_reordered_copy_of_the_rows():
     resolutions = tuple(padded_resolution(rng, 16, 4) for _ in range(5))
     fam = HistoryFamily(base.schedule, resolutions, base.state)
     rows, _ = fam._gram  # cached before the check
-    n, k = rows.shape
-    assert (n, k) == (1024, 16 * 16)
+    s, m, k = rows.shape
+    assert (s, m) == (4, 256)
     # one reordered copy, one kernel strip and 1 MiB for the fibers
-    bound = 16 * n * k + 16 * TILE * k + 2**20
+    bound = rows.nbytes + 16 * TILE * k + 2**20
     for scope in ("pairs", "partitions"):
         tracemalloc.start()
         try:

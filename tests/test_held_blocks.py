@@ -274,6 +274,21 @@ class TestOneForm:
         assert np.array_equal(matrix, expected)
         assert np.array_equal(twin.diagonal, np.diagonal(expected).real)
 
+    @pytest.mark.parametrize("shape", [(4, 4, 4), (4, 4, 1)])
+    def test_a_read_matrix_is_pickled_once(self, shape):
+        # once the matrix is read the stack is a view of it: a pickle grows
+        # by the matrix less the stack it replaces, and a few bytes of key
+        fam = shaped_family(np.random.default_rng(11), shape, 8, 8)
+        d = decoherence_functional(fam)
+        held, stack_bytes = len(pickle.dumps(d)), d._stack.nbytes
+        matrix = d.matrix
+        read = pickle.dumps(d)
+        assert len(read) - held <= matrix.nbytes - stack_bytes + 256
+        twin = pickle.loads(read)
+        assert np.shares_memory(twin._stack, twin.matrix)
+        assert not twin._stack.flags.writeable and not twin.matrix.flags.writeable
+        assert np.array_equal(twin.matrix, matrix) and np.array_equal(twin._stack, d._stack)
+
     def test_an_empty_matrix_is_refused(self):
         with pytest.raises(DimensionMismatchError, match="at least one history"):
             DecoherenceFunctional([], np.zeros((0, 0)))

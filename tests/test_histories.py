@@ -45,6 +45,7 @@ from conftest import (
     PAULI_X,
     PAULI_Z,
     assert_refused_at_the_cap,
+    gram_matrix,
     random_rank_state,
     x_resolution,
     z_resolution,
@@ -278,8 +279,9 @@ class TestSharedGramRows:
         D to round-off of the dense product; D is exactly Hermitian and its
         diagonal is the probabilities bit for bit."""
         rows, weights = histories_module._gram_rows(fam, fam.state)
-        assert np.array_equal(probs, (rows.real**2 + rows.imag**2) @ weights)
-        assert np.max(np.abs(d.matrix - (rows * weights) @ rows.conj().T)) <= 1e-15
+        norms = np.matmul(rows.real**2 + rows.imag**2, weights[:, :, np.newaxis])
+        assert np.array_equal(probs, norms[:, :, 0].T.reshape(-1))  # lexicographic
+        assert np.max(np.abs(d.matrix - gram_matrix(rows, weights))) <= 1e-15
         assert np.array_equal(d.matrix, d.matrix.conj().T)
         assert np.array_equal(d.matrix.diagonal().real, probs)
 

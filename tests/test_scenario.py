@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -675,3 +678,29 @@ class TestBoundedMessages:
         assert ("resolutions.z", "partition does not cover labels "
                 "[2, 3, 4, 5, 6, 7, 8, 9, 10, 11] and 999988 more") in err.value.errors
         assert len(str(err.value)) < 1000
+
+    def test_an_astronomical_dimension_is_refused_in_bounded_memory(self):
+        # z_then_x.json with dimension 10**30, validated in a child process
+        # whose address space is capped at 1 GiB: from_basis names the
+        # uncovered basis indices without listing range(dimension)
+        child = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from decohist import parse_scenario\n"
+            "from decohist.errors import ScenarioValidationError\n"
+            "try:\n"
+            "    parse_scenario(sys.stdin.read())\n"
+            "except ScenarioValidationError as exc:\n"
+            "    print(dict(exc.errors)['resolutions.z'])\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run(
+            [sys.executable, "-c", child], input=json.dumps(_planted(("dimension",), 10**30)), env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert done.stdout == (
+            "partition does not cover labels [2, 3, 4, 5, 6, 7, 8, 9, 10, 11] "
+            f"and {10**30 - 12} more\n"
+        )

@@ -27,7 +27,7 @@ from decohist import (
     make_state,
 )
 from decohist.consistency import _MAGNITUDE
-from decohist.histories import _block_rows, _gram_rows, _gram_strips, _strip_ranges
+from decohist.histories import _gram_rows, _gram_strips, _strip_ranges
 from decohist.linalg import TILE
 from decohist.sampling import robustness_states
 
@@ -51,7 +51,7 @@ def reference_blocks(family) -> np.ndarray:
     n, s = family.n_fine_histories, family.shape[-1]
     rows, weights = family._gram
     blocks = np.empty((s, n // s, n // s), dtype=complex)
-    for b, top, strip in _gram_strips(_block_rows(rows, s), weights, out=blocks):
+    for b, top, strip in _gram_strips(rows, weights, out=blocks):
         h, t = strip.shape[:2]
         blocks[b : b + h, top + t :, top : top + t] = strip[:, :, t:].transpose(0, 2, 1)
         np.subtract(0.0, strip.imag, out=strip.imag)
@@ -98,7 +98,7 @@ def reference_robust(family, states, mode):
     s, best = family.shape[-1], (-1.0, None, None)
     for idx, state in enumerate(states):
         rows, weights = _gram_rows(family, state)
-        worst, at = reference_scan(_gram_strips(_block_rows(rows, s), weights), mode, s)
+        worst, at = reference_scan(_gram_strips(rows, weights), mode, s)
         if worst > best[0]:
             best = (worst, idx, at)
     return best
