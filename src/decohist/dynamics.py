@@ -25,6 +25,7 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     Projector,
+    _ReadOnly,
     _lift_tol,
     as_operator,
     frozen,
@@ -106,7 +107,7 @@ def _hermitian(m) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class DynamicsSpec:
+class DynamicsSpec(_ReadOnly):
     """Dynamics as a Hamiltonian or as per-interval step unitaries of one
     dimension, checked at ``DEFAULT_TOL`` as the schedule checks them."""
 
@@ -152,7 +153,7 @@ def propagator(hamiltonian, dt: float) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class DynamicsSchedule:
+class DynamicsSchedule(_ReadOnly):
     """Cumulative unitaries from the reference slot to every slot of a grid."""
 
     grid: TimeGrid

@@ -15,9 +15,11 @@ decoherence functional and every witness index refer to that order.
 
 The decoherence functional D_ij = Tr(C_i rho C_j^dagger) is built as a Gram
 form from a factor rho = L Delta L^dagger of the state and a factor
-P_a = F_a diag(delta_a) F_a^dagger of each last-slot projector, both by the
-pivoted LDL^dagger of ``linalg._ldl``.  A history ending in label a has the
-chain C_i = Q_a Y_i, Q_a = U^dagger P_a U, and since Q_a^2 = Q_a its row is
+P_a = F_a diag(delta_a) F_a^dagger of each last-slot projector, by the
+pivoted LDL^dagger of ``linalg._ldl``, each made once on the value it
+factors (``DensityState._factor``, ``Resolution._factor``), which every
+family reads.  A history ending in label a has the chain C_i = Q_a Y_i,
+Q_a = U^dagger P_a U, and since Q_a^2 = Q_a its row is
 V_i = vec(F_a^dagger U Y_i L) with weights delta_a (x) Delta: rank_a * r
 entries, not d * r, as the history lies in the range of P_a.  The rows are
 one ``(s, N/s, R r)`` stack, zero-padded to the slot's largest rank R:
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -56,7 +59,7 @@ from .errors import (
     ZeroConditionProbabilityError,
 )
 from .linalg import CLAMP_TOL, DFUNC_TOL, TILE, ZERO_THRESHOLD, DensityState
-from .linalg import _ldl, _lift_tol, _state_errors, _summed, frozen
+from .linalg import _ReadOnly, _state_errors, _summed, frozen
 from .resolutions import Outcome, Resolution, coarsen, outcome_intersection
 
 log = logging.getLogger(__name__)
@@ -77,7 +80,7 @@ def _clamp_unit(value: float) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class HistoryFamily:
+class HistoryFamily(_ReadOnly):
     """Product space of per-slot resolutions with dynamics and a state."""
 
     schedule: DynamicsSchedule
@@ -118,10 +121,7 @@ class HistoryFamily:
 
     @property
     def n_fine_histories(self) -> int:
-        n = 1
-        for s in self.shape:
-            n *= s
-        return n
+        return math.prod(self.shape)
 
     def offsets(self) -> range:
         return self.schedule.grid.offsets()
@@ -144,20 +144,6 @@ class HistoryFamily:
             _lift(self.schedule, pos, res.projectors)[0]
             for pos, res in enumerate(self.resolutions)
         )
-
-    @cached_property
-    def _last_factor(self) -> tuple[np.ndarray, np.ndarray]:
-        """The last slot's projectors factored once per family, for the Gram
-        rows of every state: P_a = F_a diag(delta_a) F_a^dagger by
-        ``linalg._ldl``, within the tolerance the slot's lift is validated
-        at (a zero projector has rank 0).  Read-only: the ``(s, R, d)``
-        stack of F_a^dagger U, for the slot's unitary U, and the ``(s, R)``
-        pivots delta_a, both zero past rank_a; R is the largest rank."""
-        res = self.resolutions[-1]
-        tols = [_lift_tol(p.tol) for p in res.projectors]
-        factor, pivots = _ldl(res._stack, tols, "projector")
-        u = self.schedule.unitary(self.n_slots - 1)
-        return frozen(factor.conj().swapaxes(1, 2) @ u), frozen(pivots)
 
     @cached_property
     def _gram(self) -> tuple[np.ndarray, np.ndarray]:
@@ -328,7 +314,7 @@ def _gram_rows(
     has the chain C_i = Q_a Y_i, Q_a = U^dagger P_a U the lifted last-slot
     projector and Y_i the product of its earlier ones.  As Q_a^2 = Q_a,
     D_ij = Tr(Q_a Y_i rho Y_j^dagger), and with P_a = F_a diag(delta_a)
-    F_a^dagger (``HistoryFamily._last_factor``) its row is
+    F_a^dagger (``Resolution._factor``) its row is
     V_i = vec(F_a^dagger U Y_i L), rank_a * r long, with weights
     delta_a (x) Delta.  Every block is zero-padded to K = R r for the slot's
     largest rank R, with zero weights, so a block's width is its count of
@@ -350,8 +336,9 @@ def _gram_rows(
     if len(lifted[-1]) == 1:
         return rows.reshape(1, len(rows), d * r), np.tile(delta, d)[np.newaxis]
     # the last slot likewise, with its (s*R, d) stack of factors F_a^dagger U
-    left, pivots = family._last_factor
+    left, pivots = family.resolutions[-1]._factor
     s, rank = pivots.shape
+    left = left @ family.schedule.unitary(family.n_slots - 1)
     rows = np.matmul(left.reshape(-1, d), rows).reshape(len(rows), s, rank * r)
     weights = (pivots[:, :, np.newaxis] * delta).reshape(s, rank * r)
     return np.ascontiguousarray(rows.transpose(1, 0, 2)), weights
@@ -454,7 +441,7 @@ def _check_trace(trace: complex, tol: float) -> None:
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class DecoherenceFunctional:
+class DecoherenceFunctional(_ReadOnly):
     """Matrix of Tr(C_i rho C_j^dagger) over the fine histories of a family.
 
     A density matrix on the histories: Hermitian, positive semidefinite,
@@ -511,15 +498,12 @@ class DecoherenceFunctional:
         return state
 
     def __setstate__(self, state: dict) -> None:
-        """A copy's or an unpickled D's state: numpy unpickles arrays writable,
-        so each is frozen, and a stack sent as its block count is again a
-        view of the matrix."""
+        """A copy's or an unpickled D's state, its arrays frozen: a stack sent
+        as its block count is again a view of the matrix."""
         if "matrix" in state:
-            matrix, s = frozen(state["matrix"]), state["_stack"]
-            stack = matrix[np.newaxis] if s == 1 else _block_view(matrix, s)
-        else:
-            stack = frozen(state["_stack"])
-        vars(self).update(state, _stack=stack)
+            matrix, s = state["matrix"], state["_stack"]
+            state = {**state, "_stack": matrix[np.newaxis] if s == 1 else _block_view(matrix, s)}
+        super().__setstate__(state)
 
     @cached_property
     def matrix(self) -> np.ndarray:

@@ -101,6 +101,26 @@ def frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _map_arrays(value, fn):
+    """A copy of ``value`` with ``fn`` applied to every array in it, inside
+    tuples, lists and dicts too."""
+    if isinstance(value, np.ndarray):
+        return fn(value)
+    if isinstance(value, dict):
+        return {k: _map_arrays(v, fn) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return type(value)(_map_arrays(v, fn) for v in value)
+    return value
+
+
+class _ReadOnly:
+    """Base of the validated values: numpy copies and unpickles arrays
+    writable, so a copy's state has every array in it frozen again."""
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(_map_arrays(state, frozen))
+
+
 def require_square(a: np.ndarray) -> int:
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
@@ -160,60 +180,45 @@ def unitarity_deviation(a: np.ndarray) -> float:
     return float(np.max(np.abs(a.conj().T @ a - np.eye(n))))
 
 
-def _ldl(stack: np.ndarray, tols: Sequence[float], what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Pivoted LDL^dagger of each positive semidefinite d x d matrix of an
-    ``(n, d, d)`` stack at once: stack[a] = F_a diag(delta_a) F_a^dagger,
-    checked within ``tols[a]``.
+def _ldl(matrix: np.ndarray, tol: float, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Pivoted LDL^dagger of a positive semidefinite d x d matrix,
+    matrix = F diag(delta) F^dagger, checked within ``tol``.
 
-    Returns the ``(n, d, R)`` factors and ``(n, R)`` pivots delta_a > 0,
-    both zero past rank_a, for the largest rank R.  Each step pivots on the
-    largest residual diagonal and divides that residual column by the pivot,
-    with no square root, so dyadic matrices factor exactly.  A matrix's
-    steps stop once its largest residual diagonal is round-off, which drops
-    the null directions of a rank-deficient matrix and the slightly negative
-    ones it may carry within its tolerance (a zero matrix has rank 0); each
-    d x d residual is then checked, and a miss names ``what`` was factored.
+    Returns the d x r factor F and the r pivots delta > 0 for the rank r.
+    Each step pivots on the largest residual diagonal and divides that
+    residual column by the pivot, with no square root, so dyadic matrices
+    factor exactly.  The steps stop once the largest residual diagonal is
+    round-off, which drops the null directions of a rank-deficient matrix
+    and the slightly negative ones it may carry within its tolerance (a
+    zero matrix has rank 0); the d x d residual is then checked, and a miss
+    names ``what`` was factored.
     """
-    n, d, _ = stack.shape
-    at = np.arange(n)
-    residual = stack.copy()
-    diag = residual.diagonal(axis1=1, axis2=2).real  # a view: it follows the residual
-    floors = d * np.finfo(float).eps * diag.max(axis=1)
+    d = len(matrix)
+    residual = matrix.copy()
+    diag = residual.diagonal().real  # a view: it follows the residual
+    floor = d * np.finfo(float).eps * diag.max()
     columns, pivots = [], []
     for _ in range(d):
-        k = diag.argmax(axis=1)
-        pivot = diag[at, k]
-        live = pivot > floors
-        if live.all():
-            column = residual[at, :, k] / pivot[:, np.newaxis]
-        elif live.any():
-            # a matrix past its rank gets a zero pivot and a zero column,
-            # which leave its residual as it is
-            pivot = np.where(live, pivot, 0.0)
-            column = residual[at, :, k] / np.where(live, pivot, np.inf)[:, np.newaxis]
-        else:
+        k = diag.argmax()
+        pivot = diag[k]
+        if not pivot > floor:
             break
-        residual -= pivot[:, np.newaxis, np.newaxis] * (
-            column[:, :, np.newaxis] * column.conj()[:, np.newaxis, :]
-        )
+        column = residual[:, k] / pivot
+        residual -= pivot * (column[:, np.newaxis] * column.conj())
         columns.append(column)
         pivots.append(pivot)
-    if columns:
-        factor, delta = np.array(columns).transpose(1, 2, 0), np.array(pivots).T
-    else:  # every matrix is zero
-        factor, delta = np.zeros((n, d, 0), dtype=complex), np.zeros((n, 0))
-    rebuilt = (factor * delta[:, np.newaxis]) @ factor.conj().swapaxes(1, 2)
-    for gap, tol in zip(np.abs(rebuilt - stack).max(axis=(1, 2)).tolist(), tols):
-        if gap > tol:
-            raise InvalidHistoryError(f"{what} factor misses the {what} by {gap:.3e}")
+    factor = np.ascontiguousarray(np.array(columns, dtype=complex).reshape(-1, d).T)
+    delta = np.array(pivots)
+    gap = float(np.abs((factor * delta) @ factor.conj().T - matrix).max())
+    if gap > tol:
+        raise InvalidHistoryError(f"{what} factor misses the {what} by {gap:.3e}")
     return factor, delta
 
 
 def _state_factor(state: DensityState) -> tuple[np.ndarray, np.ndarray]:
     """``_ldl`` of a state, rho = L diag(delta) L^dagger, within its
     tolerance: ``L`` is d x r for the state's rank r."""
-    factor, delta = _ldl(state.matrix[np.newaxis], (state.tol,), "state")
-    return np.ascontiguousarray(factor[0]), delta[0]
+    return _ldl(state.matrix, state.tol, "state")
 
 
 def _summed(stack: np.ndarray, positions: Sequence[int]) -> np.ndarray:
@@ -279,7 +284,7 @@ def _projector_errors(stack: np.ndarray, tols: Sequence[float]) -> list[Exceptio
 
 
 @dataclass(frozen=True, eq=False)
-class _Checked:
+class _Checked(_ReadOnly):
     """A square matrix checked at construction against ``tol`` (absolute,
     max-norm) by one stacked validator, which the class's ``_errors`` calls
     by its module-level name: the constructor runs it on a stack of one,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Integral
 from typing import Mapping, Sequence
 
@@ -28,7 +29,7 @@ from .errors import (
     ResolutionMismatchError,
     UnknownLabelError,
 )
-from .linalg import DEFAULT_TOL, _summed_tol
+from .linalg import DEFAULT_TOL, _ReadOnly, _ldl, _lift_tol, _summed_tol
 from .linalg import Projector, _basis_index, _is_a, _summed, as_operator, frozen, require_square
 
 
@@ -62,7 +63,7 @@ class SpectralLabel:
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class Resolution:
+class Resolution(_ReadOnly):
     """A labeled, pairwise-orthogonal, complete family of projectors.
 
     The projectors are one read-only ``(n, d, d)`` stack, validated in one
@@ -143,6 +144,22 @@ class Resolution:
 
         vars(self).update(labels=tuple(labels), projectors=tuple(projectors), dim=dim)
         vars(self).update(tol=tol, _stack=frozen(stack), _by_name=by_name)
+
+    @cached_property
+    def _factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """The projectors factored once for every family ending here, one at
+        a time by ``linalg._ldl`` within its lift tolerance: P_a = F_a
+        diag(delta_a) F_a^dagger.  Read-only: the ``(s, R, d)`` stack of
+        F_a^dagger and the ``(s, R)`` pivots delta_a, zero past rank_a for
+        the largest rank R.  A factor that misses is not kept: it raises
+        on every use."""
+        factors = [_ldl(p.matrix, _lift_tol(p.tol), "projector") for p in self.projectors]
+        rank = max(len(delta) for _, delta in factors)
+        left = np.zeros((self.size, rank, self.dim), dtype=complex)
+        pivots = np.zeros((self.size, rank))
+        for a, (factor, delta) in enumerate(factors):
+            left[a, : len(delta)], pivots[a, : len(delta)] = factor.conj().T, delta
+        return frozen(left), frozen(pivots)
 
     @property
     def size(self) -> int:

@@ -22,8 +22,6 @@ from functools import cached_property
 from numbers import Integral, Real
 from typing import Mapping
 
-import numpy as np
-
 from .consistency import (
     SCOPES,
     _INNER_MODES,
@@ -52,7 +50,8 @@ from .histories import (
     retrodictive_conditional,
     retrodictive_normalized,
 )
-from .linalg import DensityState, _is_a, _summed, matrix_from_pairs, matrix_to_pairs
+from .linalg import DensityState, _ReadOnly, _is_a, _map_arrays, _summed
+from .linalg import matrix_from_pairs, matrix_to_pairs
 from .lueders import sequential_probability
 from .resolutions import Resolution, from_basis, make_resolution, normalize_partition
 
@@ -125,7 +124,7 @@ def _bad_args(kind: str, args: Mapping, histories=(), family=None) -> list[tuple
 
 
 @dataclass(frozen=True, eq=False)
-class Scenario:
+class Scenario(_ReadOnly):
     """A fully validated scenario: built engine objects plus the normalized
     document they came from, kept as ``inputs`` with each matrix the validated
     array; ``document`` renders the matrices as [re, im] pairs on first read."""
@@ -138,7 +137,7 @@ class Scenario:
 
     @cached_property
     def document(self) -> dict:
-        return _with_pairs(self.inputs)
+        return _map_arrays(self.inputs, matrix_to_pairs)
 
     def to_document(self) -> dict:
         return json.loads(json.dumps(self.document))
@@ -147,17 +146,6 @@ class Scenario:
         if name not in self.histories:
             raise UnresolvedReferenceError(name, "history")
         return self.histories[name]
-
-
-def _with_pairs(value):
-    """A copy of ``value`` with every array in it as ``matrix_to_pairs``."""
-    if isinstance(value, np.ndarray):
-        return matrix_to_pairs(value)
-    if isinstance(value, dict):
-        return {k: _with_pairs(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_with_pairs(v) for v in value]
-    return value
 
 
 class _Collector:

@@ -11,14 +11,24 @@ the working directory while a record runs.  Regenerate the file (only when
 an output is meant to change) with::
 
     PYTHONPATH=src python tests/cli_golden.py
+
+and replay every record through the ``decohist`` console script that pip
+installed, leaving the file as it is, with::
+
+    python tests/cli_golden.py --replay
+
+which prints how many records were reproduced, names each one that
+differs, and exits 1 if any does.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -115,12 +125,39 @@ def run(argv: list[str]) -> dict:
     return {"argv": list(argv), "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-def main() -> None:
+def console(argv: list[str]) -> dict:
+    """One call of the installed ``decohist`` console script, from the
+    repository root."""
+    got = subprocess.run(["decohist", *argv], capture_output=True, text=True, cwd=ROOT)
+    return {"argv": list(argv), "exit": got.returncode, "stdout": got.stdout, "stderr": got.stderr}
+
+
+def replay(call=console) -> int:
+    """Run every golden record through ``call`` and compare exit code,
+    stdout and stderr byte for byte; the exit status, 1 if any differs."""
+    records = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    bad = [r["argv"] for r in records if call(r["argv"]) != r]
+    for argv in bad:
+        print("differs from its golden record:", argv, file=sys.stderr)
+    print(f"{len(records) - len(bad)} of {len(records)} golden records reproduced")
+    return 1 if bad else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Write or replay the golden CLI records.")
+    parser.add_argument(
+        "--replay",
+        action="store_true",
+        help="replay every record through the installed console script; write nothing",
+    )
+    if parser.parse_args(argv).replay:
+        return replay()
     records = [run(argv) for argv in cases()]
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(records)} records to {GOLDEN.relative_to(ROOT)}", file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
