@@ -13,14 +13,14 @@ the witness achieving it:
 * robustness: a chosen check passes for every state in a (seeded or
   user-supplied) state set.
 
-All four read the Gram rows of the fine histories, one block per label of
-the last slot (``histories._gram_rows``), through the strip kernel that
-makes each block of D as (V_a w_a) V_a^dagger (``histories._gram_strips``).
-Weak and medium scan D; additivity makes each slot's fiber blocks of D, in
-one pass over the slots for both scopes, from one copy of the rows
-reordered with the slot second to last; robustness builds the rows once per
-state and makes one scan of that state's strips of D, never all of D, for
-its worst value, where it lies and its trace.
+All four read the packed Gram rows of the fine histories, one view per
+label of the last slot (``histories._gram_rows``), through the strip kernel
+that makes each block of D as (V_a w_a) V_a^dagger
+(``histories._gram_strips``).  Weak and medium scan D; additivity makes
+each slot's fiber blocks of D, in one pass over the slots for both scopes,
+from one copy of the rows reordered with the slot first; robustness builds
+the rows once per state and makes one scan of that state's strips of D,
+never all of D, for its worst value, where it lies and its trace.
 
 Histories that differ at the last slot never interfere: their chain
 operators end in orthogonal projectors of a validated resolution, which is
@@ -172,27 +172,27 @@ def check_medium_decoherence(
 # Additivity of union probabilities, read from fiber blocks of D.
 
 
-def _fiber(family: HistoryFamily, rows: np.ndarray, weights: np.ndarray, pos: int) -> np.ndarray:
+def _fiber(family: HistoryFamily, gram, pos: int) -> np.ndarray:
     """Re G[r, a, b] = Re Tr(C_(a,r) rho C_(b,r)^dagger) over the labels a, b
     of slot ``pos`` (not the last) and the other slots' labels r, in
     lexicographic order.
 
     The strip kernel writes conj(G), of the same real part, from one copy of
-    the ``(s, M, K)`` block rows reordered with the slot second to last, so
-    fibers come by last label first, each with its label's weights, and are
-    put in lexicographic order at the end.  Past TILE labels a strip starts
-    at its diagonal, so its part right of the corner is mirrored below it,
-    as D's assembly does.
+    the packed ``gram`` rows reordered with the slot first: one run of the
+    last slot's factor rows per labelling of the other slots, each label's
+    fiber with its own weights, so the fibers come in lexicographic order.
+    Past TILE labels a strip starts at its diagonal, so its part right of
+    the corner is mirrored below it, as D's assembly does.
     """
-    s, k = len(rows), rows.shape[-1]
-    v = np.moveaxis(rows.reshape(s, *family.shape[:-1], k), 1 + pos, -2)
-    v = v.reshape(-1, *v.shape[-2:])
-    size = v.shape[1]
-    blocks = np.empty((len(v), size, size), dtype=complex)
-    for b, top, strip in _gram_strips(v, np.repeat(weights, len(v) // s, axis=0), out=blocks):
+    rows, weights, offsets = gram
+    size = family.shape[pos]
+    v = np.moveaxis(rows.reshape(*family.shape[:-1], *rows.shape[1:]), pos, 0)
+    v = np.ascontiguousarray(v).reshape(size, -1, rows.shape[-1])
+    blocks = np.empty((family.n_fine_histories // size, size, size), dtype=complex)
+    for b, top, strip in _gram_strips(v, weights, offsets, out=blocks):
         h, t = strip.shape[:2]
         blocks[b : b + h, top + t :, top : top + t] = strip[:, :, t:].transpose(0, 2, 1)
-    return blocks.real.reshape(s, -1, size, size).transpose(1, 0, 2, 3).reshape(-1, size, size)
+    return blocks.real
 
 
 def _slot_worst(family, gram, violations, witness) -> tuple[float, dict | None]:
@@ -202,14 +202,13 @@ def _slot_worst(family, gram, violations, witness) -> tuple[float, dict | None]:
     last slot's labels never interfere, so its fiber, exactly zero, is not
     made: its largest entry is 0.0 at flat index 0, the first candidate.
     """
-    rows, weights = gram
     worst, best = -1.0, None
     for pos, size in enumerate(family.shape):
         if size < 2:
             continue
         value, flat = 0.0, 0
         if pos < family.n_slots - 1:
-            viol = violations(pos, size, _fiber(family, rows, weights, pos))
+            viol = violations(pos, size, _fiber(family, gram, pos))
             flat = int(np.argmax(viol))
             value = float(viol.flat[flat])
         if value > worst:
@@ -396,14 +395,14 @@ def check_state_robustness(
     def scan(state):
         # the worst value and inner witness (weak and medium: where, labelled
         # below for the worst state only); the rows die before the next state's
-        rows, weights = _gram_rows(family, state)
+        gram = _gram_rows(family, state)
         if mode == "additivity":
-            inner = additivity(family, (rows, weights), tol, seed)
+            inner = additivity(family, gram, tol, seed)
             return inner.worst_violation, inner.witness
         trace = []
 
         def strips():  # D's trace is summed from the diagonals the strips hold
-            for b, top, strip in _gram_strips(rows, weights):
+            for b, top, strip in _gram_strips(*gram):
                 trace.append(np.trace(strip, axis1=1, axis2=2).real.sum())
                 yield b, top, strip
 

@@ -21,9 +21,10 @@ factors (``DensityState._factor``, ``Resolution._factor``), which every
 family reads.  A history ending in label a has the chain C_i = Q_a Y_i,
 Q_a = U^dagger P_a U, and since Q_a^2 = Q_a its row is
 V_i = vec(F_a^dagger U Y_i L) with weights delta_a (x) Delta: rank_a * r
-entries, not d * r, as the history lies in the range of P_a.  The rows are
-one ``(s, N/s, R r)`` stack, zero-padded to the slot's largest rank R:
-16 N R r bytes.
+entries, not d * r, as the history lies in the range of P_a.  The ranks
+sum to d (a factor that keeps a round-off pivot past its rank has a row
+more), so the rows are one ``(N/s, d, r)`` array, 16 (N/s) d r bytes with
+no padding, in which label a's rows are a view of its factor rows.
 
 The last slot's projector is outermost in every chain operator, and a
 validated resolution is treated as exactly orthogonal, so D_ij = 0 whenever
@@ -45,7 +46,7 @@ import logging
 import math
 import threading
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -146,17 +147,15 @@ class HistoryFamily(_ReadOnly):
         )
 
     @cached_property
-    def _gram(self) -> tuple[np.ndarray, np.ndarray]:
+    def _gram(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
         """Read-only ``_gram_rows`` of the family's own state.
 
         ``decoherence_functional``, ``fine_probabilities`` and
         ``check_additivity`` share them, so the state is factored and the
-        rows built once per family; they stay alive with the family
-        (N x R*r complex entries for a rank-r state and a last slot of
-        largest rank R).
+        rows built once per family; they stay alive with the family.
         """
-        rows, weights = _gram_rows(self, self.state)
-        return frozen(rows), frozen(weights)
+        rows, weights, offsets = _gram_rows(self, self.state)
+        return frozen(rows), frozen(weights), offsets
 
     @cached_property
     def _probabilities(self) -> np.ndarray:
@@ -304,22 +303,14 @@ def _probability(chain: np.ndarray, rho: np.ndarray) -> float:
 
 def _gram_rows(
     family: HistoryFamily, state: DensityState
-) -> tuple[np.ndarray, np.ndarray]:
-    """The Gram rows of ``state`` as one ``(s, M, K)`` stack, with ``(s, K)``
-    weights: block a holds the M histories that end in label a of the
-    s-outcome last slot, in lexicographic order, and its Gram form
-    G_a = (V_a w_a) V_a^dagger is D[a::s, a::s].
-
-    With rho = L Delta L^dagger (``state._factor``), history i ending in a
-    has the chain C_i = Q_a Y_i, Q_a = U^dagger P_a U the lifted last-slot
-    projector and Y_i the product of its earlier ones.  As Q_a^2 = Q_a,
-    D_ij = Tr(Q_a Y_i rho Y_j^dagger), and with P_a = F_a diag(delta_a)
-    F_a^dagger (``Resolution._factor``) its row is
-    V_i = vec(F_a^dagger U Y_i L), rank_a * r long, with weights
-    delta_a (x) Delta.  Every block is zero-padded to K = R r for the slot's
-    largest rank R, with zero weights, so a block's width is its count of
-    nonzero weights.  A one-outcome last slot is I: its one block's rows are
-    vec(Y_i L), K = d r, with weights 1 (x) Delta.
+) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """The packed Gram rows of ``state``: an ``(M, k, r)`` array over the
+    M = N/s prefixes, its ``(k, r)`` weights and the s + 1 offsets of the last
+    slot's labels, k = d but for round-off pivots (see the module docstring).
+    History (i, a) has the row ``rows[i, offsets[a]:offsets[a + 1]]``,
+    vec(F_a^dagger U Y_i L) weighted by delta_a (x) Delta, and label a's Gram
+    form G_a = (V_a w_a) V_a^dagger is D[a::s, a::s].  A one-outcome last
+    slot is I: rows vec(Y_i L), weights 1 (x) Delta.
     """
     rows, delta = state._factor
     d, r = rows.shape
@@ -334,32 +325,32 @@ def _gram_rows(
             rows = np.matmul(table.reshape(-1, d), rows.reshape(-1, d, r))
     rows = rows.reshape(-1, d, r)
     if len(lifted[-1]) == 1:
-        return rows.reshape(1, len(rows), d * r), np.tile(delta, d)[np.newaxis]
-    # the last slot likewise, with its (s*R, d) stack of factors F_a^dagger U
-    left, pivots = family.resolutions[-1]._factor
-    s, rank = pivots.shape
-    left = left @ family.schedule.unitary(family.n_slots - 1)
-    rows = np.matmul(left.reshape(-1, d), rows).reshape(len(rows), s, rank * r)
-    weights = (pivots[:, :, np.newaxis] * delta).reshape(s, rank * r)
-    return np.ascontiguousarray(rows.transpose(1, 0, 2)), weights
+        return rows, np.tile(delta, (d, 1)), (0, d)
+    # the last slot likewise, with its packed (k, d) stack of factors F_a^dagger U
+    left, pivots, offsets = family.resolutions[-1]._factor
+    rows = np.matmul(left @ family.schedule.unitary(family.n_slots - 1), rows)
+    return rows, pivots[:, np.newaxis] * delta, offsets
 
 
-def _row_norms(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """D's diagonal in lexicographic order from its ``(s, M, K)`` Gram rows:
-    D_ii = sum_k |V_ik|^2 w_k.
-
-    The squared real parts are the one full-size temporary; the squared
-    imaginary parts are added into them TILE rows at a time from a reused
-    buffer, and one product per block with its weights reduces every row.
-    """
-    s, m, k = rows.shape
-    squares = np.square(rows.real, order="C")
-    flat, imag = squares.reshape(-1, k), rows.imag.reshape(-1, k)
-    buffer = np.empty((min(TILE, len(flat)), k))
-    for top in range(0, len(flat), TILE):
-        part = flat[top : top + TILE]
-        part += np.square(imag[top : top + TILE], out=buffer[: len(part)])
-    return np.matmul(squares, weights[:, :, np.newaxis]).reshape(s, m).T.reshape(-1)
+def _row_norms(rows: np.ndarray, weights: np.ndarray, offsets: Sequence[int]) -> np.ndarray:
+    """D's diagonal in lexicographic order from the packed Gram rows: each
+    label's sum_k |V_k|^2 w_k over its own columns, squared in two reused
+    buffers of at most TILE^2 entries, so each value depends on its row alone."""
+    m, s = len(rows), len(offsets) - 1
+    flat, w = rows.reshape(m, -1), weights.reshape(-1)
+    # reduceat sums from each start to the next: a rank-0 label is left out
+    ranked = [a for a in range(s) if offsets[a + 1] > offsets[a]]
+    starts = [offsets[a] * weights.shape[1] for a in ranked]
+    norms = np.zeros((m, s))
+    tile = max(1, min(m, TILE * TILE // len(w)))
+    squares, imag = np.empty((tile, len(w))), np.empty((tile, len(w)))
+    for top in range(0, m, tile):
+        part = flat[top : top + tile]
+        sq = np.square(part.real, out=squares[: len(part)])
+        sq += np.square(part.imag, out=imag[: len(part)])
+        sq *= w
+        norms[top : top + tile, ranked] = np.add.reduceat(sq, starts, axis=1)
+    return norms.reshape(-1)
 
 
 def _block_view(matrix: np.ndarray, s: int) -> np.ndarray:
@@ -376,39 +367,77 @@ _BELOW = frozen(np.tri(TILE, k=-1, dtype=bool))
 
 def _strip_ranges(s: int, m: int) -> Iterator[tuple[int, int, int, int]]:
     """``(b, h, top, t)``: rows ``top:top + t`` of blocks ``b:b + h``, over
-    ``s`` blocks of ``m`` rows.  A strip stacks at most TILE // m blocks (at
-    least one), so it holds at most TILE rows."""
-    g = min(s, max(1, TILE // min(TILE, m)))
+    ``s`` blocks of ``m`` rows.  Blocks of fewer than TILE / 2 rows share
+    strips, TILE // m of them; a larger block is alone in each of its
+    strips.  So a strip holds at most TILE rows."""
+    g = min(s, TILE // m) if 2 * m < TILE else 1
     for b in range(0, s, g):
         for top in range(0, m, TILE):
             yield b, min(g, s - b), top, min(TILE, m - top)
 
 
-def _gram_strips(rows: np.ndarray, weights: np.ndarray, out: np.ndarray | None = None):
-    """The strip kernel all D work goes through, over ``(s, M, K)`` block
-    rows with ``(s, K)`` weights, one row per block (``_gram_rows``; s = 1
-    is all of D).
+@lru_cache(maxsize=64)
+def _strip_plan(offsets: tuple[int, ...], runs: int, m: int) -> tuple[tuple, int]:
+    """Where ``_gram_strips`` reads each ``_strip_ranges`` strip of ``runs``
+    runs of the label ``offsets``, as ``(b, h, top, t, n, cols, wcols, pad)``
+    with n the most factor rows of its blocks; and the most of any block.
+    One block slices the rows by ``cols`` and the weights by ``wcols``;
+    several take n rows each by those indices and zero the ones at ``pad``,
+    past each block's own.  It reads no values: a family's robustness states
+    and fiber slots share it."""
+    k, ranks = offsets[-1], np.diff(offsets).tolist() * runs
+    starts = [run * k + lo for run in range(runs) for lo in offsets[:-1]]
+    strips = []
+    for b, h, top, t in _strip_ranges(len(starts), m):
+        n, lo = max(ranks[b : b + h]), starts[b]
+        cols, wcols, pad = slice(lo, lo + n), slice(lo % k, lo % k + n), None
+        if h > 1:
+            cols = np.add.outer(starts[b : b + h], np.arange(n))
+            past = np.arange(n) >= np.array(ranks[b : b + h])[:, np.newaxis]
+            cols[past] = 0  # any row: zeroed
+            cols, pad = frozen(cols.reshape(-1)), frozen(np.flatnonzero(past))
+            wcols = frozen(cols % k)
+        strips.append((b, h, top, t, n, cols, wcols, pad))
+    return tuple(strips), max(ranks)
+
+
+def _gram_strips(
+    rows: np.ndarray, weights: np.ndarray, offsets: tuple[int, ...], out: np.ndarray | None = None
+):
+    """The strip kernel all D work goes through, over packed Gram rows
+    ``(m, c, r)``: c / k runs of the k = offsets[-1] factor rows that the
+    ``(k, r)`` ``weights`` weigh, block (f, a) the m rows
+    ``rows[:, f k + offsets[a] : f k + offsets[a + 1]]``.  D's rows are one
+    run (``_gram_rows``; s = 1 is all of D), the additivity fibers one per
+    fiber prefix (``consistency._fiber``).
 
     Yields ``(b, top, conj(G[b:b + h, top:top + t, top:]))`` for each
-    ``_strip_ranges`` strip, G_a = (V_a w_a) V_a^dagger, made as
-    conj(V_a w_a) V_a[top:]^T (a reused buffer of at most TILE x K times a
-    view) into the same slice of ``out`` if given, else into one reused
-    buffer of at most TILE x M.  A block's columns past its count of nonzero
-    weights are zero padding, so each strip multiplies only as many columns
-    as its widest block has; the padding adds exact zeros, so this is exact.
+    ``_strip_plan`` strip, G_b = (V_b w_b) V_b^dagger, made as
+    conj(V_b w_b) V_b[top:]^T into the same slice of ``out`` if given, else
+    into one reused buffer of at most TILE x m.  A lone block is read as a
+    view; the blocks of a strip of several are taken into one reused buffer,
+    each zero-padded to the strip's longest, which adds exact zeros.
     """
-    s, m, k = rows.shape
-    widths = np.count_nonzero(weights, axis=1)
+    m, c, r = rows.shape
+    strips, widest = _strip_plan(offsets, c // len(weights), m)
     left = None
-    for b, h, top, t in _strip_ranges(s, m):
+    for b, h, top, t, n, cols, wcols, pad in strips:
         if left is None:  # the first strip is the largest
-            left = np.empty(h * t * k, dtype=complex)
+            left = np.empty(h * t * widest * r, dtype=complex)
             flat = np.empty(h * t * m, dtype=complex) if out is None else None
-        w = int(widths[b : b + h].max())
+            gather = np.empty(m * h * widest * r, dtype=complex) if h > 1 else None
+        if h == 1:
+            taken = rows[:, cols]
+        else:  # whole blocks of fewer than TILE / 2 rows: top is 0
+            taken = gather[: m * h * n * r].reshape(m, h * n, r)
+            # the indices are in range; with mode "raise" numpy would buffer out
+            np.take(rows, cols, axis=1, out=taken, mode="wrap")
+            taken[:, pad] = 0
+        block = taken.reshape(m, h, n * r).transpose(1, 0, 2)
         lhs = np.multiply(
-            rows[b : b + h, top : top + t, :w],
-            weights[b : b + h, np.newaxis, :w],
-            out=left[: h * t * w].reshape(h, t, w),
+            block[:, top : top + t],
+            weights[wcols].reshape(h, 1, n * r),
+            out=left[: h * t * n * r].reshape(h, t, n * r),
         )
         np.conjugate(lhs, out=lhs)
         strip = (
@@ -416,7 +445,7 @@ def _gram_strips(rows: np.ndarray, weights: np.ndarray, out: np.ndarray | None =
             if flat is None
             else flat[: h * t * (m - top)].reshape(h, t, -1)
         )
-        yield b, top, np.matmul(lhs, rows[b : b + h, top:, :w].transpose(0, 2, 1), out=strip)
+        yield b, top, np.matmul(lhs, block[:, top:].transpose(0, 2, 1), out=strip)
 
 
 def _require_cap(family: HistoryFamily) -> None:
@@ -545,9 +574,8 @@ def decoherence_functional(family: HistoryFamily) -> DecoherenceFunctional:
     n = family.n_fine_histories
     probabilities = family._probabilities  # its temporaries are freed before D
     s = family.shape[-1]
-    rows, weights = family._gram
     blocks = np.empty((s, n // s, n // s), dtype=complex)  # every entry is written
-    for b, top, strip in _gram_strips(rows, weights, out=blocks):
+    for b, top, strip in _gram_strips(*family._gram, out=blocks):
         h, t = strip.shape[:2]
         # the strip holds conj(G), so its transpose is G's block column below
         blocks[b : b + h, top + t :, top : top + t] = strip[:, :, t:].transpose(0, 2, 1)

@@ -66,6 +66,21 @@ class MeasurementTrace:
         return out
 
 
+def _slots(family: HistoryFamily) -> tuple[tuple, ...]:
+    """Per slot, from the schedule and the raw projectors: the step unitary
+    U_k U_(k-1)^dagger (U_0 at the first slot), each fine projector as
+    ``_summed`` makes it and the labels' display names.  Made once per
+    family, into its ``_last_trace`` entry."""
+    if family not in _last_trace:
+        u = [family.schedule.unitary(pos) for pos in range(family.n_slots)]
+        steps = [u[0], *(later @ earlier.conj().T for earlier, later in zip(u, u[1:]))]
+        res = family.resolutions
+        fine = [np.array([_summed(r._stack, [p]) for p in range(r.size)]) for r in res]
+        names = [tuple(label.display for label in r.labels) for r in res]
+        _last_trace[family] = ((), (), tuple(zip(steps, fine, names)))
+    return _last_trace[family][2]
+
+
 def _steps(
     family: HistoryFamily, pos: int, label_sets, rho: np.ndarray
 ) -> list[StepRecord | Exception]:
@@ -76,18 +91,17 @@ def _steps(
     Entry k is the record of ``label_sets[k]``, or the error its post-state
     failed validation with; the post-states are validated as one stack.
     """
-    u = family.schedule.unitary(pos)
-    if pos == 0:
-        step_u = u
-    else:
-        step_u = u @ family.schedule.unitary(pos - 1).conj().T
-    rho = step_u @ rho @ step_u.conj().T
+    step, fine, names = _slots(family)[pos]
+    rho = step @ rho @ step.conj().T
 
-    # raw (Schroedinger-picture) outcome projectors, each summed by _summed
-    # in position order, as outcome_projector sums them
-    res = family.resolutions[pos]
+    # raw (Schroedinger-picture) outcome projectors, each summed in position
+    # order as outcome_projector sums them by _summed: the fine ones, made
+    # by _summed and never -0.0, give the same bits
     orders = [sorted(labels) for labels in label_sets]
-    p_out = np.array([_summed(res._stack, order) for order in orders])
+    p_out = fine[[order[0] for order in orders]]
+    for k, order in enumerate(orders):
+        for p in order[1:]:
+            p_out[k] += fine[p]
     projected = p_out @ rho @ p_out
     probs = np.trace(projected, axis1=1, axis2=2).real.tolist()
     live = []
@@ -115,7 +129,7 @@ def _steps(
         if isinstance(state, Exception):
             out.append(state)
             continue
-        display = tuple(res.labels[p].display for p in order)
+        display = tuple(names[p] for p in order)
         out.append(StepRecord(offset, display, probs[k] if state is not None else 0.0, state))
     return out
 
@@ -150,11 +164,11 @@ def _record(
     return record
 
 
-#: The last path computed for each live family: the label set measured at
-#: each slot it reached, and for each of those slots (and for the slot whose
+#: For each live family: the last path computed, the label set measured at
+#: each slot it reached; for each of those slots (and for the slot whose
 #: step failed, if one did) its level, a dict from sibling label set to step
-#: record.  A level's label sets are pairwise disjoint, so an entry holds at
-#: most sum_k size_k d x d post-states.
+#: record; and its ``_slots``.  A level's label sets are pairwise disjoint,
+#: so an entry holds at most sum_k size_k d x d post-states.
 #: Families compare by identity and are held weakly: an entry dies with its
 #: family.  A path is replaced whole; a level on it only gains siblings or
 #: swaps out ones that overlap them, all measured from the same state.
@@ -181,7 +195,8 @@ def sequential_probability(
         raise InvalidHistoryError("history was built for a different family")
 
     labels = tuple(outcome.labels for outcome in history.outcomes)
-    path, levels = _last_trace.get(family, ((), ()))
+    slots = _slots(family)
+    path, levels, _ = _last_trace[family]
     shared = 0
     while shared < len(path) and path[shared] == labels[shared]:
         shared += 1
@@ -190,7 +205,7 @@ def sequential_probability(
 
     steps: list[StepRecord] = []
     try:
-        for pos in range(family.n_slots):
+        for pos in range(len(slots)):
             if steps and steps[-1].post_state is None:
                 break  # a zero step, shared or new, ends the trace
             rho = steps[-1].post_state.matrix if steps else family.state.matrix
@@ -200,9 +215,9 @@ def sequential_probability(
     finally:
         # after a failed step the path ends before its slot, whose level
         # keeps the siblings that passed
-        _last_trace[family] = (labels[: len(steps)], tuple(levels[: len(steps) + 1]))
+        _last_trace[family] = (labels[: len(steps)], tuple(levels[: len(steps) + 1]), slots)
     cumulative = math.prod(s.probability for s in steps)
-    truncated = len(steps) < family.n_slots
+    truncated = len(steps) < len(slots)
     return cumulative, MeasurementTrace(tuple(steps), cumulative, truncated)
 
 

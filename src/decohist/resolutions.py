@@ -146,20 +146,20 @@ class Resolution(_ReadOnly):
         vars(self).update(tol=tol, _stack=frozen(stack), _by_name=by_name)
 
     @cached_property
-    def _factor(self) -> tuple[np.ndarray, np.ndarray]:
+    def _factor(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
         """The projectors factored once for every family ending here, one at
         a time by ``linalg._ldl`` within its lift tolerance: P_a = F_a
-        diag(delta_a) F_a^dagger.  Read-only: the ``(s, R, d)`` stack of
-        F_a^dagger and the ``(s, R)`` pivots delta_a, zero past rank_a for
-        the largest rank R.  A factor that misses is not kept: it raises
-        on every use."""
+        diag(delta_a) F_a^dagger.  Packed by rank, with no padding: the
+        read-only ``(sum_a rank_a, d)`` stack of the rows of every
+        F_a^dagger in label order, their pivots delta_a, and the s + 1
+        offsets that bound label a's rows as ``offsets[a]:offsets[a + 1]``
+        (an empty range for a zero projector).  A factor that misses is not
+        kept: it raises on every use."""
         factors = [_ldl(p.matrix, _lift_tol(p.tol), "projector") for p in self.projectors]
-        rank = max(len(delta) for _, delta in factors)
-        left = np.zeros((self.size, rank, self.dim), dtype=complex)
-        pivots = np.zeros((self.size, rank))
-        for a, (factor, delta) in enumerate(factors):
-            left[a, : len(delta)], pivots[a, : len(delta)] = factor.conj().T, delta
-        return frozen(left), frozen(pivots)
+        offsets = (0, *itertools.accumulate(len(delta) for _, delta in factors))
+        left = np.concatenate([factor.conj().T for factor, _ in factors])
+        pivots = np.concatenate([delta for _, delta in factors])
+        return frozen(left), frozen(pivots), offsets
 
     @property
     def size(self) -> int:

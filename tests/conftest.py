@@ -31,14 +31,16 @@ def random_rank_state(rng, dim, rank):
     return make_state(w / np.trace(w).real)
 
 
-def gram_matrix(rows, weights):
-    """The N x N matrix that ``(s, M, K)`` Gram rows and their ``(s, K)``
-    weights stand for, by one dense product per block: (V_a w_a) V_a^dagger
-    at D[a::s, a::s], zero outside the blocks."""
-    s, m, _ = rows.shape
+def gram_matrix(rows, weights, offsets):
+    """The N x N matrix that packed ``(M, d, r)`` Gram rows, their ``(d, r)``
+    weights and the last slot's label offsets stand for, by one dense
+    product per label: (V_a w_a) V_a^dagger at D[a::s, a::s], for label a's
+    rows V_a = rows[:, offsets[a]:offsets[a + 1]], zero outside the blocks."""
+    m, s = len(rows), len(offsets) - 1
     matrix = np.zeros((s * m, s * m), dtype=complex)
-    for a in range(s):
-        matrix[a::s, a::s] = (rows[a] * weights[a]) @ rows[a].conj().T
+    for a, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+        v = rows[:, lo:hi].reshape(m, -1)
+        matrix[a::s, a::s] = (v * weights[lo:hi].reshape(-1)) @ v.conj().T
     return matrix
 
 

@@ -55,8 +55,7 @@ def assert_blocks_and_witnesses(fam, states):
     n, s = len(m), fam.shape[-1]
     inside = same_last_label(n, s)
     assert np.all(m[~inside] == 0.0)  # exact zeros, not round-off
-    rows, weights = histories_module._gram_rows(fam, fam.state)
-    dense = gram_matrix(rows, weights)
+    dense = gram_matrix(*histories_module._gram_rows(fam, fam.state))
     assert np.max(np.abs(m - dense)[inside]) <= 1e-15
     for mode, check in OFFDIAG_CHECKS.items():
         report = check(d)

@@ -419,8 +419,10 @@ class TestParserReuse:
         return run.returncode, run.stdout, run.stderr
 
     def test_repeated_calls_match_fresh_processes(self, capsys, monkeypatch):
-        # the help text wraps at the terminal width, which COLUMNS fixes
+        # the help text wraps at the terminal width, which COLUMNS fixes; a
+        # child with OPENBLAS_VERBOSE set would print its BLAS core on stderr
         monkeypatch.setenv("COLUMNS", "100")
+        monkeypatch.delenv("OPENBLAS_VERBOSE", raising=False)
         expected = [self.fresh_process(argv) for argv in self.CALLS]
         for _ in range(2):
             got = [run_cli(capsys, *argv) for argv in self.CALLS]

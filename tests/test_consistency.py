@@ -316,8 +316,8 @@ class TestStripKernel:
         assert m.shape == (n, n)
         assert np.array_equal(m, m.conj().T)
         assert np.array_equal(m.diagonal().real, fine_probabilities(fam))
-        rows, weights = histories_module._gram_rows(fam, fam.state)
-        assert np.max(np.abs(m - gram_matrix(rows, weights))) <= 1e-15
+        gram = histories_module._gram_rows(fam, fam.state)
+        assert np.max(np.abs(m - gram_matrix(*gram))) <= 1e-15
 
         states = [random_rank_state(rng, dim, rank) for rank in (1, dim, max(1, dim - 1))]
         for mode, check in OFFDIAG_CHECKS.items():

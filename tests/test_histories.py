@@ -276,12 +276,16 @@ class TestSharedGramRows:
     @staticmethod
     def assert_same_as_unshared(fam, d, probs):
         """What separately built rows give: the probabilities bit for bit,
-        D to round-off of the dense product; D is exactly Hermitian and its
-        diagonal is the probabilities bit for bit."""
-        rows, weights = histories_module._gram_rows(fam, fam.state)
-        norms = np.matmul(rows.real**2 + rows.imag**2, weights[:, :, np.newaxis])
-        assert np.array_equal(probs, norms[:, :, 0].T.reshape(-1))  # lexicographic
-        assert np.max(np.abs(d.matrix - gram_matrix(rows, weights))) <= 1e-15
+        and to round-off each label's weighted squares summed over its own
+        columns; D to round-off of the dense product; D is exactly
+        Hermitian and its diagonal is the probabilities bit for bit."""
+        rows, weights, offsets = gram = histories_module._gram_rows(fam, fam.state)
+        assert np.array_equal(probs, histories_module._row_norms(*gram))
+        squares = (rows.real**2 + rows.imag**2) * weights
+        norms = [squares[:, lo:hi].sum(axis=(1, 2)) for lo, hi in zip(offsets, offsets[1:])]
+        expected = np.array(norms).T.reshape(-1)  # lexicographic
+        assert np.max(np.abs(probs - expected)) <= 1e-15
+        assert np.max(np.abs(d.matrix - gram_matrix(*gram))) <= 1e-15
         assert np.array_equal(d.matrix, d.matrix.conj().T)
         assert np.array_equal(d.matrix.diagonal().real, probs)
 
@@ -298,8 +302,9 @@ class TestSharedGramRows:
 
     def test_cached_rows_are_read_only(self):
         fam = random_family(np.random.default_rng(5), 3, 2)
-        rows, weights = fam._gram
+        rows, weights, offsets = fam._gram
         assert not rows.flags.writeable and not weights.flags.writeable
+        assert isinstance(offsets, tuple)
 
     def test_other_states_build_their_own_rows(self, monkeypatch):
         calls = self.count_row_builds(monkeypatch)

@@ -69,19 +69,21 @@ def test_a_family_over_the_cap_factors_nothing(ldl_calls, wide_over_cap_family):
     assert "_factor" not in vars(fam.resolutions[-1]) and "_factor" not in vars(fam.state)
 
 
-def test_the_factor_is_padded_and_rebuilds_each_projector():
+def test_the_factor_is_packed_and_rebuilds_each_projector():
     rng = np.random.default_rng(2)
     v = random_unitary(5, rng)
     blocks = [v[:, :3], v[:, 3:4], v[:, :0], v[:, 4:]]  # ranks 3, 1, 0, 1
     res = make_resolution([(str(k), b @ b.conj().T) for k, b in enumerate(blocks)])
-    left, pivots = res._factor
-    assert left.shape == (4, 3, 5) and pivots.shape == (4, 3)
+    left, pivots, offsets = res._factor
+    # no padding: the ranks sum to d, and every row has a nonzero pivot
+    assert left.shape == (5, 5) and pivots.shape == (5,)
     assert not left.flags.writeable and not pivots.flags.writeable
-    assert np.count_nonzero(pivots, axis=1).tolist() == [3, 1, 0, 1]
+    assert offsets == (0, 3, 4, 4, 5)
+    assert np.all(pivots > 0)
     for a, p in enumerate(res.projectors):
-        rebuilt = (left[a].conj().T * pivots[a]) @ left[a]
+        rows = slice(offsets[a], offsets[a + 1])
+        rebuilt = (left[rows].conj().T * pivots[rows]) @ left[rows]
         assert np.max(np.abs(rebuilt - p.matrix)) <= 1e-14
-        assert not np.any(left[a][pivots[a] == 0])
 
 
 def test_a_factor_that_misses_its_projector_raises_every_time(monkeypatch):

@@ -49,9 +49,8 @@ SHAPES = [
 def reference_blocks(family) -> np.ndarray:
     """The assembly with the boolean-index mirror."""
     n, s = family.n_fine_histories, family.shape[-1]
-    rows, weights = family._gram
     blocks = np.empty((s, n // s, n // s), dtype=complex)
-    for b, top, strip in _gram_strips(rows, weights, out=blocks):
+    for b, top, strip in _gram_strips(*family._gram, out=blocks):
         h, t = strip.shape[:2]
         blocks[b : b + h, top + t :, top : top + t] = strip[:, :, t:].transpose(0, 2, 1)
         np.subtract(0.0, strip.imag, out=strip.imag)
@@ -97,8 +96,7 @@ def reference_robust(family, states, mode):
     """(worst, state index, pair) as the robustness check scans each state."""
     s, best = family.shape[-1], (-1.0, None, None)
     for idx, state in enumerate(states):
-        rows, weights = _gram_rows(family, state)
-        worst, at = reference_scan(_gram_strips(rows, weights), mode, s)
+        worst, at = reference_scan(_gram_strips(*_gram_rows(family, state)), mode, s)
         if worst > best[0]:
             best = (worst, idx, at)
     return best
