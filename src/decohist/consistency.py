@@ -18,9 +18,12 @@ label of the last slot (``histories._gram_rows``), through the strip kernel
 that makes each block of D as (V_a w_a) V_a^dagger
 (``histories._gram_strips``).  Weak and medium scan D; additivity makes
 each slot's fiber blocks of D, in one pass over the slots for both scopes,
-from one copy of the rows reordered with the slot first; robustness builds
-the rows once per state and makes one scan of that state's strips of D,
-never all of D, for its worst value, where it lies and its trace.
+from one copy of the rows reordered with the slot first.  Robustness builds
+the chain rows W = F_a^dagger U Y_i once, as they do not depend on the
+state, and each state's rows as W L for its factor L; weak and medium pass
+the states through the kernel in batches, one block list per batch, and
+one scan keeps each state's worst value, where it lies and its trace, never
+all of D.  A D's own weak or medium check is the same scan of one state.
 
 Histories that differ at the last slot never interfere: their chain
 operators end in orthogonal projectors of a validated resolution, which is
@@ -50,13 +53,13 @@ from .histories import (
     HistoryFamily,
     _BELOW,
     _FineHistories,
+    _chain_rows,
     _check_trace,
-    _gram_rows,
     _gram_strips,
     _require_cap,
     _strip_ranges,
 )
-from .linalg import DEFAULT_CHECK_TOL, DFUNC_TOL, DensityState
+from .linalg import DEFAULT_CHECK_TOL, DFUNC_TOL, TILE, DensityState
 from .sampling import robustness_states
 
 DEFAULT_ROBUSTNESS_SEED = 1729
@@ -93,42 +96,56 @@ def _pair_witness(i: int, j: int, first: dict, second: dict, **slot) -> dict:
     return {"kind": "pair", "indices": [int(i), int(j)], **slot, "first": first, "second": second}
 
 
-def _offdiag_scan(strips, mode: str, s: int) -> tuple[float, tuple[int, int] | None]:
-    """Largest ``_MAGNITUDE[mode]`` of an entry above the diagonal and where.
+def _offdiag_scan(strips, mode: str, s: int, n: int = 1) -> list[tuple[float, tuple | None, float]]:
+    """For each of ``n`` states: the largest ``_MAGNITUDE[mode]`` of an entry
+    of its D above the diagonal, where, and D's trace.
 
     ``strips`` yields ``(b, top, strip)`` as ``histories._gram_strips`` does:
-    rows ``top:`` of last-slot blocks ``b:`` of D or of conj(D) (same
-    magnitudes) on and right of the block diagonal, where block a of ``s``
-    holds D[a::s, a::s] and D is zero outside the blocks.  Only each block's
-    strict upper triangle is read, as D is Hermitian; the magnitudes go into
-    one reused buffer the size of the first strip.  A maximum wins a tie only
-    from an earlier row-major position of D, so the position is D's row-major
-    first maximum.  Fewer than two rows give (0.0, None); with s > 1, no
-    nonzero entry gives (0.0, (0, 1)), the first entry above the diagonal.
+    rows ``top:`` of blocks ``b:`` of D or of conj(D) (same magnitudes) on
+    and right of the block diagonal, state-major and then by last-slot label,
+    where block j s + a holds state j's D[a::s, a::s] and each D is zero
+    outside its blocks.  Only each block's strict upper triangle is read, as
+    D is Hermitian; the magnitudes go into one reused buffer the size of the
+    first strip, and the trace is summed from the diagonals the strips hold.
+    A maximum wins a tie only from an earlier row-major position of its D,
+    so the position is that D's row-major first maximum.  Fewer than two
+    rows give (0.0, None); with s > 1, no nonzero entry gives (0.0, (0, 1)),
+    the first entry above the diagonal.
     """
-    worst, at, buffer = -1.0, None, None
+    worst, at, trace, buffer = [-1.0] * n, [None] * n, [0.0] * n, None
     for b, top, strip in strips:
         h, rows, width = strip.shape[0], strip.shape[1], strip.shape[2] - 1
-        if not width:  # a last strip of one row has nothing right of the diagonal
-            continue
-        if buffer is None:  # the first strip is the largest
-            buffer = np.empty(h * rows * width)
-        # mag[:, i, j] is at row top + i, column top + 1 + j of each block
-        mag = _MAGNITUDE[mode](strip[:, :, 1:], buffer[: h * rows * width].reshape(h, rows, width))
-        # the strip's entries on or below the diagonal fill its leading
-        # corner's strict lower triangle; -1 never wins
-        corner = mag[:, :, :rows]
-        np.copyto(corner, -1.0, where=_BELOW[:rows, : corner.shape[2]])
-        # the strip's first maximum in D's row-major order: row top + r of
-        # block b + o is row (top + r) s + b + o of D, so rows go by (r, o)
-        r, k = divmod(int(np.argmax(mag.transpose(1, 0, 2))), h * width)
-        o, c = divmod(k, width)
-        peak, i, j = float(mag[o, r, c]), (top + r) * s + b + o, (top + 1 + c) * s + b + o
-        if peak > worst or (peak == worst and (i, j) < at):
-            worst, at = peak, (i, j)
-    if s > 1 and worst <= 0.0:
-        return 0.0, (0, 1)
-    return (0.0, None) if at is None else (worst, at)
+        diagonal = np.trace(strip, axis1=1, axis2=2).real
+        if width:  # a last strip of one row has nothing right of the diagonal
+            if buffer is None:  # the first strip is the largest
+                buffer = np.empty(h * rows * width)
+            # mag[:, i, j] is at row top + i, column top + 1 + j of each block
+            mag = buffer[: h * rows * width].reshape(h, rows, width)
+            mag = _MAGNITUDE[mode](strip[:, :, 1:], mag)
+            # the strip's entries on or below the diagonal fill its leading
+            # corner's strict lower triangle; -1 never wins
+            corner = mag[:, :, :rows]
+            np.copyto(corner, -1.0, where=_BELOW[:rows, : corner.shape[2]])
+        for j in range(b // s, (b + h - 1) // s + 1):  # the states the strip holds
+            lo, hi = max(b, j * s) - b, min(b + h, j * s + s) - b
+            trace[j] += float(diagonal[lo:hi].sum())
+            if not width:
+                continue
+            # the state's first maximum in its row-major order: row top + r
+            # of block b + lo + o is row (top + r) s + a of its D, a its
+            # label, so rows go by (r, o)
+            r, k = divmod(int(np.argmax(mag[lo:hi].transpose(1, 0, 2))), (hi - lo) * width)
+            o, c = divmod(k, width)
+            a = (b + lo + o) % s
+            peak, ij = float(mag[lo + o, r, c]), ((top + r) * s + a, (top + 1 + c) * s + a)
+            if peak > worst[j] or (peak == worst[j] and ij < at[j]):
+                worst[j], at[j] = peak, ij
+    found = []
+    for value, where, total in zip(worst, at, trace):
+        if s > 1 and value <= 0.0:
+            value, where = 0.0, (0, 1)
+        found.append((max(value, 0.0), where, total))
+    return found
 
 
 #: The entry magnitude each off-diagonal check bounds, by mode, into ``out``.
@@ -147,7 +164,7 @@ def _offdiag_check(dfunc: DecoherenceFunctional, tol: float, mode: str) -> Consi
     strips = (
         (b, top, blocks[b : b + h, top : top + t, top:]) for b, h, top, t in _strip_ranges(s, m)
     )
-    worst, at = _offdiag_scan(strips, mode, s)
+    ((worst, at, _),) = _offdiag_scan(strips, mode, s)
     if at is None:
         return _report(mode, worst, None, tol)
     first, second = (dfunc.histories[k].labels_by_offset() for k in at)
@@ -253,6 +270,21 @@ def _candidate_partition(size: int, k: int) -> tuple[tuple[int, ...], ...]:
     return block, tuple(p for p in range(size) if p not in block)
 
 
+def _candidate_masks(size: int, picks) -> np.ndarray:
+    """The ``(len(picks), 2, size)`` 0/1 masks of the blocks of candidates
+    ``picks``, as ``_candidate_partition`` gives them: block 0 holds position
+    0 and p + 1 for each bit p of k - 1, block 1 the rest.  The bits are read
+    from k - 1 as a little-endian two's complement of ``size`` bits, so
+    k = 0, whose k - 1 has every bit set, is the full merge."""
+    width = (size + 7) // 8
+    raw = b"".join([(int(k) - 1).to_bytes(width, "little", signed=True) for k in picks])
+    bits = np.frombuffer(raw, np.uint8).reshape(-1, width)
+    masks = np.ones((len(bits), 2, size))
+    masks[:, 0, 1:] = np.unpackbits(bits, axis=1, count=size - 1, bitorder="little")
+    masks[:, 1] -= masks[:, 0]
+    return masks
+
+
 def _picks(size: int, seed: int) -> np.ndarray | range | list[int]:
     """The candidates tried at a slot of ``size`` labels: all of them, or
     above PARTITION_EXHAUSTIVE_MAX a sorted sample drawn from ``seed``.  A
@@ -275,11 +307,7 @@ def _partitions_scope(family, gram, tol, seed) -> ConsistencyReport:
     picks = {size: _picks(size, seed) for size in set(family.shape)}
 
     def violations(pos, size, fiber):
-        candidates = [_candidate_partition(size, int(k)) for k in picks[size]]
-        masks = np.zeros((len(candidates), 2, size))
-        for k, blocks in enumerate(candidates):
-            for c, block in enumerate(blocks):
-                masks[k, c, list(block)] = 1.0
+        masks = _candidate_masks(size, picks[size])
         # coarse minus summed fine probability of each block, per coarse
         # history: the block's off-diagonal Re G entries
         off = fiber * (1.0 - np.eye(size))
@@ -288,7 +316,7 @@ def _partitions_scope(family, gram, tol, seed) -> ConsistencyReport:
         # two; a full merge's empty second block is all zero, so its first
         # maximum is in its first block
         before = math.prod(family.shape[:pos])
-        return diff.reshape(len(candidates), before, -1, 2).transpose(0, 1, 3, 2)
+        return diff.reshape(len(masks), before, -1, 2).transpose(0, 1, 3, 2)
 
     def witness(pos, size, flat):
         # candidate k, then coarse history ``flat`` with slot ``pos`` split in two
@@ -354,6 +382,44 @@ def check_additivity(
 # Robustness on variation of the state.
 
 
+def _robust_scan(prefix, pivots, offsets, states, mode: str) -> list[tuple[float, tuple | None]]:
+    """The weak or medium worst value and where it lies, per state, from the
+    state-free rows ``prefix`` = W, ``(M, k, d)``, and the last slot's
+    ``pivots`` and label ``offsets``.
+
+    The states go in batches of at most TILE^2 / (M k d), each state's rows
+    one product W L, its factor L zero-padded to the largest rank.  A
+    batch goes through the strip kernel as one block list, by state and then
+    by label, each block weighted by delta_a (x) Delta of its own state
+    (zero past the state's rank).  Each state's trace is checked.  The
+    products and the reordered rows reuse one buffer each over the batches.
+    """
+    m, k, d = prefix.shape
+    factors = [state._factor for state in states]
+    batch, r = max(1, TILE * TILE // (m * k * d)), max(len(delta) for _, delta in factors)
+    products = np.empty((min(batch, len(factors)), m * k, r), dtype=complex)
+    buffer = np.empty((m, len(products) * k, r), dtype=complex)
+    found = []
+    for first in range(0, len(factors), batch):
+        part = factors[first : first + batch]
+        n = len(part)
+        lefts, deltas = np.zeros((n, d, r), dtype=complex), np.zeros((n, r))
+        for j, (left, delta) in enumerate(part):
+            lefts[j, :, : len(delta)], deltas[j, : len(delta)] = left, delta
+        # one (M k, d) (d, r) product per state, then state j's rows are
+        # the run j of the batch's (M, n k, r) rows
+        done = np.matmul(prefix.reshape(m * k, d), lefts, out=products[:n])
+        rows = buffer[:, : n * k]
+        rows.reshape(m, n, k, r)[...] = done.reshape(n, m, k, r).transpose(1, 0, 2, 3)
+        weights = (pivots[:, np.newaxis] * deltas[:, np.newaxis]).reshape(n * k, r)
+        blocks = (*(j * k + lo for j in range(n) for lo in offsets[:-1]), n * k)
+        scans = _offdiag_scan(_gram_strips(rows, weights, blocks), mode, len(offsets) - 1, n)
+        for worst, at, trace in scans:
+            _check_trace(trace, DFUNC_TOL)
+            found.append((worst, at))
+    return found
+
+
 def check_state_robustness(
     family: HistoryFamily,
     states: Sequence[DensityState] | None = None,
@@ -365,14 +431,17 @@ def check_state_robustness(
 ) -> ConsistencyReport:
     """Run a check with each state substituted into the family.
 
-    Passes only if every state passes; the witness names the state index
+    Passes only if every state passes; the witness names the first state
     achieving the worst violation together with the inner witness.  When no
     explicit states are given, ``count`` normalized Wishart states are drawn
-    from ``seed``.  Each state's Gram rows are built from that state's
-    factor as for the family's own state, once per state, and every inner
-    mode reads them: weak and medium make one scan of that state's strips of
-    D for its worst value, where it lies and D's trace, which is then
-    checked; additivity reads its fibers.
+    from ``seed``; ``states`` may be any iterable.  The chain rows
+    F_a^dagger U Y_i do not depend on the state, so they are built once, as
+    the ``(M, k, d)`` stack W, and each state's Gram rows are W L for its
+    factor L, which every inner mode reads: weak and medium scan the
+    states' strips of D in batches, one kernel pass per batch of at most
+    TILE^2 / (M k d) states, for each state's worst value, where it lies
+    and D's trace, which is then checked; additivity reads each state's
+    fibers.
     """
     _require_cap(family)
     if mode not in _INNER_MODES:
@@ -382,6 +451,7 @@ def check_state_robustness(
     if states is None:
         states = robustness_states(family.dim, count, seed)
         used_seed = seed
+    states = tuple(states)
     if not states:
         raise ValueError("robustness needs at least one state")
     for state in states:
@@ -390,34 +460,20 @@ def check_state_robustness(
                 f"state has dim {state.dim}, schedule has {family.dim}"
             )
 
-    s = family.shape[-1]
-
-    def scan(state):
-        # the worst value and inner witness (weak and medium: where, labelled
-        # below for the worst state only); the rows die before the next state's
-        gram = _gram_rows(family, state)
-        if mode == "additivity":
-            inner = additivity(family, gram, tol, seed)
-            return inner.worst_violation, inner.witness
-        trace = []
-
-        def strips():  # D's trace is summed from the diagonals the strips hold
-            for b, top, strip in _gram_strips(*gram):
-                trace.append(np.trace(strip, axis1=1, axis2=2).real.sum())
-                yield b, top, strip
-
-        found = _offdiag_scan(strips(), mode, s)
-        _check_trace(float(sum(trace)), DFUNC_TOL)
-        return found
-
-    worst = -1.0
-    best = None
-    for idx, state in enumerate(states):
-        violation, found = scan(state)
-        if violation > worst:
-            worst, best = violation, (idx, found)
-    idx, found = best
-    if mode != "additivity" and found is not None:
-        found = _pair_witness(*found, *(_fine_labels(family, k) for k in found))
-    witness = {"kind": "state", "state_index": idx, "inner_mode": mode, "inner": found}
+    prefix, pivots, offsets = _chain_rows(family, np.eye(family.dim, dtype=complex))
+    if mode != "additivity":
+        found = _robust_scan(prefix, pivots, offsets, states, mode)
+    else:
+        m, k, d = prefix.shape
+        found = []
+        for state in states:
+            left, delta = state._factor
+            rows = (prefix.reshape(m * k, d) @ left).reshape(m, k, -1)
+            inner = additivity(family, (rows, pivots[:, np.newaxis] * delta, offsets), tol, seed)
+            found.append((inner.worst_violation, inner.witness))
+    idx = max(range(len(found)), key=lambda j: found[j][0])  # the first of equals
+    worst, inner = found[idx]
+    if mode != "additivity" and inner is not None:
+        inner = _pair_witness(*inner, *(_fine_labels(family, k) for k in inner))
+    witness = {"kind": "state", "state_index": idx, "inner_mode": mode, "inner": inner}
     return _report("robustness", worst, witness, tol, seed=used_seed)

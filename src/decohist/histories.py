@@ -313,23 +313,34 @@ def _gram_rows(
     slot is I: rows vec(Y_i L), weights 1 (x) Delta.
     """
     rows, delta = state._factor
-    d, r = rows.shape
+    rows, pivots, offsets = _chain_rows(family, rows)
+    return rows, pivots[:, np.newaxis] * delta, offsets
+
+
+def _chain_rows(
+    family: HistoryFamily, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """F_a^dagger U Y_i ``rows`` for each prefix i of a ``(d, c)`` array, as
+    one ``(M, k, c)`` array, with the last slot's ``(k,)`` pivots delta_a and
+    its labels' s + 1 offsets: the Gram rows of a state's factor L, or from
+    the identity the state-free stack W, whose product with each state's L
+    is that state's rows."""
+    d, c = rows.shape
     lifted = family._lifted  # every slot's lift is validated, the last one's too
-    # slot by slot from L, latest slot leftmost: histories sharing a prefix
-    # share its product Y L, so the build costs O(N d^2 r).  Each slot is one
+    # slot by slot, latest slot leftmost: histories sharing a prefix share
+    # its product Y, so the build costs O(N d^2 c).  Each slot is one
     # product per prefix with the slot's projectors stacked as (size*d, d);
-    # its (size*d, r) result lists the labels in order, so the rows stay
+    # its (size*d, c) result lists the labels in order, so the rows stay
     # lexicographic.
     for table in lifted[:-1]:
         if len(table) > 1:  # a one-outcome slot is I
-            rows = np.matmul(table.reshape(-1, d), rows.reshape(-1, d, r))
-    rows = rows.reshape(-1, d, r)
+            rows = np.matmul(table.reshape(-1, d), rows.reshape(-1, d, c))
+    rows = rows.reshape(-1, d, c)
     if len(lifted[-1]) == 1:
-        return rows, np.tile(delta, (d, 1)), (0, d)
+        return rows, np.ones(d), (0, d)
     # the last slot likewise, with its packed (k, d) stack of factors F_a^dagger U
     left, pivots, offsets = family.resolutions[-1]._factor
-    rows = np.matmul(left @ family.schedule.unitary(family.n_slots - 1), rows)
-    return rows, pivots[:, np.newaxis] * delta, offsets
+    return np.matmul(left @ family.schedule.unitary(family.n_slots - 1), rows), pivots, offsets
 
 
 def _row_norms(rows: np.ndarray, weights: np.ndarray, offsets: Sequence[int]) -> np.ndarray:

@@ -29,10 +29,10 @@ from test_consistency import (
     MAGNITUDES,
     OFFDIAG_CHECKS,
     _Unlabelled,
+    assert_robust_matches,
     exact_size_family,
     padded_resolution,
     reference_offdiag,
-    reference_robust,
 )
 
 
@@ -67,10 +67,7 @@ def assert_blocks_and_witnesses(fam, states):
         worst, indices = reference_offdiag(m, MAGNITUDES[mode])
         assert report.worst_violation == worst  # bit for bit
         assert report.witness["indices"] == indices
-        best, (worst, indices) = reference_robust(fam, states, mode)
-        assert robust.worst_violation == worst
-        assert robust.witness["state_index"] == best
-        assert robust.witness["inner"]["indices"] == indices
+        assert_robust_matches(robust, fam, states, mode)
 
 
 class TestLastSlotBlocks:

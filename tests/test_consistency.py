@@ -32,7 +32,9 @@ from decohist.consistency import (
     DEFAULT_ROBUSTNESS_COUNT,
     DEFAULT_ROBUSTNESS_SEED,
     _candidate_count,
+    _candidate_masks,
     _candidate_partition,
+    _picks,
 )
 from decohist.linalg import TILE
 from decohist.errors import FamilyTooLargeError, InvalidHistoryError
@@ -44,6 +46,7 @@ from decohist.sampling import (
     robustness_states,
 )
 
+import reference
 from conftest import (
     P_XP,
     P_Z0,
@@ -287,15 +290,24 @@ MAGNITUDES = {"weak": lambda m: np.abs(2.0 * m.real), "medium": np.abs}
 OFFDIAG_CHECKS = {"weak": check_weak_consistency, "medium": check_medium_decoherence}
 
 
-def reference_robust(family, states, mode):
-    """The first state with the largest dense first maximum of its own D."""
-    refs = [
-        reference_offdiag(np.array(decoherence_functional(family.with_state(s)).matrix),
-                          MAGNITUDES[mode])
-        for s in states
-    ]
-    best = max(range(len(refs)), key=lambda k: refs[k][0])  # the first of equals
-    return best, refs[best]
+def assert_robust_matches(robust, family, states, mode):
+    """The robustness check against each state's own D, checked alone.
+
+    The two build each state's rows differently, W L against the chain
+    applied to L, so their values differ in the low bits, within twice the
+    reference bound.  The worst value lies within that slack of the largest
+    one state's check gives, and the witness names a state and a pair whose
+    own D's value lies within it too: where values tie in exact arithmetic,
+    as the pairs ending in the two labels of a two-outcome last slot do,
+    round-off picks among them; elsewhere that is the one state and pair.
+    """
+    slack = 2 * reference.bound(family)
+    dfuncs = [decoherence_functional(family.with_state(s)) for s in states]
+    worst = max(OFFDIAG_CHECKS[mode](d).worst_violation for d in dfuncs)
+    assert abs(robust.worst_violation - worst) <= slack
+    i, j = robust.witness["inner"]["indices"]
+    named = np.array(dfuncs[robust.witness["state_index"]].matrix)
+    assert i < j and MAGNITUDES[mode](named)[i, j] >= worst - slack
 
 
 class TestStripKernel:
@@ -327,10 +339,7 @@ class TestStripKernel:
             assert report.witness["indices"] == indices
 
             robust = check_state_robustness(fam, states=states, mode=mode)
-            best, (worst, indices) = reference_robust(fam, states, mode)
-            assert robust.worst_violation == worst
-            assert robust.witness["state_index"] == best
-            assert robust.witness["inner"]["indices"] == indices
+            assert_robust_matches(robust, fam, states, mode)
 
     @staticmethod
     def planted_tie_family():
@@ -460,6 +469,17 @@ class TestAdditivity:
         for size in range(13):
             decoded = [_candidate_partition(size, k) for k in range(_candidate_count(size))]
             assert decoded == enumerate_partitions(size)
+
+    @pytest.mark.parametrize("size", [2, 3, 4, 8, 9, 10, 63, 64, 65, 129])
+    def test_candidate_masks_match_the_decoded_blocks(self, size):
+        # the exhaustive and the sampled picks, past int64 too
+        picks = _picks(size, 1729)
+        masks = _candidate_masks(size, picks)
+        expected = np.zeros((len(picks), 2, size))
+        for k, pick in enumerate(picks):
+            for c, block in enumerate(_candidate_partition(size, int(pick))):
+                expected[k, c, list(block)] = 1.0
+        assert np.array_equal(masks, expected)
 
     def test_family_cap(self, wide_over_cap_family):
         for call in (
@@ -627,12 +647,24 @@ class TestStateRobustness:
         assert report.worst_violation == pytest.approx(
             inner[worst].worst_violation, abs=1e-12
         )
-        assert report.witness == {
-            "kind": "state",
-            "state_index": worst,
-            "inner_mode": mode,
-            "inner": inner[worst].witness,
-        }
+        if mode == "additivity":
+            assert report.witness == {
+                "kind": "state",
+                "state_index": worst,
+                "inner_mode": mode,
+                "inner": inner[worst].witness,
+            }
+            return
+        # the last slot has two labels, so the largest entries come in
+        # pairs equal in exact arithmetic, which round-off orders
+        assert_robust_matches(report, fam, states, mode)
+        histories = decoherence_functional(fam).histories
+        pair = report.witness["inner"]
+        assert [pair["first"], pair["second"]] == [
+            histories[k].labels_by_offset() for k in pair["indices"]
+        ]
+        assert set(report.witness) == {"kind", "state_index", "inner_mode", "inner"}
+        assert (report.witness["kind"], report.witness["inner_mode"]) == ("state", mode)
 
     @pytest.mark.parametrize("scope", ["pairs", "partitions"])
     def test_inner_additivity_matches_chain_reference(self, scope):
@@ -648,6 +680,58 @@ class TestStateRobustness:
         assert expected[report.witness["state_index"]] == pytest.approx(
             max(expected), abs=1e-12
         )
+
+    @pytest.mark.parametrize("mode", ["weak", "medium", "additivity"])
+    def test_states_may_be_any_iterable(self, z_then_x_family, mode):
+        # a generator is read once: its states are both checked for their
+        # dimension and scanned
+        states = robustness_states(2, 5, seed=6)
+        reports = [
+            check_state_robustness(z_then_x_family, states=given, mode=mode)
+            for given in (list(states), tuple(states), (state for state in states))
+        ]
+        assert reports[0] == reports[1] == reports[2]
+        assert not reports[0].passed
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        # M = N / s on both sides of TILE / 2: a strip holds blocks of several
+        # states, or a block takes a strip alone
+        case=st.sampled_from([((4, 5, 3), 5), ((3, 3, 2), 4), ((8, 9, 2), 5), ((5, 13, 3), 4)]),
+        extra=st.integers(1, 3),
+    )
+    def test_batched_states_match_one_state_at_a_time(self, seed, case, extra):
+        shape, dim = case
+        rng = np.random.default_rng(seed)
+        base = random_family(rng, dim, len(shape))
+        resolutions = tuple(padded_resolution(rng, dim, size) for size in shape)
+        fam = HistoryFamily(base.schedule, resolutions, base.state)
+        m, k = fam.n_fine_histories // shape[-1], fam.resolutions[-1]._factor[2][-1]
+        batch = max(1, TILE * TILE // (m * k * dim))
+        # pure, rank-deficient and full states, up to a count past a whole batch
+        ranks = [1, max(1, dim - 1), dim, *rng.integers(1, dim + 1, size=batch + extra - 3)]
+        states = [random_rank_state(rng, dim, int(rank)) for rank in ranks]
+        assert len(states) > batch and len(states) % batch
+        for mode, check in OFFDIAG_CHECKS.items():
+            robust = check_state_robustness(fam, states=states, mode=mode)
+            assert_robust_matches(robust, fam, states, mode)
+            # the state that wins, given again later, ties with itself; the
+            # first index wins
+            first = robust.witness["state_index"]
+            again = [*states, states[first]]
+            assert check_state_robustness(fam, states=again, mode=mode) == robust
+
+    @pytest.mark.parametrize("mode", ["weak", "medium"])
+    def test_an_exactly_consistent_family_names_the_first_state_and_pair(
+        self, same_basis_family, mode
+    ):
+        rng = np.random.default_rng(48)
+        states = [random_rank_state(rng, 2, rank) for rank in (1, 2, 2, 1)]
+        report = check_state_robustness(same_basis_family, states=states, mode=mode)
+        assert report.worst_violation == 0.0 and report.passed
+        assert report.witness["state_index"] == 0
+        assert report.witness["inner"]["indices"] == [0, 1]
 
     def test_needs_states(self, z_then_x_family):
         with pytest.raises(ValueError):

@@ -251,9 +251,7 @@ class TestSharedGramRows:
             calls.append(state)
             return build(family, state)
 
-        # the robustness check calls its own imported binding
-        for module in (histories_module, consistency_module):
-            monkeypatch.setattr(module, "_gram_rows", counted)
+        monkeypatch.setattr(histories_module, "_gram_rows", counted)
         return calls
 
     @pytest.mark.parametrize("seed", range(4))
@@ -306,14 +304,26 @@ class TestSharedGramRows:
         assert not rows.flags.writeable and not weights.flags.writeable
         assert isinstance(offsets, tuple)
 
-    def test_other_states_build_their_own_rows(self, monkeypatch):
+    @pytest.mark.parametrize("mode", ["weak", "medium", "additivity"])
+    def test_other_states_share_one_state_free_stack(self, monkeypatch, mode):
         calls = self.count_row_builds(monkeypatch)
+        chains = []
+        chain = histories_module._chain_rows
+
+        def counted(family, rows):
+            chains.append(rows)
+            return chain(family, rows)
+
+        # the robustness check calls its own imported binding
+        monkeypatch.setattr(consistency_module, "_chain_rows", counted)
         fam = random_family(np.random.default_rng(11), 3, 2)
         states = [random_rank_state(np.random.default_rng(k), 3, 2) for k in range(3)]
-        report = check_state_robustness(fam, states=states, mode="weak")
-        # once per state: one scan gives its worst value and the witness
-        assert calls == states
-        assert report.witness["inner"]["kind"] == "pair"
+        report = check_state_robustness(fam, states=states, mode=mode)
+        # one chain from the identity, W, whose product with each state's
+        # factor gives that state's rows; no rows of the family's own state
+        assert calls == [] and len(chains) == 1
+        assert np.array_equal(chains[0], np.eye(3))
+        assert report.witness["inner"]["kind"] == ("partition" if mode == "additivity" else "pair")
         assert "_gram" not in vars(fam)
 
 

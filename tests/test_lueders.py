@@ -279,6 +279,21 @@ def count_steps(monkeypatch, fam):
     return calls
 
 
+def assert_levels_bounded(fam):
+    """Each level's parents, and each parent's children, are pairwise
+    disjoint label sets of their slots, so level k holds at most
+    size_(k-1) * size_k post-states."""
+    for pos, level in enumerate(lueders_module._last_trace[fam][1]):
+        parents = [label for labels in level if labels is not None for label in labels]
+        assert len(parents) == len(set(parents))
+        assert (None in level) == (pos == 0) and (pos > 0 or len(level) == 1)
+        for children in level.values():
+            held = [label for labels in children for label in labels]
+            assert len(held) == len(set(held))
+        above = fam.shape[pos - 1] if pos else 1
+        assert sum(map(len, level.values())) <= above * fam.shape[pos]
+
+
 class TestBatchedSteps:
     @settings(max_examples=8, deadline=None)
     @given(
@@ -298,30 +313,84 @@ class TestBatchedSteps:
             histories = [histories[k] for k in rng.permutation(len(histories))]
         for h in histories:
             assert_unmemoized(fam, h, sequential_probability(fam, h))
-            # each level holds pairwise disjoint label sets of its slot, so
-            # the memo keeps at most sum_k size_k post-states
-            for level in lueders_module._last_trace[fam][1]:
-                held = [label for labels in level for label in labels]
-                assert len(held) == len(set(held))
+            assert_levels_bounded(fam)
 
     def test_audit_shape_matches_a_fresh_family(self):
         fam = exact_family(np.random.default_rng(37), 10, (2, 10, 3))
         for h in fam.fine_histories():
             assert_unmemoized(fam, h, sequential_probability(fam, h))
 
-    @pytest.mark.parametrize("shape", [(4, 4, 4), (2, 10, 3), (3, 1, 2, 2)])
-    def test_lexicographic_sweep_batch_counts(self, monkeypatch, shape):
+    @pytest.mark.parametrize(
+        "shape, steps",
+        [
+            # the first history fills each slot; (0, 1, 0) reads the last slot
+            # ahead for parents 1-3; (1, 0, 0) the middle one for parents 1-3
+            # and the last for (1, 0)-(1, 3); (2, 0, 0) and (3, 0, 0) the last
+            ((4, 4, 4), [(0, 4), (1, 4), (2, 4), (2, 12), (1, 12), (2, 16), (2, 16), (2, 16)]),
+            ((2, 10, 3), [(0, 2), (1, 10), (2, 3), (2, 27), (1, 10), (2, 30)]),
+            (
+                (3, 1, 2, 2),
+                [(0, 3), (1, 1), (2, 2), (3, 2), (3, 2), (1, 2), (2, 2), (3, 4), (2, 2), (3, 4)],
+            ),
+        ],
+    )
+    def test_lexicographic_sweep_batch_counts(self, monkeypatch, shape, steps):
         fam = exact_family(np.random.default_rng(38), 10, shape)
         calls = count_steps(monkeypatch, fam)
         for h in fam.fine_histories():
             sequential_probability(fam, h)
+        # one step per level to fill, and still one post-state per prefix
+        assert calls == steps
         n = len(shape)
-        # one batched step per proper prefix, one step per prefix
-        assert len(calls) == sum(math.prod(shape[:k]) for k in range(n))
         assert sum(size for _, size in calls) == sum(
             math.prod(shape[: k + 1]) for k in range(n)
         )
-        assert all(size == shape[pos] for pos, size in calls)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_a_sorted_sample_reads_nothing_ahead(self, monkeypatch, seed):
+        # a sorted sample of 8 of 512 histories, as the benchmark's D gate
+        # takes, measures what it would with no read-ahead
+        rng = np.random.default_rng(seed)
+        fam = exact_family(rng, 8, (8, 8, 8))
+        sample = np.sort(rng.choice(512, size=8, replace=False))
+        counts, results = [], []
+        for ahead in (True, False):
+            if not ahead:
+                monkeypatch.setattr(lueders_module, "_successor_slot", lambda *args: None)
+            fresh = HistoryFamily(fam.schedule, fam.resolutions, fam.state)
+            calls = count_steps(monkeypatch, fresh)
+            histories = list(fresh.fine_histories())
+            results.append(
+                [trace_fields(sequential_probability(fresh, histories[k])) for k in sample]
+            )
+            counts.append(calls)
+        assert counts[0] == counts[1] and results[0] == results[1]
+        # the first history fills three levels, each later one at most two
+        assert sum(size for _, size in counts[0]) <= 3 * 8 + 7 * 2 * 8
+        histories = list(fam.fine_histories())
+        for k, fields in zip(sample, results[0]):
+            assert trace_fields(unmemoized(fam, histories[k])) == fields
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from([(3, 4, 3), (2, 10, 3), (4, 2, 2, 2)]),
+    )
+    def test_interleaved_sweeps_and_sparse_calls(self, seed, shape):
+        # stretches of the lexicographic sweep, each from a random start,
+        # between random fine and coarse calls on the same family object
+        rng = np.random.default_rng(seed)
+        fam = exact_family(rng, 10, shape)
+        fine = list(fam.fine_histories())
+        calls = []
+        for _ in range(4):
+            start = int(rng.integers(len(fine)))
+            calls += fine[start : start + int(rng.integers(2, 12))]
+            calls += [fine[k] for k in rng.integers(len(fine), size=2)]
+            calls += coarse_histories(rng, fam, 2)
+        for h in calls:
+            assert_unmemoized(fam, h, sequential_probability(fam, h))
+            assert_levels_bounded(fam)
 
     def test_one_fine_history_one_batch_per_slot(self, monkeypatch):
         fam = exact_family(np.random.default_rng(39), 6, (3, 6, 2))
@@ -381,7 +450,7 @@ class TestBatchedSteps:
             else:
                 results.append((h, sequential_probability(fam, h)))
             # the level at the first slot never holds the failed sibling
-            assert frozenset({1}) not in lueders_module._last_trace[fam][1][0]
+            assert frozenset({1}) not in lueders_module._last_trace[fam][1][0][None]
         # slot 0: one batch of both labels, then z1 alone on each later ask;
         # slot 1: one batch each time the path comes back to z0 (twice)
         assert [c for c in calls if c[0] == 0] == [(0, 2), (0, 1), (0, 1)]
