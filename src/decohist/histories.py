@@ -31,12 +31,13 @@ validated resolution is treated as exactly orthogonal, so D_ij = 0 whenever
 histories i and j end in different labels: by cyclicity of the trace the
 two projectors meet as P_b P_a = 0.  With an s-outcome last slot the engine
 therefore builds and keeps only the s interleaved blocks D[a::s, a::s], as
-one ``(s, N/s, N/s)`` stack of 16 N^2 / s bytes, the one form every
-``DecoherenceFunctional`` holds (a given matrix is the stack of s = 1).  The
-entries it drops are bounded by the orthogonality the resolution was
-validated to: each is at most about ||P_b P_a|| <= d * max_kl |(P_a P_b)_kl|
-<= d * tol, for the last slot's resolution tolerance tol (1e-10 by default;
-``coarsen`` multiplies it by the fine resolution's size).
+one ``(s, N/s, N/s)`` stack of 16 N^2 / s bytes, all that every
+``DecoherenceFunctional`` keeps (a given matrix is the stack of s = 1); its
+N x N ``matrix`` is scattered afresh on each read.  The entries it drops
+are bounded by the orthogonality the resolution was validated to: each is
+at most about ||P_b P_a|| <= d * max_kl |(P_a P_b)_kl| <= d * tol, for the
+last slot's resolution tolerance tol (1e-10 by default; ``coarsen``
+multiplies it by the fine resolution's size).
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, Mapping, Sequence
@@ -471,10 +471,6 @@ def fine_probabilities(family: HistoryFamily) -> np.ndarray:
     return family._probabilities.copy()
 
 
-#: Held while a D makes its matrix on first read: from Python 3.12, cached_property has no lock.
-_FIRST_READ = threading.Lock()
-
-
 def _check_trace(trace: complex, tol: float) -> None:
     if abs(trace - 1.0) > tol:
         raise InvalidHistoryError(f"decoherence functional trace {trace} differs from 1")
@@ -499,6 +495,7 @@ class DecoherenceFunctional(_ReadOnly):
     the one block of s = 1.  The engine treats a validated resolution as
     exactly orthogonal, so histories whose last-slot labels differ never
     interfere (P_a P_b = 0 under the trace), and s is the last slot's size.
+    The stack is all a D, a copy or a pickle of it keeps or carries.
     """
 
     histories: Sequence[History]
@@ -506,6 +503,8 @@ class DecoherenceFunctional(_ReadOnly):
     tol: float
 
     def __init__(self, histories: Sequence[History], matrix, tol: float = DFUNC_TOL):
+        if not isinstance(histories, _FineHistories):
+            histories = tuple(histories)
         stack = frozen(np.array(matrix, dtype=complex))[np.newaxis]
         if stack.shape[1:] != (len(histories),) * 2:
             raise DimensionMismatchError(
@@ -516,8 +515,6 @@ class DecoherenceFunctional(_ReadOnly):
         (error,) = _state_errors(stack, (tol,))
         if error is not None:
             raise InvalidHistoryError(f"decoherence functional: {error}") from error
-        if not isinstance(histories, _FineHistories):
-            histories = tuple(histories)
         vars(self).update(histories=histories, _stack=stack, tol=tol)
 
     @classmethod
@@ -529,39 +526,18 @@ class DecoherenceFunctional(_ReadOnly):
         vars(dfunc).update(histories=histories, _stack=frozen(blocks), tol=DFUNC_TOL)
         return dfunc
 
-    def __getstate__(self) -> dict:
-        """The state a copy or a pickle takes: once ``matrix`` is read, the
-        stack is a view of it and travels as its block count alone."""
-        state = vars(self).copy()
-        if "matrix" in state:
-            state["_stack"] = len(self._stack)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        """A copy's or an unpickled D's state, its arrays frozen: a stack sent
-        as its block count is again a view of the matrix."""
-        if "matrix" in state:
-            matrix, s = state["matrix"], state["_stack"]
-            state = {**state, "_stack": matrix[np.newaxis] if s == 1 else _block_view(matrix, s)}
-        super().__setstate__(state)
-
-    @cached_property
+    @property
     def matrix(self) -> np.ndarray:
-        """D as a read-only N x N array, made on first read: the one block
-        itself for s = 1 (a view), else the blocks scattered into zeros, of
-        which the stack is a view from then on."""
-        state = vars(self)
-        with _FIRST_READ:  # threads reading at once get one matrix
-            if "matrix" not in state:
-                stack = self._stack
-                s, m = stack.shape[:2]
-                matrix = stack[0]
-                if s > 1:
-                    matrix = np.zeros((s * m, s * m), dtype=complex)
-                    _block_view(matrix, s)[...] = stack
-                    state["_stack"] = _block_view(frozen(matrix), s)
-                state["matrix"] = matrix
-        return state["matrix"]
+        """D as a read-only N x N array: the one block itself for s = 1 (a
+        view), else the blocks scattered into fresh zeros on every read, 16 N^2
+        bytes that the caller holds and D does not keep."""
+        stack = self._stack
+        s, m = stack.shape[:2]
+        if s == 1:
+            return stack[0]
+        matrix = np.zeros((s * m, s * m), dtype=complex)
+        _block_view(matrix, s)[...] = stack
+        return frozen(matrix)
 
     @property
     def n(self) -> int:

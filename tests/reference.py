@@ -14,6 +14,10 @@ Only a family's inputs are read: nothing here calls the engine's Gram rows
 ``HistoryFamily._gram``), its factors of the state or of the projectors, or
 its lifts.  The products cost O(N d^3) and O(N^2 d^2), so this is for
 families of at most a few hundred histories.
+
+The checks' dense references, ``offdiag``, ``fibers`` and ``additivity``,
+read any dense D: this module's, or an engine matrix, where they are
+compared bit for bit.
 """
 
 import itertools
@@ -67,3 +71,46 @@ def bound(family) -> float:
     complex128's eps.  The bound allows 16 (n + 2) d eps, for n slots.
     """
     return 16 * (family.n_slots + 2) * family.dim * float(np.finfo(float).eps)
+
+
+def offdiag(matrix, magnitude):
+    """The first maximum of ``magnitude(matrix)`` over the strict upper
+    triangle, in row-major order: ``(worst, [i, j])``, or ``(0.0, None)``
+    with no pair, as the checks report."""
+    n = matrix.shape[0]
+    if n < 2:
+        return 0.0, None
+    viol = np.where(np.triu(np.ones((n, n), dtype=bool), k=1), magnitude(matrix), -1.0)
+    flat = int(np.argmax(viol))
+    i, j = divmod(flat, n)
+    return float(viol[i, j]), [i, j]
+
+
+def fibers(family, d, pos):
+    """Re D over slot ``pos`` from a dense D: ``(N / size, size, size)``
+    fibers, histories agreeing at every other slot."""
+    size = family.shape[pos]
+    index = np.moveaxis(np.arange(family.n_fine_histories).reshape(family.shape), pos, -1)
+    index = index.reshape(-1, size)
+    return d.real[index[:, :, np.newaxis], index[:, np.newaxis, :]]
+
+
+def additivity(family, d, scope):
+    """Both scopes' worst value from a dense D, over every slot (the last
+    slot's labels interfere too, unlike the engine's): pairs, |2 Re D| of
+    pairs differing in one slot; partitions (every slot of at most eight
+    labels), the off-diagonal Re D summed over any block of two or more
+    labels, which every merging partition of at most two blocks has."""
+    worst = 0.0
+    for pos, size in enumerate(family.shape):
+        g = fibers(family, d, pos)
+        if scope == "pairs":
+            a, b = np.triu_indices(size, k=1)
+            worst = max(worst, float(np.abs(2 * g[:, a, b]).max(initial=0.0)))
+            continue
+        off = g * (1 - np.eye(size))
+        for k in range(2, size + 1):
+            for block in itertools.combinations(range(size), k):
+                part = off[:, block][:, :, block]
+                worst = max(worst, float(np.abs(part.sum(axis=(1, 2))).max()))
+    return worst

@@ -24,6 +24,7 @@ from decohist.histories import _block_view
 from decohist.linalg import TILE
 from decohist.sampling import random_family
 
+import reference
 from conftest import gram_matrix, random_rank_state
 from test_consistency import (
     MAGNITUDES,
@@ -32,7 +33,6 @@ from test_consistency import (
     assert_robust_matches,
     exact_size_family,
     padded_resolution,
-    reference_offdiag,
 )
 
 
@@ -64,7 +64,7 @@ def assert_blocks_and_witnesses(fam, states):
             assert report.witness is None and report.worst_violation == 0.0
             assert robust.witness["inner"] is None
             continue
-        worst, indices = reference_offdiag(m, MAGNITUDES[mode])
+        worst, indices = reference.offdiag(m, MAGNITUDES[mode])
         assert report.worst_violation == worst  # bit for bit
         assert report.witness["indices"] == indices
         assert_robust_matches(robust, fam, states, mode)
@@ -133,7 +133,7 @@ class TestLastSlotBlocks:
         dfunc = DecoherenceFunctional._from_gram((_Unlabelled(),) * n, blocks)
         for mode, check in OFFDIAG_CHECKS.items():
             report = check(dfunc)
-            worst, indices = reference_offdiag(matrix, MAGNITUDES[mode])
+            worst, indices = reference.offdiag(matrix, MAGNITUDES[mode])
             assert (report.worst_violation, report.witness["indices"]) == (worst, indices)
             assert indices == list(min(cells))
 
@@ -157,7 +157,7 @@ class TestLastSlotBlocks:
         user = DecoherenceFunctional(histories, m)
         for mode, check in OFFDIAG_CHECKS.items():
             report = check(user)
-            assert report.worst_violation == reference_offdiag(m, MAGNITUDES[mode])[0] > 0
+            assert report.worst_violation == reference.offdiag(m, MAGNITUDES[mode])[0] > 0
             assert report.witness["indices"] == [1, 2]
 
 

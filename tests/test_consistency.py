@@ -178,15 +178,6 @@ class TestMediumDecoherence:
         assert check_medium_decoherence(d).passed
 
 
-def reference_offdiag(matrix, magnitude):
-    """Dense first maximum over the strict upper triangle, row-major order."""
-    n = matrix.shape[0]
-    viol = np.where(np.triu(np.ones((n, n), dtype=bool), k=1), magnitude(matrix), -1.0)
-    flat = int(np.argmax(viol))
-    i, j = divmod(flat, n)
-    return float(viol[i, j]), [i, j]
-
-
 class _Unlabelled:
     def labels_by_offset(self):
         return {}
@@ -214,7 +205,7 @@ class TestStripScan:
     def assert_matches_reference(matrix):
         for check, magnitude in TestStripScan.CHECKS:
             report = check(_Matrix(matrix))
-            worst, indices = reference_offdiag(matrix, magnitude)
+            worst, indices = reference.offdiag(matrix, magnitude)
             assert report.worst_violation == worst  # bit for bit
             assert report.witness["indices"] == indices
 
@@ -334,7 +325,7 @@ class TestStripKernel:
         states = [random_rank_state(rng, dim, rank) for rank in (1, dim, max(1, dim - 1))]
         for mode, check in OFFDIAG_CHECKS.items():
             report = check(d)
-            worst, indices = reference_offdiag(m, MAGNITUDES[mode])
+            worst, indices = reference.offdiag(m, MAGNITUDES[mode])
             assert report.worst_violation == worst  # bit for bit
             assert report.witness["indices"] == indices
 
@@ -361,7 +352,7 @@ class TestStripKernel:
         m = np.array(d.matrix)
         first = [TILE - 1, 2 * TILE]  # (z0, x+) with (z1, x+)
         assert MAGNITUDES[mode](m[TILE - 1, 2 * TILE]) == MAGNITUDES[mode](m[TILE, 2 * TILE + 1])
-        assert reference_offdiag(m, MAGNITUDES[mode])[1] == first
+        assert reference.offdiag(m, MAGNITUDES[mode])[1] == first
         assert OFFDIAG_CHECKS[mode](d).witness["indices"] == first
         # a later state wins only with a strictly larger violation
         robust = check_state_robustness(fam, states=[fam.state, fam.state], mode=mode)

@@ -3,8 +3,9 @@
 An engine-built ``DecoherenceFunctional`` holds only the blocks
 D[a::s, a::s] of an s-outcome last slot, as one read-only ``(s, M, M)``
 stack, N = M s; a D given to the constructor is the stack of s = 1.  The
-dense ``matrix`` is made on first read, and the stack is a view of that
-matrix from then on.
+stack is all a D keeps: the dense ``matrix`` is scattered from it afresh on
+each read (for s = 1 it is the block itself), and a copy or a pickle carries
+the stack alone.
 """
 
 import copy
@@ -55,7 +56,8 @@ def reports(d):
 
 
 def holds_blocks(d) -> bool:
-    return "matrix" not in vars(d)
+    """D keeps its fields and nothing more: no matrix beside the stack."""
+    return vars(d).keys() == {"histories", "_stack", "tol"}
 
 
 family_args = dict(
@@ -69,7 +71,7 @@ family_args = dict(
 class TestHeldBlocks:
     @settings(max_examples=30, deadline=None)
     @given(**family_args)
-    def test_matrix_is_made_once_from_the_blocks(self, case, seed, dim, rank):
+    def test_each_read_scatters_the_blocks(self, case, seed, dim, rank):
         rng = np.random.default_rng(seed)
         fam = case_family(rng, case, dim, min(rank, dim))
         d = decoherence_functional(fam)
@@ -84,15 +86,15 @@ class TestHeldBlocks:
         before = reports(d)
         assert holds_blocks(d)
 
-        matrix = d.matrix
-        assert d.matrix is matrix and d.matrix is matrix
-        assert not matrix.flags.writeable
-        scattered = np.zeros((n, n), dtype=complex)
-        _block_view(scattered, s)[...] = stack
-        assert np.array_equal(matrix, scattered)
-        # the blocks live on only as a view of the matrix
-        assert np.shares_memory(d._stack, matrix)
-        assert np.array_equal(d._stack, stack)
+        bits = stack.copy()
+        expected = np.zeros((n, n), dtype=complex)
+        _block_view(expected, s)[...] = stack
+        for matrix in (d.matrix, d.matrix):
+            assert not matrix.flags.writeable
+            assert np.array_equal(matrix, expected)
+            # a read leaves D as it was: the same stack, bit for bit, alone
+            assert d._stack is stack and np.array_equal(stack, bits)
+            assert holds_blocks(d)
         assert np.array_equal(d.diagonal, fam._probabilities)
         assert reports(d) == before
         # a check on a fresh D whose matrix was read first agrees
@@ -112,12 +114,12 @@ class TestHeldBlocks:
                 d.matrix
             before = reports(d)
             for twin in (copy.copy(d), pickle.loads(pickle.dumps(d))):
-                assert holds_blocks(twin) == (not read_first)
+                assert holds_blocks(twin)
                 assert np.array_equal(twin.matrix, expected)
                 assert twin.n == d.n and twin.tol == d.tol
                 assert reports(twin) == before
             # reading a copy's matrix leaves the original as it was
-            assert holds_blocks(d) == (not read_first)
+            assert holds_blocks(d)
             assert np.array_equal(d.matrix, expected)
 
     @pytest.mark.parametrize("case", CASES)
@@ -136,30 +138,6 @@ class TestHeldBlocks:
             tracemalloc.stop()
         assert holds_blocks(d)
         assert peak <= 16 * n * n // s + 2 * 16 * TILE * n + 256 * 1024
-
-    def test_threads_reading_at_once_get_one_matrix(self):
-        fam = case_family(np.random.default_rng(3), 2 * TILE + 2, 3, 2)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(20):
-                d = decoherence_functional(fam)
-                start, seen = threading.Barrier(4), []
-
-                def read():
-                    start.wait(timeout=10)
-                    seen.append(d.matrix)
-
-                threads = [threading.Thread(target=read) for _ in range(4)]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=10)
-                assert not any(t.is_alive() for t in threads)
-                assert len(seen) == 4 and all(m is d.matrix for m in seen)
-                assert np.shares_memory(d._stack, d.matrix)
-        finally:
-            sys.setswitchinterval(interval)
 
     def test_dense_paths_keep_the_matrix(self, z_then_x_family):
         engine = decoherence_functional(z_then_x_family)
@@ -195,7 +173,7 @@ class TestOneForm:
                 setattr(d, name, None)
             with pytest.raises(FrozenInstanceError):
                 delattr(d, name)
-        assert holds_blocks(d) == (not read_first)
+        assert holds_blocks(d)
         assert reports(d) == before and np.array_equal(d.matrix, expected)
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -219,30 +197,30 @@ class TestOneForm:
         assert holds_blocks(d)
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_first_reads_without_the_property_lock_get_one_matrix(self, kind):
-        # Python 3.12 dropped cached_property's own lock: the first-read
-        # function itself must hand threads that run it at once one matrix
-        first_read = DecoherenceFunctional.matrix.func
+    def test_threads_reading_at_once_get_equal_matrices(self, kind):
+        # a read changes nothing in D, so threads need no lock between them
         fam = case_family(np.random.default_rng(3), 2 * TILE + 2, 3, 2)
+        expected = np.array(decoherence_functional(fam).matrix)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(20):
                 d = one_form_d(kind, fam)
-                start, seen = threading.Barrier(4), []
+                stack, start, seen = d._stack, threading.Barrier(4), []
 
                 def read():
                     start.wait(timeout=10)
-                    seen.append(first_read(d))
+                    seen.append(d.matrix)
 
                 threads = [threading.Thread(target=read) for _ in range(4)]
                 for t in threads:
                     t.start()
                 for t in threads:
                     t.join(timeout=10)
-                assert not any(t.is_alive() for t in threads)
-                assert len(seen) == 4 and all(m is d.matrix for m in seen)
-                assert np.shares_memory(d._stack, d.matrix)
+                assert not any(t.is_alive() for t in threads) and len(seen) == 4
+                for matrix in seen:
+                    assert not matrix.flags.writeable and np.array_equal(matrix, expected)
+                assert d._stack is stack and holds_blocks(d)
         finally:
             sys.setswitchinterval(interval)
 
@@ -256,18 +234,20 @@ class TestOneForm:
         ids=["deepcopy", "pickle"],
     )
     def test_a_copy_keeps_the_one_read_only_form(self, kind, shape, read_first, twin_of):
-        # numpy deep-copies and unpickles arrays writable and apart; a twin
-        # of D freezes them, and its stack is a view of its matrix again
+        # numpy deep-copies and unpickles arrays writable; a twin of D
+        # freezes its stack, which it holds alone, read or not
         fam = shaped_family(np.random.default_rng(10), shape, 3, 2)
         expected = np.array(decoherence_functional(fam).matrix)
         d = one_form_d(kind, fam)
         if read_first:
             d.matrix
         twin = twin_of(d)
-        assert holds_blocks(twin) == (not read_first)
+        assert holds_blocks(twin)
         assert not twin._stack.flags.writeable
         matrix = twin.matrix
-        assert not matrix.flags.writeable and np.shares_memory(twin._stack, matrix)
+        assert not matrix.flags.writeable
+        # the one block of s = 1 is read without a copy
+        assert np.shares_memory(twin._stack, matrix) == (len(twin._stack) == 1)
         for array, index in ((matrix, (0, 0)), (twin._stack, (0, 0, 0))):
             with pytest.raises(ValueError, match="read-only"):
                 array[index] = 7
@@ -275,17 +255,15 @@ class TestOneForm:
         assert np.array_equal(twin.diagonal, np.diagonal(expected).real)
 
     @pytest.mark.parametrize("shape", [(4, 4, 4), (4, 4, 1)])
-    def test_a_read_matrix_is_pickled_once(self, shape):
-        # once the matrix is read the stack is a view of it: a pickle grows
-        # by the matrix less the stack it replaces, and a few bytes of key
+    def test_a_pickle_carries_the_stack_alone(self, shape):
+        # D keeps no matrix, so a pickle made after a read is the same bytes
         fam = shaped_family(np.random.default_rng(11), shape, 8, 8)
         d = decoherence_functional(fam)
-        held, stack_bytes = len(pickle.dumps(d)), d._stack.nbytes
+        held = pickle.dumps(d)
         matrix = d.matrix
-        read = pickle.dumps(d)
-        assert len(read) - held <= matrix.nbytes - stack_bytes + 256
-        twin = pickle.loads(read)
-        assert np.shares_memory(twin._stack, twin.matrix)
+        assert pickle.dumps(d) == held
+        twin = pickle.loads(held)
+        assert holds_blocks(twin)
         assert not twin._stack.flags.writeable and not twin.matrix.flags.writeable
         assert np.array_equal(twin.matrix, matrix) and np.array_equal(twin._stack, d._stack)
 

@@ -353,7 +353,13 @@ class TestLazyHistories:
             lazy[0] = fine[0]
         # the public constructor keeps it, and makes a tuple of anything else
         assert DecoherenceFunctional(lazy, d.matrix).histories is lazy
-        assert isinstance(DecoherenceFunctional(list(fine), d.matrix).histories, tuple)
+        given = [
+            DecoherenceFunctional(histories, d.matrix)
+            for histories in ((h for h in fam.fine_histories()), list(fine), fine)
+        ]
+        for other in given:
+            assert isinstance(other.histories, tuple) and other.histories == fine
+            assert np.array_equal(other.matrix, d.matrix) and other.tol == d.tol
 
     def test_histories_are_made_on_access_only(self, monkeypatch):
         fam = random_family(np.random.default_rng(14), 3, 3)

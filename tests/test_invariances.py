@@ -8,10 +8,13 @@ Heisenberg-lifted projectors of history i (Griffiths, J. Stat. Phys. 36,
   Hamiltonian by one unitary W conjugates every lifted projector and so
   every chain operator, which cancels under the trace;
 * a trivial slot: a slot whose resolution is {I} multiplies every chain
-  operator by the identity, wherever it is inserted.
+  operator by the identity, wherever it is inserted;
+* the reference slot: moving the state's slot from r to k, with the state
+  evolved to t_k as U rho U^dagger, U = exp(-i H (t_k - t_r)), turns every
+  lifted projector Q into U Q U^dagger too, which cancels under the trace.
 
 The families carry rank-deficient states and degenerate and zero
-projectors, and both relations are compared entry by entry over the dense
+projectors, and each relation is compared entry by entry over the dense
 D.  Neither family shares arithmetic with the other, so the comparison
 is within a tolerance, not bit for bit.
 """
@@ -39,7 +42,8 @@ from test_consistency import padded_resolution
 #: exp(-i H dt) from an eigendecomposition of H (|H dt| of order 10).
 #: Each side's round-off is a few hundred ulps of 1 at most: over 400
 #: random families of this kind, D's entries differed by at most 3.0e-14
-#: under covariance and 1.4e-14 with a trivial slot.  1e-12 leaves a
+#: under covariance, 1.4e-14 with a trivial slot and 6.9e-15 with the
+#: reference moved to each slot in turn.  1e-12 leaves a
 #: thirtyfold margin, while a wrong lift or propagator moves entries of D
 #: by about 1e-1.
 TOL = 1e-12
@@ -106,6 +110,20 @@ def test_unitary_covariance(seed, dim, shape, rank):
         }
     )
     assert np.max(np.abs(dense(rotated) - dense(family))) <= TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(**family_args, to=st.integers(0, 3))
+def test_moving_the_reference_slot(seed, dim, shape, rank, to):
+    rng = np.random.default_rng(seed)
+    family, parts = hamiltonian_family(rng, dim, shape, min(rank, dim))
+    times, k = parts["times"], to % len(shape)
+    # exp(-i H (t_k - t_ref)) from H's own eigenbasis, not the engine's steps
+    energies, basis = np.linalg.eigh(parts["h"])
+    phases = np.exp(-1j * energies * (times[k] - times[parts["reference"]]))
+    u = (basis * phases) @ basis.conj().T
+    moved = build(**{**parts, "reference": k, "state": hermitian(u @ parts["state"] @ u.conj().T)})
+    assert np.max(np.abs(dense(moved) - dense(family))) <= TOL
 
 
 @settings(max_examples=60, deadline=None)

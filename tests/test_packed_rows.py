@@ -12,7 +12,6 @@ fibers and robustness in every inner mode, whose worst values are read off
 the reference's D directly.
 """
 
-import itertools
 import tracemalloc
 
 import numpy as np
@@ -34,6 +33,7 @@ from decohist.sampling import random_family, random_resolution, random_unitary
 import reference
 from conftest import random_rank_state
 from test_blocks import shaped_family
+from test_consistency import MAGNITUDES
 from test_lueders import exact_resolution
 from test_reference import assert_matches_reference, with_last
 
@@ -174,41 +174,6 @@ class TestOneOutcomeLastSlot:
         assert_matches_reference(fam)
 
 
-def reference_fibers(family, d, pos):
-    """Re D over slot ``pos`` from a dense D: ``(N / size, size, size)``
-    fibers, histories agreeing at every other slot."""
-    size = family.shape[pos]
-    index = np.moveaxis(np.arange(family.n_fine_histories).reshape(family.shape), pos, -1)
-    index = index.reshape(-1, size)
-    return d.real[index[:, :, np.newaxis], index[:, np.newaxis, :]]
-
-
-def reference_additivity(family, d, scope):
-    """Both scopes' worst value from a dense D, over every slot (the last
-    slot's labels interfere too, unlike the engine's): pairs, |2 Re D| of
-    pairs differing in one slot; partitions (every slot of at most eight
-    labels), the off-diagonal Re D summed over any block of two or more
-    labels, which every merging partition of at most two blocks has."""
-    worst = 0.0
-    for pos, size in enumerate(family.shape):
-        g = reference_fibers(family, d, pos)
-        if scope == "pairs":
-            a, b = np.triu_indices(size, k=1)
-            worst = max(worst, float(np.abs(2 * g[:, a, b]).max(initial=0.0)))
-            continue
-        off = g * (1 - np.eye(size))
-        for k in range(2, size + 1):
-            for block in itertools.combinations(range(size), k):
-                part = off[:, block][:, :, block]
-                worst = max(worst, float(np.abs(part.sum(axis=(1, 2))).max()))
-    return worst
-
-
-def reference_offdiag(d, mode):
-    above = d[np.triu_indices(len(d), k=1)]
-    return float((np.abs(2 * above.real) if mode == "weak" else np.abs(above)).max(initial=0.0))
-
-
 @pytest.mark.parametrize("state_rank", ["pure", "deficient", "full"])
 class TestChecksAgainstTheReference:
     @staticmethod
@@ -231,7 +196,7 @@ class TestChecksAgainstTheReference:
         d = reference.decoherence_matrix(fam)
         for scope in ("pairs", "partitions"):
             got = check_additivity(fam, scope=scope).worst_violation
-            assert abs(got - reference_additivity(fam, d, scope)) <= 8 * reference.bound(fam)
+            assert abs(got - reference.additivity(fam, d, scope)) <= 8 * reference.bound(fam)
 
     @settings(max_examples=8, deadline=None)
     @given(
@@ -248,9 +213,9 @@ class TestChecksAgainstTheReference:
         for mode in ("weak", "medium", "additivity"):
             report = check_state_robustness(fam, states=states, mode=mode)
             if mode == "additivity":
-                worst = max(reference_additivity(fam, d, "partitions") for d in dense)
+                worst = max(reference.additivity(fam, d, "partitions") for d in dense)
             else:
-                worst = max(reference_offdiag(d, mode) for d in dense)
+                worst = max(reference.offdiag(d, MAGNITUDES[mode])[0] for d in dense)
             assert abs(report.worst_violation - worst) <= bound, mode
 
 
